@@ -84,6 +84,12 @@ _MATRIX = {
     "type": "array",
     "items": {"type": "array", "items": {"type": "number"}},
 }
+_MATRIX2 = {
+    "type": "array",
+    "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    "minItems": 2,
+    "maxItems": 2,
+}
 _TOL = {
     "type": "object",
     "additionalProperties": False,
@@ -148,7 +154,7 @@ SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "grid": {"type": "integer", "minimum": 16},
-            "b_matrix": _MATRIX,
+            "b_matrix": _MATRIX2,
             "perturbation": {"type": "number", "minimum": 0},
             "trials": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer"},
@@ -179,11 +185,24 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     path.write_text("\n".join(rows) + "\n", newline="\n")
 
 
-def _read_csv(path: Path) -> dict[str, np.ndarray]:
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+def _read_csv(path: Path, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Read a numeric CSV with a header row holding at least ``columns``."""
+    try:
+        lines = path.read_text().strip().split("\n")
+        header = lines[0].split(",")
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot read CSV {path}: {exc}") from exc
+    if any(c not in header for c in columns) or data.ndim != 2 or data.shape[1] != len(header):
+        raise InvalidConfig(f"CSV {path} needs a header with {', '.join(columns)} and one value per column")
     return {name: data[:, i] for i, name in enumerate(header)}
+
+
+def _validate(cfg, command: str) -> None:
+    validator = Draft202012Validator(SCHEMAS[command])
+    errors = sorted(validator.iter_errors(cfg), key=str)
+    if errors:
+        raise InvalidConfig("; ".join(e.message for e in errors))
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -191,10 +210,7 @@ def _load_config(path: str, command: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    validator = Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(raw), key=str)
-    if errors:
-        raise InvalidConfig("; ".join(e.message for e in errors))
+    _validate(raw, command)
     return raw
 
 
@@ -209,7 +225,10 @@ def _datum_profile(entry: dict, n: int, base_dir: Path) -> PeriodicProfile:
         )
     if "file" not in entry:
         raise InvalidConfig("datum kind 'samples' requires a 'file' entry")
-    samples = np.loadtxt(base_dir / entry["file"], delimiter=",", ndmin=1)
+    try:
+        samples = np.loadtxt(base_dir / entry["file"], delimiter=",", ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot read datum file {entry['file']}: {exc}") from exc
     if samples.shape[0] != n:
         raise InvalidConfig(f"datum file has {samples.shape[0]} samples, expected {n}")
     return PeriodicProfile.from_samples(samples)
@@ -324,7 +343,7 @@ def _cmd_solve(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
 
 def _cmd_residual(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
     manifest = _Manifest("residual", cfg)
-    table = _read_csv(base_dir / cfg["solution"])
+    table = _read_csv(base_dir / cfg["solution"], ("phi", "residual"))
     n = table["phi"].shape[0]
     cfg_grid = cfg.get("grid", n)
     if cfg_grid != n:
@@ -530,6 +549,8 @@ def main(argv=None) -> int:
             cfg["grid"] = args.grid
         if args.tol is not None:
             cfg.setdefault("tolerances", {})["residual"] = args.tol
+        if args.grid is not None or args.tol is not None:
+            _validate(cfg, args.command)  # overrides obey the schema too
         base_dir = Path(args.config).resolve().parent
         outdir = Path(args.out or cfg.get("output", "."))
         outdir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import dhym
 from dhym.cli import main
 
 SOLVE_CFG = {
@@ -168,3 +173,30 @@ def test_grid_override(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path), "--grid", "128"]) == 0
     table = np.genfromtxt(tmp_path / "solution.csv", delimiter=",", names=True)
     assert table["x"].shape[0] == 128
+
+
+def test_grid_override_is_validated(tmp_path):
+    path = write_cfg(tmp_path, "c.json", SOLVE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path), "--grid", "-4"]) == 2
+
+
+def test_lincheck_rejects_non_2x2_b_matrix(tmp_path):
+    cfg = {"grid": 16, "b_matrix": [[2.0, 0.7, 0.0], [0.7, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["lincheck", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_residual_missing_solution_csv(tmp_path):
+    (tmp_path / "bad.csv").write_text("x,psi\n0,1\n")  # no phi or residual column
+    for solution in ("missing.csv", "bad.csv"):
+        path = write_cfg(tmp_path, "r.json", dict(SOLVE_CFG, solution=solution))
+        assert main(["residual", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the command line must not load it
+    src = str(Path(dhym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dhym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

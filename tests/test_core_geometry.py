@@ -32,7 +32,7 @@ def bisection_pencil_roots(v, f, n_probe=4001, tol=1e-13):
     """
     lam_max = np.abs(np.linalg.eigvalsh(f)).max() / np.linalg.eigvalsh(v).min() + 1.0
     grid = np.linspace(-lam_max, lam_max, n_probe)
-    vals = np.array([np.linalg.det(f - lam * v) for lam in grid])
+    vals = np.linalg.det(f - grid[:, None, None] * v)
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         lo, hi = grid[i], grid[i + 1]

@@ -15,7 +15,7 @@ from dhym.linearized_ops import (
     selfadjointness_refinement,
     solve_lincond,
 )
-from dhym.spectral import grid2, hessian2
+from dhym.spectral import grid2, hessian2, partial2
 
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
@@ -104,6 +104,92 @@ class TestSolveLincond:
         e24 = np.abs(resample2(sups[1], 32) - fine).max()
         assert e24 < e16
         assert e24 < 1e-6
+
+
+def lincond_rhs(ctx, gamma):
+    """Right-hand side of the linearized degree equation, written out."""
+    gdot = hessian2(gamma)
+    p0, p1 = partial2(ctx.phi, 1, 0), partial2(ctx.phi, 0, 1)
+    m = ctx.u_inv @ gdot @ ctx.u_inv
+    transport = partial2(m[..., 0, 0] * p0 + m[..., 0, 1] * p1, 1, 0) + partial2(
+        m[..., 1, 0] * p0 + m[..., 1, 1] * p1, 0, 1
+    )
+    return transport - np.einsum("...ij,ij->...", gdot, ctx.b_matrix)
+
+
+def dense_elliptic_oracle(ctx, rhs):
+    """Solve (Delta + sigma P) f = rhs, mean(f) = 0, by dense LU of the
+    bordered matrix: sigma = -(pi N)^2, P the FFT projector onto the modes
+    with a Nyquist index in either axis."""
+    n = ctx.n
+    size = n * n
+    sigma = -((np.pi * n) ** 2)
+    mat = np.zeros((size + 1, size + 1))
+    basis = np.zeros((n, n))
+    for j in range(size):
+        basis.flat[j] = 1.0
+        coeff = np.fft.fft2(basis)
+        keep = np.zeros_like(coeff)
+        keep[n // 2, :] = coeff[n // 2, :]
+        keep[:, n // 2] = coeff[:, n // 2]
+        mat[:size, j] = (ctx.laplacian(basis) + sigma * np.real(np.fft.ifft2(keep))).ravel()
+        basis.flat[j] = 0.0
+    mat[:size, size] = 1.0
+    mat[size, :size] = 1.0 / size
+    sol = np.linalg.solve(mat, np.concatenate([(rhs - rhs.mean()).ravel(), [0.0]]))
+    return sol[:-1].reshape(n, n)
+
+
+def white_noise(n, seed, scale=10.0):
+    f = scale * np.random.default_rng(seed).standard_normal((n, n))
+    return f - f.mean()
+
+
+def delta(n):
+    f = np.zeros((n, n))
+    f[n // 3, n // 5] = 1.0
+    return f
+
+
+class TestEllipticSolve:
+    """The matrix-free elliptic solve behind solve_lincond, at every N."""
+
+    def test_zero_input_on_large_grid(self):
+        ctx = make_consistent_context(perturbed_background(64), B_REF)
+        zero = np.zeros((64, 64))
+        assert not solve_lincond(ctx, zero).any()
+        assert not apply_L(ctx, zero).any()
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_white_noise_direction(self, n):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        out = solve_lincond(ctx, white_noise(n, seed=n))
+        assert np.isfinite(out).all()
+        assert abs(out.mean()) <= 1e-13 * np.abs(out).max()
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_dense_oracle(self, n):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        for gamma in (white_noise(n, seed=7), band_limited(n, seed=8)):
+            ref = dense_elliptic_oracle(ctx, lincond_rhs(ctx, gamma))
+            out = solve_lincond(ctx, gamma)
+            assert np.abs(out - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_laplacian_applications_per_solve(self, n, monkeypatch):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        calls = []
+        laplacian = LinearizedContext.laplacian
+
+        def counted(self, f):
+            calls.append(1)
+            return laplacian(self, f)
+
+        monkeypatch.setattr(LinearizedContext, "laplacian", counted)
+        for gamma in (delta(n), band_limited(n, seed=9)):
+            calls.clear()
+            solve_lincond(ctx, gamma)
+            assert 0 < len(calls) <= 20
 
 
 class TestApplyL:
