@@ -21,14 +21,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .core_geometry import (
@@ -62,7 +59,7 @@ from .radius_limits import (
     limit_convergence_study,
     small_radius_phase_check,
 )
-from .spectral import PeriodicProfile, grid, grid2, spectral_derivative
+from .spectral import PeriodicProfile, grid, grid2, spectral_derivative, trig_interpolate
 
 # -- config schemas ----------------------------------------------------------
 
@@ -133,8 +130,8 @@ SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "f0_matrix": _MATRIX,
-            "t_large": {"type": "array", "items": {"type": "number"}},
-            "t_small": {"type": "array", "items": {"type": "number"}},
+            "t_large": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+            "t_small": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
             "output": {"type": "string"},
         },
         "required": ["f0_matrix"],
@@ -198,16 +195,61 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON Schema: a bool is not a number, and 2.0 is an integer
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _schema_errors(value, schema: dict, where: str) -> list[str]:
+    """JSON Schema (draft 2020-12) check of ``value``, for the keywords SCHEMAS uses."""
+    kind = schema.get("type")
+    if kind is not None and not _IS_TYPE[kind](value):
+        return [f"{where}: {value!r} is not of type {kind!r}"]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{where}: {value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        errors += [f"{where}: {k!r} is a required property" for k in schema.get("required", ()) if k not in value]
+        if schema.get("additionalProperties") is False:
+            errors += [f"{where}: additional property {k!r} is not allowed" for k in value if k not in props]
+        for k, v in value.items():
+            if k in props:
+                errors += _schema_errors(v, props[k], f"{where}.{k}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{where}: fewer than {schema['minItems']} items")
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            errors.append(f"{where}: more than {schema['maxItems']} items")
+        if "items" in schema:
+            for i, v in enumerate(value):
+                errors += _schema_errors(v, schema["items"], f"{where}[{i}]")
+    if _IS_TYPE["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            errors.append(f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            errors.append(f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']!r}")
+    return errors
+
+
 def _validate(cfg, command: str) -> None:
-    validator = Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(cfg), key=str)
+    errors = _schema_errors(cfg, SCHEMAS[command], "config")
     if errors:
-        raise InvalidConfig("; ".join(e.message for e in errors))
+        raise InvalidConfig("; ".join(sorted(errors)))
+
+
+def _reject_constant(token: str):
+    raise InvalidConfig(f"{token} is not a JSON number")
 
 
 def _load_config(path: str, command: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     _validate(raw, command)
@@ -253,7 +295,6 @@ class _Manifest:
             "command": command,
             "version": __version__,
             "config_sha256": _config_hash(cfg),
-            "threads": int(os.environ.get("DHYM_THREADS", "1")),
             "timings": {},
             "constants": {},
             "results": {},
@@ -275,22 +316,6 @@ class _Manifest:
     def write(self, outdir: Path) -> None:
         self.data["timings"]["total"] = time.perf_counter() - self._t0
         (outdir / "manifest.json").write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DHYM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; threads capped by DHYM_THREADS."""
-    n = _workers()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -395,7 +420,10 @@ def _cmd_phase(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
 
 def _cmd_expand(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
     manifest = _Manifest("expand", cfg)
-    data = CohomologyData.from_matrix(np.array(cfg["f0_matrix"], dtype=float))
+    rows = cfg["f0_matrix"]
+    if any(len(row) != len(rows) for row in rows):
+        raise InvalidConfig("f0_matrix must be a square matrix")
+    data = CohomologyData.from_matrix(np.array(rows, dtype=float))
     results = {}
     columns, header = [], []
     t_large = cfg.get("t_large", [10.0, 20.0, 40.0, 80.0, 160.0])
@@ -430,8 +458,6 @@ def _cmd_legendre(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int
     y_at = m.inverse(x)
     phi_dd = spectral_derivative(phi.samples, 2, stabilized=True)
     psi_dd = spectral_derivative(psi.samples, 2, stabilized=True)
-    from .spectral import trig_interpolate
-
     duality = (1.0 + phi_dd) * (1.0 + trig_interpolate(psi_dd, y_at)) - 1.0
     psi_back, _ = legendre_forward(phi)
     manifest.data["results"] = {

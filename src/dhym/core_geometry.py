@@ -23,6 +23,7 @@ from .errors import (
     DegeneratePhase,
     DhymError,
     DimensionMismatch,
+    InvalidConfig,
     NonPositiveMetric,
     PhasePreconditionViolated,
 )
@@ -160,6 +161,8 @@ def torus_constant_phase(f0: ConstantCurvature2) -> Phase:
     re = 1.0 - f0.det
     im = -f0.tr
     n = float(np.hypot(re, im))
+    if not np.isfinite(n):
+        raise InvalidConfig("the defining integral overflows for this class")
     if n == 0.0:
         raise DegeneratePhase("the defining integral vanishes for this class")
     return Phase(cos=re / n, sin=im / n, magnitude=n)
@@ -176,7 +179,8 @@ def phase_positivity_constant(f0: ConstantCurvature2, phase: Phase) -> float:
     if abs(den) < 1e-14:
         raise DegenerateDenominator("cos - c sin is numerically zero")
     value = f0.b**2 / den
-    alt = f0.b**2 * phase.magnitude / (1.0 + f0.b**2 + f0.c**2)
+    # (b / |(1, b, c)|)^2 N: no square of a large entry overflows
+    alt = (f0.b / np.hypot(np.hypot(1.0, f0.b), f0.c)) ** 2 * phase.magnitude
     if not np.isnan(alt) and abs(value - alt) > 1e-12 * max(1.0, abs(value)):
         raise DhymError(f"positivity constant mismatch: {value!r} vs {alt!r}")
     return float(value)

@@ -57,8 +57,11 @@ class MonotoneMap:
         """Invert the map at arbitrary points by safeguarded Newton.
 
         Each target is bracketed between adjacent grid images (monotonicity
-        makes the bracket valid); Newton steps that leave the bracket fall
-        back to bisection.
+        makes the bracket valid) and starts on the chord between them.
+        Newton candidates on the closed bracket are accepted, so a converged
+        point stays put; candidates outside it fall back to bisection.  A
+        point stops once |m(y) - target| < 1e-14, and only the points not
+        yet converged are evaluated again.
         """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         base = self.values[0]
@@ -66,23 +69,23 @@ class MonotoneMap:
         tau = pts - shift
         ext = np.append(self.values, self.values[0] + 1.0)
         idx = np.clip(np.searchsorted(ext, tau, side="right") - 1, 0, self.n - 1)
-        nodes = grid(self.n)
-        lo = nodes[idx]
-        hi = nodes[idx] + 1.0 / self.n
-        y = 0.5 * (lo + hi)
+        lo = grid(self.n)[idx]
+        hi = lo + 1.0 / self.n
+        y = lo + (tau - ext[idx]) / (ext[idx + 1] - ext[idx]) / self.n
+        todo = np.arange(y.shape[0])
         for _ in range(80):
-            m = y + trig_interpolate(self.d1, y)
-            err = m - tau
-            if np.abs(err).max() < 1e-14:
+            yt = y[todo]
+            err = yt + trig_interpolate(self.d1, yt) - tau[todo]
+            unconverged = ~(np.abs(err) < 1e-14)
+            if not unconverged.any():
                 break
+            todo, yt, err = todo[unconverged], yt[unconverged], err[unconverged]
             below = err < 0.0
-            lo = np.where(below, y, lo)
-            hi = np.where(below, hi, y)
-            dm = 1.0 + trig_interpolate(self.d2, y)
-            step = err / dm
-            cand = y - step
-            inside = (cand > lo) & (cand < hi)
-            y = np.where(inside, cand, 0.5 * (lo + hi))
+            lo[todo] = np.where(below, yt, lo[todo])
+            hi[todo] = np.where(below, hi[todo], yt)
+            cand = yt - err / (1.0 + trig_interpolate(self.d2, yt))
+            inside = (cand >= lo[todo]) & (cand <= hi[todo])
+            y[todo] = np.where(inside, cand, 0.5 * (lo[todo] + hi[todo]))
         return (y + shift) if np.ndim(points) else float(y[0] + shift[0])
 
 

@@ -110,6 +110,14 @@ class PhaseExpansionReport:
     c: float
 
 
+def _expansion_report(t: np.ndarray, errors: np.ndarray, c: float, flat_slope: float) -> PhaseExpansionReport:
+    # a class or radius too large for floating point leaves inf or nan errors
+    if not np.isfinite(errors).all():
+        raise InvalidConfig("the phase expansion overflows for this class and these radii")
+    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else flat_slope
+    return PhaseExpansionReport(t_values=t, errors=errors, slope=slope, c=c)
+
+
 def large_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionReport:
     """Truncation error of exp(-i theta(t)) ~ (1 - c^2/(2 t^2)) + i c/t.
 
@@ -120,11 +128,11 @@ def large_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionRepo
     if t.size < 4 or t[-1] < 8.0 * t[0]:
         raise InvalidConfig("need >= 4 radius values spanning close to a decade")
     c = data.c_large
+    # c * c, not c**2: a float power raises on overflow where a product gives inf
     errors = np.array(
-        [abs(_phase_at(tv, data) - ((1.0 - c**2 / (2.0 * tv**2)) + 1j * c / tv)) for tv in t]
+        [abs(_phase_at(tv, data) - ((1.0 - c * c / (2.0 * tv**2)) + 1j * c / tv)) for tv in t]
     )
-    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else float("-inf")
-    return PhaseExpansionReport(t_values=t, errors=errors, slope=slope, c=c)
+    return _expansion_report(t, errors, c, float("-inf"))
 
 
 def small_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionReport:
@@ -137,8 +145,7 @@ def small_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionRepo
     t = np.asarray(sorted(t_list, reverse=True), dtype=float)
     lead = (1j) ** data.n * np.sign(data.e[-1])
     errors = np.array([abs(_phase_at(tv, data) - lead * (1.0 - 1j * c * tv)) for tv in t])
-    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else float("inf")
-    return PhaseExpansionReport(t_values=t, errors=errors, slope=slope, c=c)
+    return _expansion_report(t, errors, c, float("inf"))
 
 
 def scaled_coupled_problem(base: ODEProblem, t: float) -> ODEProblem:

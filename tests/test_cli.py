@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,9 +6,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from jsonschema import Draft202012Validator
 
 import dhym
-from dhym.cli import main
+from dhym.cli import SCHEMAS, _validate, main
+from dhym.errors import InvalidConfig
 
 SOLVE_CFG = {
     "regime": "dhym",
@@ -119,8 +123,7 @@ def test_lincheck_command(tmp_path):
     assert manifest["results"]["negativity_max_rayleigh"] <= 1e-8
 
 
-def test_limits_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("DHYM_THREADS", "2")
+def test_limits_command(tmp_path):
     cfg = {
         "regime": "large_radius",
         "f0": [0.4, 1.0, 0.3],
@@ -134,7 +137,6 @@ def test_limits_command(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert -2.5 < manifest["results"]["order"] < -1.5
     assert manifest["results"]["exact"] is False
-    assert manifest["threads"] == 2
 
 
 def test_limits_command_trace_free_class(tmp_path):
@@ -194,9 +196,144 @@ def test_residual_missing_solution_csv(tmp_path):
 
 
 def test_import_leaves_scipy_out():
-    # scipy is a test-only dependency: the command line must not load it
+    # scipy and jsonschema are test-only dependencies: the command line must load neither
     src = str(Path(dhym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dhym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, dhym.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- config validation against the jsonschema reference ----------------------
+
+# one valid config per command, with every optional key, for the mutations to reach
+FULL_CFGS = {
+    "solve": dict(
+        SOLVE_CFG,
+        datum={"kind": "fourier", "cos": [0.1], "sin": [0.0, 0.02], "constant": -2.0, "file": "d.csv"},
+        tolerances={"residual": 1e-10, "damping_floor": 1e-4},
+        output="out",
+    ),
+    "residual": dict(SOLVE_CFG, solution="solution.csv", output="out"),
+    "phase": {"f0": [0.5, 1.0, -0.3], "output": "out"},
+    "expand": {
+        "f0_matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        "t_large": [10, 20, 40, 80],
+        "t_small": [0.1, 0.05, 0.025, 0.0125],
+        "output": "out",
+    },
+    "legendre": {"profile": {"kind": "fourier", "cos": [0.01]}, "grid": 256, "output": "out"},
+    "lincheck": {
+        "grid": 32,
+        "b_matrix": [[2.0, 0.7], [0.7, 1.0]],
+        "perturbation": 0.004,
+        "trials": 8,
+        "seed": 3,
+        "mode_limit": 2,
+        "output": "out",
+    },
+    "limits": dict(SOLVE_CFG, regime="large_radius", t_list=[4, 8, 16, 32], output="out"),
+}
+
+# values that sit on either side of every rule in SCHEMAS: bools against
+# numbers, integral floats against integers, bounds, lengths, enums
+ATOMS = [
+    None, True, False, 0, 1, -1, 2, 3, 15, 16, 16.0, 16.5, 3.0, 0.0, -0.0, 1e-300, 1e300, -1e300,
+    float("nan"), float("inf"), "", "dhym", "fourier", "samples", "large_radius",
+    [], [1.0], [1, 2, 3], [[1, 2], [3, 4]], [[1, 2, 3]], {}, {"kind": "fourier"},
+]
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def mutate(cfg, rng):
+    """Apply one to three random edits: delete, replace, add a key or insert an item."""
+    cfg = copy.deepcopy(cfg)
+    for _ in range(rng.integers(1, 4)):
+        paths = list(_paths(cfg))
+        path = paths[rng.integers(len(paths))]
+        if not path:
+            continue
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        atom = copy.deepcopy(ATOMS[rng.integers(len(ATOMS))])
+        op = rng.integers(4)
+        if op == 0:
+            del parent[path[-1]]
+        elif op == 2 and isinstance(target, dict):
+            target["bogus" if rng.random() < 0.5 else "output"] = atom
+        elif op == 3 and isinstance(target, list):
+            item = copy.deepcopy(target[0]) if target and rng.random() < 0.7 else atom
+            target.insert(rng.integers(len(target) + 1), item)
+        else:
+            parent[path[-1]] = atom
+    return cfg
+
+
+def _keywords(schema):
+    found = set(schema)
+    if "items" in schema:
+        found |= _keywords(schema["items"])
+    for sub in schema.get("properties", {}).values():
+        found |= _keywords(sub)
+    return found
+
+
+def test_validate_agrees_with_jsonschema():
+    used = set().union(*(_keywords(schema) for schema in SCHEMAS.values()))
+    assert used <= {"type", "enum", "properties", "required", "additionalProperties", "items",
+                    "minItems", "maxItems", "minimum", "exclusiveMinimum"}
+    rng = np.random.default_rng(20261018)
+    for command, schema in SCHEMAS.items():
+        oracle = Draft202012Validator(schema)
+        verdicts = []
+        for _ in range(300):
+            cfg = mutate(FULL_CFGS[command], rng)
+            try:
+                _validate(cfg, command)
+                accepted = True
+            except InvalidConfig:
+                accepted = False
+            assert accepted == oracle.is_valid(cfg), (command, cfg)
+            verdicts.append(accepted)
+        assert 10 <= sum(verdicts) <= 290, command  # both verdicts are exercised
+
+
+def test_mutated_configs_exit_cleanly(tmp_path):
+    # every malformed or extreme config is refused (2) or answered, never an internal error
+    rng = np.random.default_rng(4)
+    for command in ("phase", "expand"):
+        for i in range(150):
+            cfg = mutate(FULL_CFGS[command], rng)
+            path = write_cfg(tmp_path, f"{command}-{i}.json", cfg)
+            with np.errstate(all="ignore"):
+                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+            assert code in (0, 2, 3, 4), (command, cfg)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("expand", '{"f0_matrix": [[1, 0, 0], [0, 2]]}'),  # not square
+        ("expand", '{"f0_matrix": [[1, 0], [0, 2]], "t_large": [0, 20, 40, 80]}'),  # radius 0
+        ("expand", '{"f0_matrix": [[1, 0, 0], [0, -1e300, 0], [0, 0, 3]]}'),  # expansion overflows
+        ("phase", '{"f0": [0.5, 1e300, -0.3]}'),  # class integral overflows
+        ("phase", '{"f0": [0.5, NaN, 1.0]}'),  # not a JSON number
+    ],
+    ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan"],
+)
+def test_out_of_range_config_exits_2(tmp_path, command, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import dhym.legendre
 from dhym import PeriodicProfile, datum_pullback, datum_pushforward, legendre_forward
 from dhym.errors import NotConvex, NotMonotone
 from dhym.legendre import MonotoneMap
@@ -125,6 +126,25 @@ class TestMonotoneMap:
         _, m = legendre_forward(psi)
         pts = rng.uniform(-1.0, 2.0, 200)
         assert np.abs(m.forward(m.inverse(pts)) - pts).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("amp", [0.005, 0.02])
+    def test_inverse_needs_few_map_evaluations(self, monkeypatch, n, amp):
+        # from the chord start a converged point must stay put on its
+        # closed bracket, so a call takes only a few Newton steps
+        _, m = legendre_forward(PeriodicProfile.from_fourier(n, cos=[amp]))
+        evals = 0
+
+        def counting(samples, points):
+            nonlocal evals
+            evals += samples is m.d1
+            return trig_interpolate(samples, points)
+
+        monkeypatch.setattr(dhym.legendre, "trig_interpolate", counting)
+        y = m.inverse(grid(n))
+        monkeypatch.undo()
+        assert evals <= 4
+        assert np.abs(m.forward(y) - grid(n)).max() < 1e-14
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(NotMonotone):
