@@ -243,6 +243,17 @@ def _validate(cfg, command: str) -> None:
         raise InvalidConfig("; ".join(sorted(errors)))
 
 
+def _schema_ints(value, schema: dict):
+    """``value`` with its schema integers as ints (the check accepts 16.0)."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _schema_ints(v, schema.get("properties", {}).get(k, {})) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_schema_ints(v, schema.get("items", {})) for v in value]
+    return value
+
+
 def _reject_constant(token: str):
     raise InvalidConfig(f"{token} is not a JSON number")
 
@@ -253,7 +264,7 @@ def _load_config(path: str, command: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     _validate(raw, command)
-    return raw
+    return _schema_ints(raw, SCHEMAS[command])
 
 
 def _config_hash(cfg: dict) -> str:

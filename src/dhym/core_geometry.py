@@ -190,6 +190,16 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def _adj2(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a 2x2 matrix field: m @ _adj2(m) = _det2(m) I."""
+    adj = np.empty_like(m)
+    adj[..., 0, 0] = m[..., 1, 1]
+    adj[..., 1, 1] = m[..., 0, 0]
+    adj[..., 0, 1] = -m[..., 0, 1]
+    adj[..., 1, 0] = -m[..., 1, 0]
+    return adj
+
+
 def _mixed2(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     # polarization of the determinant: det(v+f) = det v + det f + mixed
     return (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _as_sym, pencil_eigenvalues
+from .core_geometry import _adj2, _as_sym, _det2, pencil_eigenvalues
 from .errors import DimensionMismatch, InvalidConfig, NonPositiveMetric, NotConvex
 from .spectral import hessian2, partial2
 
@@ -84,15 +84,10 @@ def _hessian_of_potential(phi_field: np.ndarray) -> np.ndarray:
 
 
 def _inverse22(m: np.ndarray) -> np.ndarray:
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    det = _det2(m)
     if det.min() <= 0.0:
         raise NotConvex("Hessian is not positive definite everywhere")
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    return inv / det[..., None, None]
+    return _adj2(m) / det[..., None, None]
 
 
 def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
@@ -117,14 +112,10 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
     to discretization accuracy."""
     phi_field = _check_field2d(phi_field, "phi")
     hess = _hessian_of_potential(phi_field)
-    det = hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] * hess[..., 1, 0]
+    det = _det2(hess)
     if det.min() <= 0.0:
         raise NotConvex("Hessian is not positive definite everywhere")
-    cof = np.empty_like(hess)
-    cof[..., 0, 0] = hess[..., 1, 1]
-    cof[..., 1, 1] = hess[..., 0, 0]
-    cof[..., 0, 1] = -hess[..., 0, 1]
-    cof[..., 1, 0] = -hess[..., 1, 0]
+    cof = _adj2(hess)
     w_hess = hessian2(1.0 / det)
     return np.einsum("...ij,...ij->...", cof, w_hess)
 
@@ -142,7 +133,7 @@ def residual_complex(v_hess, f_field, data: KymData, f_datum) -> tuple[np.ndarra
     f = as_field2d(_as_sym(f_field, "F"))
     n = v.shape[0]
     datum = _scalar_field2d(f_datum, n)
-    det = v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+    det = _det2(v)
     if det.min() <= 0.0 or (v[..., 0, 0] + v[..., 1, 1]).min() <= 0.0:
         raise NonPositiveMetric("metric Hessian field is not positive definite")
     vinv = _inverse22(v)
@@ -171,18 +162,13 @@ def j_equation_residual(v_hess, f_field, kappa: float, alpha: float, f_datum):
     f = as_field2d(_as_sym(f_field, "F"))
     n = v.shape[0]
     datum = _scalar_field2d(f_datum, n)
-    det_v = v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+    det_v = _det2(v)
     if det_v.min() <= 0.0:
         raise NonPositiveMetric("metric Hessian field is not positive definite")
-    det_f = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+    det_f = _det2(f)
     if np.abs(det_f).min() == 0.0:
         raise InvalidConfig("curvature field is singular somewhere")
-    finv = np.empty_like(f)
-    finv[..., 0, 0] = f[..., 1, 1]
-    finv[..., 1, 1] = f[..., 0, 0]
-    finv[..., 0, 1] = -f[..., 0, 1]
-    finv[..., 1, 0] = -f[..., 1, 0]
-    finv = finv / det_f[..., None, None]
+    finv = _adj2(f) / det_f[..., None, None]
     r1 = np.einsum("...ij,...ij->...", finv, v) - kappa
     vinv = _inverse22(v)
     logdet_hess = hessian2(np.log(det_v))
@@ -218,7 +204,7 @@ def apriori_verify(v_hess, f_field, mu: float, tol: float = 1e-10) -> AprioriRep
     v = as_field2d(_as_sym(v_hess, "v"))
     f = as_field2d(_as_sym(f_field, "F"))
     lam = pencil_eigenvalues(v, f)
-    det_f = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+    det_f = _det2(f)
     tr_f = f[..., 0, 0] + f[..., 1, 1]
     nonneg = bool((det_f >= -1e-12).all() and (tr_f >= -1e-12).all())
     in_range = bool((lam >= -tol).all() and (lam <= mu + tol).all())
@@ -247,7 +233,7 @@ class DetBoundReport:
 def det_bound_verify(v_hess, bounds=(0.0, np.inf)) -> DetBoundReport:
     """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field."""
     v = as_field2d(_as_sym(v_hess, "v"))
-    det = v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+    det = _det2(v)
     return DetBoundReport(
         min_det=float(det.min()),
         max_det=float(det.max()),

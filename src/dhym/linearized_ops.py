@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_geometry import _as_sym
+from .core_geometry import _adj2, _as_sym, _det2
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
-from .spectral import hessian2, partial2, resample2
+from .spectral import _pcg, hessian2, inner, partial2, resample2
 
 __all__ = [
     "LinearizedContext",
@@ -45,15 +45,6 @@ __all__ = [
     "dense_operator",
     "inner",
 ]
-
-_CG_RTOL = 1e-13  # sup-norm residual of the elliptic solve, relative to the rhs
-_CG_MAXITER = 200
-
-
-def inner(f: np.ndarray, g: np.ndarray) -> float:
-    """Flat Lebesgue L^2 product: mean of the pointwise product."""
-    return float((f * g).mean())
-
 
 def _gradient(f: np.ndarray):
     return partial2(f, 1, 0), partial2(f, 0, 1)
@@ -83,16 +74,12 @@ class LinearizedContext:
         if self.u_pert.shape[0] < 16:
             raise InvalidConfig("background grid too coarse (N >= 16)")
         hess = np.eye(2) + hessian2(self.u_pert)
-        det = hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] ** 2
+        det = _det2(hess)
         tr = hess[..., 0, 0] + hess[..., 1, 1]
         if det.min() <= 0.0 or tr.min() <= 0.0:
             raise InvalidConfig("background Hessian is not positive definite")
-        inv = np.empty_like(hess)
-        inv[..., 0, 0] = hess[..., 1, 1]
-        inv[..., 1, 1] = hess[..., 0, 0]
-        inv[..., 0, 1] = inv[..., 1, 0] = -hess[..., 0, 1]
         self.u_hess = hess
-        self.u_inv = inv / det[..., None, None]
+        self.u_inv = _adj2(hess) / det[..., None, None]
         self._precond = _elliptic_symbol(self.n, self.u_inv.mean(axis=(0, 1)))
 
     @property
@@ -170,35 +157,16 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     number of steps set by the variation of u^{ij}, not by N (about 15 up
     to N = 128).  Deterministic.
     """
-    b = -(rhs - rhs.mean())
-    scale = float(np.abs(b).max())
-    if scale == 0.0:
-        return np.zeros_like(b)
     penalty = _nyquist_penalty(ctx.n)
-
-    def precondition(r):
-        return np.fft.irfft2(np.fft.rfft2(r) / ctx._precond, s=r.shape)
-
-    x = np.zeros_like(b)
-    r = b
-    z = precondition(r)
-    p = z
-    rz = inner(r, z)
-    for _ in range(_CG_MAXITER):
-        ap = penalty * _nyquist_projector(p) - ctx.laplacian(p)
-        denom = inner(p, ap)
-        if denom <= 0.0:
-            raise SingularElliptic("background Laplacian lost definiteness")
-        a = rz / denom
-        x += a * p
-        r -= a * ap
-        if float(np.abs(r).max()) <= _CG_RTOL * scale:
-            return x - x.mean()
-        z = precondition(r)
-        rz_new = inner(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SingularElliptic("elliptic solve failed to converge")
+    x, converged = _pcg(
+        lambda p: penalty * _nyquist_projector(p) - ctx.laplacian(p),
+        lambda r: np.fft.irfft2(np.fft.rfft2(r) / ctx._precond, s=r.shape),
+        -(rhs - rhs.mean()),
+        SingularElliptic,
+    )
+    if not converged:
+        raise SingularElliptic("elliptic solve failed to converge")
+    return x - x.mean()
 
 
 def _as_hessian_field(ctx: LinearizedContext, udot) -> np.ndarray:

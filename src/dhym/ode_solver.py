@@ -42,7 +42,7 @@ from .errors import (
 from .legendre import datum_pushforward, legendre_forward
 from .spectral import (
     PeriodicProfile,
-    derivative_matrix,
+    _pcg,
     second_antiderivative,
     spectral_chop,
     spectral_derivative,
@@ -91,8 +91,9 @@ class ODEProblem:
         if regime is Regime.DHYM and self.phase is None:
             object.__setattr__(self, "phase", torus_constant_phase(self.f0))
         if regime is Regime.DHYM:
-            if abs(self.phase.cos - self.f0.c * self.phase.sin) <= 1e-12:
-                raise InvalidConfig("degenerate phase denominator cos - c sin")
+            # K1 >= 0 needs it: (1 + b^2 + c^2)/N > 0 for the class phase
+            if self.phase.cos - self.f0.c * self.phase.sin <= 1e-12:
+                raise InvalidConfig("phase denominator cos - c sin must be positive")
         if regime is Regime.SMALL_RADIUS and self.f0.det == 0.0:
             raise SmallRadiusObstruction(
                 "the top power of the curvature class vanishes (det F0 = 0)"
@@ -190,59 +191,46 @@ def manufactured_datum(phi: PeriodicProfile, problem: ODEProblem) -> PeriodicPro
 
 @dataclass(frozen=True)
 class LinearizedOde:
-    """Derivative of the residual map at phi, with its gauge bordering.
+    """Derivative of the residual map at phi, applied and inverted matrix-free.
 
-    ``matrix`` acts on perturbations delta-phi as
-    (1/4) (delta-phi'' / w^2)'' - K1 delta-phi'' ; constants are in its
-    kernel, so ``bordered`` appends the mean-zero gauge row and a constant
-    column, which is nonsingular for admissible backgrounds.  ``k_field``
-    is the zeroth-order coefficient K1 w^2 of the same operator written in
-    the variable beta = delta-phi'' / w^2 (in which it is manifestly
-    symmetric: beta -> beta''/4 - K beta).
+    ``apply``: L delta = (1/4) (delta'' / w^2)'' - K1 delta'', by the residual's
+    stabilized FFT derivatives; for K1 >= 0 it is SPD on mean-zero fields.
+    With S = (-D^2)^-1, L = D^2 W^-1 (I + 4 K1 W S W) W^-1 D^2 / 4, and the
+    preconditioner freezes W S W at mean(w^2) S (exact for constant w or
+    K1 = 0); ``coupling`` is the rfft symbol of (I + 4 K1 mean(w^2) S)^-1.
     """
 
-    matrix: np.ndarray
-    bordered: np.ndarray
-    k_field: np.ndarray
     w: np.ndarray
     k1: float
+    coupling: np.ndarray
 
     def apply(self, delta_phi: np.ndarray) -> np.ndarray:
-        # FFT application with the residual's stabilized discretization; the
-        # dense matrix carries ~1e-6 assembly roundoff at fourth order and is
-        # only used for the bordered solve
         d2 = spectral_derivative(np.asarray(delta_phi, dtype=float), 2, stabilized=True)
         return 0.25 * spectral_derivative(d2 / self.w**2, 2, stabilized=True) - self.k1 * d2
 
-    def beta_matrix(self) -> np.ndarray:
-        n = self.w.shape[0]
-        return 0.25 * derivative_matrix(n, 2) - np.diag(self.k_field)
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """4 S W (I + 4 K1 mean(w^2) S)^-1 W S r; S = -second_antiderivative."""
+        y = self.w * second_antiderivative(r)
+        y = self.w * np.fft.irfft(np.fft.rfft(y) * self.coupling, n=y.shape[0])
+        return 4.0 * second_antiderivative(y)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ delta = rhs with mean(delta) = 0 (bordered)."""
-        n = rhs.shape[0]
-        full = np.concatenate([rhs, [0.0]])
-        try:
-            sol = np.linalg.solve(self.bordered, full)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SingularLinearization(str(exc)) from exc
-        return sol[:n]
+        """Mean-zero delta with apply(delta) = rhs - mean(rhs) (the range is
+        mean free).  At the CG cap the last iterate goes to Newton's line
+        search; only lost definiteness raises ``SingularLinearization``."""
+        delta, _ = _pcg(self.apply, self.precondition, rhs - rhs.mean(), SingularLinearization)
+        return delta - delta.mean()
 
 
 def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
-    """Assemble the linearized operator of the residual at phi."""
+    """The linearized operator of the residual at phi, with its preconditioner."""
     w = _curvature(phi)
     if w.min() <= 0.0:
         raise NotConvex("cannot linearize outside the admissibility cone")
     k1, _ = problem.coefficients()
-    n = w.shape[0]
-    d2 = derivative_matrix(n, 2)
-    matrix = 0.25 * d2 @ (d2 / (w**2)[:, None]) - k1 * d2
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = matrix
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = 1.0 / n
-    return LinearizedOde(matrix=matrix, bordered=bordered, k_field=k1 * w**2, w=w, k1=k1)
+    k2 = (2.0 * np.pi * np.arange(1, w.shape[0] // 2 + 1)) ** 2
+    coupling = np.concatenate([[1.0], k2 / (k2 + 4.0 * k1 * float(np.mean(w**2)))])
+    return LinearizedOde(w=w, k1=k1, coupling=coupling)
 
 
 def _newton(problem: ODEProblem, phi0: np.ndarray, datum: np.ndarray):

@@ -21,7 +21,6 @@ __all__ = [
     "spectral_chop",
     "spectral_derivative",
     "second_antiderivative",
-    "derivative_matrix",
     "trig_interpolate",
     "resample",
     "PeriodicProfile",
@@ -29,6 +28,7 @@ __all__ = [
     "partial2",
     "hessian2",
     "resample2",
+    "inner",
 ]
 
 #: Relative spectral noise threshold.  Forward FFTs of smooth data carry an
@@ -97,11 +97,6 @@ def second_antiderivative(samples: np.ndarray) -> np.ndarray:
     coeff = coeff / (2j * np.pi * k) ** 2
     coeff[..., 0] = 0.0
     return np.fft.irfft(coeff, n=n, axis=-1)
-
-
-def derivative_matrix(n: int, order: int) -> np.ndarray:
-    """Dense matrix of the spectral derivative on n periodic samples."""
-    return spectral_derivative(np.eye(n), order=order).T
 
 
 def trig_interpolate(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -256,3 +251,43 @@ def resample2(field_samples: np.ndarray, n_new: int) -> np.ndarray:
     """Resample a doubly periodic field by Fourier padding in both axes."""
     out = resample(np.asarray(field_samples, dtype=float), n_new)
     return resample(out.T, n_new).T
+
+
+_CG_RTOL = 1e-13  # sup-norm residual of a linear solve, relative to the rhs
+_CG_MAXITER = 200
+
+
+def inner(f: np.ndarray, g: np.ndarray) -> float:
+    """Flat Lebesgue L^2 product: mean of the pointwise product."""
+    return float((f * g).mean())
+
+
+def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
+    """CG for ``operator(x) = rhs``, both SPD for ``inner`` on mean-zero fields.
+
+    ``precondition`` must map to mean-free fields.  Stops when the residual's
+    sup norm is ``_CG_RTOL`` times that of ``rhs``; returns ``(x, converged)``
+    with the last iterate after ``_CG_MAXITER`` steps.  A zero ``rhs`` gives
+    zeros, and ``p . Ap <= 0`` raises ``singular``.
+    """
+    scale = float(np.abs(rhs).max())
+    x = np.zeros_like(rhs)
+    if scale == 0.0:
+        return x, True
+    r = rhs.copy()
+    p = z = precondition(r)
+    rz = inner(r, z)
+    for _ in range(_CG_MAXITER):
+        ap = operator(p)
+        denom = inner(p, ap)
+        if denom <= 0.0:
+            raise singular("operator lost definiteness in CG (p . Ap <= 0)")
+        a = rz / denom
+        x += a * p
+        r -= a * ap
+        if float(np.abs(r).max()) <= _CG_RTOL * scale:
+            return x, True
+        z = precondition(r)
+        rz, rz_old = inner(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x, False

@@ -337,3 +337,39 @@ def test_out_of_range_config_exits_2(tmp_path, command, text):
     path.write_text(text)
     with np.errstate(all="ignore"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+_LIMITS_CFG = {
+    "regime": "large_radius",
+    "f0": [0.4, 1.0, 0.3],
+    "alpha": 1.0,
+    "datum": {"kind": "fourier", "cos": [0.05]},
+    "grid": 64,
+    "t_list": [4, 8],
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, floats, csv",
+    [
+        ("lincheck", {"grid": 16, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "trials": 4}, {"grid": 16.0}, "lincheck.csv"),
+        (
+            "lincheck",
+            {"grid": 16, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "trials": 4, "seed": 3},
+            {"trials": 4.0, "seed": 3.0},
+            "lincheck.csv",
+        ),
+        ("legendre", {"profile": {"kind": "fourier", "cos": [0.01]}, "grid": 64}, {"grid": 64.0}, "legendre.csv"),
+        ("solve", dict(SOLVE_CFG, grid=64), {"grid": 64.0}, "solution.csv"),
+        ("limits", _LIMITS_CFG, {"grid": 64.0}, "limits.csv"),
+    ],
+    ids=["lincheck-grid", "lincheck-trials-seed", "legendre", "solve", "limits"],
+)
+def test_integral_float_config(tmp_path, command, cfg, floats, csv):
+    # JSON Schema counts 16.0 as an integer; such a config runs like its int twin
+    outputs = []
+    for name, variant in (("int", cfg), ("float", dict(cfg, **floats))):
+        path = write_cfg(tmp_path, f"{name}.json", variant)
+        assert main([command, "--config", path, "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / csv).read_bytes())
+    assert outputs[0] == outputs[1]

@@ -17,8 +17,15 @@ from dhym import (
     solve,
     surface_ma_check,
 )
-from dhym.errors import NotConvex, SmallRadiusObstruction
-from dhym.ode_solver import SolutionBundle
+from dhym.core_geometry import Phase, torus_constant_phase
+from dhym.errors import (
+    ContinuationStalled,
+    ConvexityLost,
+    InvalidConfig,
+    NotConvex,
+    SmallRadiusObstruction,
+)
+from dhym.ode_solver import LinearizedOde, SolutionBundle
 from dhym.spectral import grid, second_antiderivative, spectral_derivative
 
 from conftest import REGIME_CASES, cosine_problem, flat_problem, manufactured_problem
@@ -129,12 +136,19 @@ class TestLinearize:
         assert np.abs(lin.apply(np.ones(64))).max() < 1e-9
 
     def test_beta_form_selfadjoint(self):
+        # the symmetry the beta form beta -> beta''/4 - K beta makes manifest,
+        # checked on the operator itself: <u, L v> = <v, L u>
         problem = cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0), n=128)
         bundle = solve(problem)
         lin = linearize(bundle.phi, problem)
-        m = lin.beta_matrix()
-        scale = np.abs(m).max()
-        assert np.abs(m - m.T).max() < 1e-9 * scale
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            u, v = rng.standard_normal((2, 128))
+            u -= u.mean()
+            v -= v.mean()
+            lu, lv = lin.apply(u), lin.apply(v)
+            scale = np.abs(lv).max() * np.abs(u).max() + np.abs(lu).max() * np.abs(v).max()
+            assert abs(np.mean(u * lv) - np.mean(v * lu)) <= 1e-9 * scale
 
     def test_matches_finite_differences(self):
         # directional derivative of the residual against the assembled operator
@@ -154,14 +168,54 @@ class TestLinearize:
         assert abs(slope - 2.0) < 0.2
 
     def test_bordered_solvable_without_coupling(self):
-        # b = 0 reduces to the bare fourth-order operator; the bordered
-        # system stays nonsingular
+        # b = 0 reduces to the bare fourth-order operator (K1 = 0); it stays
+        # positive definite on mean-zero fields, so the CG step solves it
         problem = cosine_problem(Regime.DHYM, ConstantCurvature2(0.5, 0.0, -0.2), n=64)
         lin = linearize(PeriodicProfile.zeros(64), problem)
         rhs = np.cos(2 * np.pi * grid(64))
         delta = lin.solve(rhs)
         assert np.abs(lin.apply(delta) - rhs).max() < 1e-9
         assert abs(delta.mean()) < 1e-13
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_dense_oracle(self, n):
+        # the gauge-bordered dense system, assembled from the spectral second
+        # derivative of the identity, against the matrix-free step
+        problem = cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0), n=n)
+        bundle = solve(problem)
+        lin = linearize(bundle.phi, problem)
+        k1, _ = problem.coefficients()
+        d2 = spectral_derivative(np.eye(n), 2).T
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = 0.25 * d2 @ (d2 / lin.w[:, None] ** 2) - k1 * d2
+        bordered[:n, n] = 1.0
+        bordered[n, :n] = 1.0 / n
+        rhs = PeriodicProfile.from_fourier(n, cos=[0.3, 0.0, -0.1], sin=[0.2], constant=0.05).samples
+        dense = np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:n]
+        delta = lin.solve(rhs)
+        assert np.abs(delta - dense).max() <= 1e-9 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_applications_per_solve(self, n, monkeypatch):
+        # README problem: the preconditioned step needs a handful of operator
+        # applications at every N
+        counts = []
+        apply, lin_solve = LinearizedOde.apply, LinearizedOde.solve
+
+        def counted_apply(self, delta_phi):
+            counts[-1] += 1
+            return apply(self, delta_phi)
+
+        def counted_solve(self, rhs):
+            counts.append(0)
+            return lin_solve(self, rhs)
+
+        monkeypatch.setattr(LinearizedOde, "apply", counted_apply)
+        monkeypatch.setattr(LinearizedOde, "solve", counted_solve)
+        bundle = solve(cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0), n=n))
+        assert bundle.residual_sup <= 1e-10
+        assert len(counts) == 3
+        assert max(counts) <= 20
 
 
 class TestSolve:
@@ -213,6 +267,30 @@ class TestSolve:
             phis.append(solve(problem).phi.samples)
         assert np.abs(phis[0] - phis[1]).max() < 1e-9
         assert np.abs(phis[0] - phis[2]).max() < 1e-9
+
+    @pytest.mark.parametrize("regime,f0", REGIME_CASES)
+    def test_near_cone_edge_exit_code(self, regime, f0):
+        # min w = 0.05: Newton either solves or reports non-convergence
+        # (exit 4); an inexact step is never a singular linearization
+        problem, _ = manufactured_problem(regime, f0, n=128, eps=0.95 / (2 * np.pi) ** 2)
+        try:
+            bundle = solve(problem)
+        except (ContinuationStalled, ConvexityLost):
+            return
+        assert bundle.residual_sup <= problem.residual_tol
+
+    def test_antipodal_phase_rejected(self):
+        # the antipodal phase makes cos - c sin negative, hence K1 < 0
+        f0 = ConstantCurvature2(0.5, 0.3, 0.4)
+        ph = torus_constant_phase(f0)
+        with pytest.raises(InvalidConfig):
+            ODEProblem(
+                regime=Regime.DHYM,
+                alpha=1.0,
+                f0=f0,
+                datum_a=PeriodicProfile.zeros(64),
+                phase=Phase(-ph.cos, -ph.sin, ph.magnitude),
+            )
 
     def test_small_radius_obstruction(self):
         problem = flat_problem(Regime.SMALL_RADIUS, ConstantCurvature2(1.0, 0.5, -1.0))
