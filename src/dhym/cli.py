@@ -19,6 +19,7 @@ byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -150,11 +151,12 @@ SCHEMAS = {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "grid": {"type": "integer", "minimum": 16},
+            # the field battery peaks near 0.5 GB at N = 1024, and 4x that per doubling
+            "grid": {"type": "integer", "minimum": 16, "maximum": 1024},
             "b_matrix": _MATRIX2,
             "perturbation": {"type": "number", "minimum": 0},
-            "trials": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "trials": {"type": "integer", "minimum": 2, "maximum": 1000},
+            "seed": {"type": "integer", "minimum": 0},
             "mode_limit": {"type": "integer", "minimum": 1},
             "output": {"type": "string"},
         },
@@ -232,6 +234,8 @@ def _schema_errors(value, schema: dict, where: str) -> list[str]:
     if _IS_TYPE["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
             errors.append(f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            errors.append(f"{where}: {value!r} is greater than the maximum of {schema['maximum']!r}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             errors.append(f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']!r}")
     return errors
@@ -288,12 +292,11 @@ def _datum_profile(entry: dict, n: int, base_dir: Path) -> PeriodicProfile:
 
 
 def _problem_from_config(cfg: dict, base_dir: Path) -> ODEProblem:
-    a, b, c = cfg["f0"]
     tol = cfg.get("tolerances", {})
     return ODEProblem(
         regime=Regime(cfg["regime"]),
         alpha=cfg["alpha"],
-        f0=ConstantCurvature2(a, b, c),
+        f0=ConstantCurvature2(*cfg["f0"]),
         datum_a=_datum_profile(cfg["datum"], cfg["grid"], base_dir),
         residual_tol=tol.get("residual", 1e-10),
         damping_floor=tol.get("damping_floor", 1e-4),
@@ -312,17 +315,11 @@ class _Manifest:
         }
         self._t0 = time.perf_counter()
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                manifest.data["timings"][name] = time.perf_counter() - self.start
-
-        return _Timer()
+        start = time.perf_counter()
+        yield
+        self.data["timings"][name] = time.perf_counter() - start
 
     def write(self, outdir: Path) -> None:
         self.data["timings"]["total"] = time.perf_counter() - self._t0
@@ -330,16 +327,19 @@ class _Manifest:
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# Each fills the manifest and returns either the (csv name, header, columns)
+# of its CSV or the line it prints; ``main`` writes and prints.
 
 
-def _cmd_solve(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("solve", cfg)
+def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     problem = _problem_from_config(cfg, base_dir)
     with manifest.stage("solve"):
         bundle = solve(problem)
     a_proj, shift = project_datum(problem.datum_a, problem)
     res = residual(bundle.phi, problem, a_proj.samples)
     mp = max_principle_verify(bundle, problem)
+    phi_dd = spectral_derivative(bundle.phi.samples, 2, stabilized=True)
     manifest.data["constants"] = {
         "compatibility_constant": compatibility_constant(problem),
         "datum_shift": bundle.datum_shift,
@@ -356,63 +356,39 @@ def _cmd_solve(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
         "residual_sup": bundle.residual_sup,
         "continuation_trace": [list(t) for t in bundle.continuation_trace],
         "max_principle": {"lhs": mp.lhs, "sup_datum": mp.sup_datum, "margin": mp.margin, "holds": mp.holds},
-        "min_curvature": float((1.0 + spectral_derivative(bundle.phi.samples, 2, stabilized=True)).min()),
+        "min_curvature": float((1.0 + phi_dd).min()),
     }
-    _write_csv(
-        outdir / "solution.csv",
-        ["x", "phi", "phi_dd", "psi", "phiF", "residual"],
-        [
-            grid(problem.n),
-            bundle.phi.samples,
-            spectral_derivative(bundle.phi.samples, 2, stabilized=True),
-            bundle.psi.samples,
-            bundle.phi_f.samples,
-            res.samples,
-        ],
-    )
-    manifest.write(outdir)
     if verbose:
         print(f"solved {problem.regime.value}: residual {bundle.residual_sup:.3e}", file=sys.stderr)
-    print(str(outdir / "solution.csv"))
-    return 0
+    return (
+        "solution.csv",
+        ["x", "phi", "phi_dd", "psi", "phiF", "residual"],
+        [grid(problem.n), bundle.phi.samples, phi_dd, bundle.psi.samples, bundle.phi_f.samples, res.samples],
+    )
 
 
-def _cmd_residual(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("residual", cfg)
+def _cmd_residual(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     table = _read_csv(base_dir / cfg["solution"], ("phi", "residual"))
     n = table["phi"].shape[0]
-    cfg_grid = cfg.get("grid", n)
-    if cfg_grid != n:
-        raise InvalidConfig(f"solution CSV has {n} rows, config grid is {cfg_grid}")
-    a, b, c = cfg["f0"]
-    datum_entry = cfg.get("datum")
-    if datum_entry is None:
+    if cfg.get("grid", n) != n:
+        raise InvalidConfig(f"solution CSV has {n} rows, config grid is {cfg['grid']}")
+    if "datum" not in cfg:
         raise InvalidConfig("the residual command needs the original datum")
-    problem = ODEProblem(
-        regime=Regime(cfg["regime"]),
-        alpha=cfg["alpha"],
-        f0=ConstantCurvature2(a, b, c),
-        datum_a=_datum_profile(datum_entry, n, base_dir),
-    )
+    problem = _problem_from_config(dict(cfg, grid=n), base_dir)
     phi = PeriodicProfile.from_samples(table["phi"])
     a_proj, _ = project_datum(problem.datum_a, problem)
     with manifest.stage("residual"):
         res = residual(phi, problem, a_proj.samples)
-    stored = table["residual"]
-    drift = float(np.abs(res.samples - stored).max())
+    drift = float(np.abs(res.samples - table["residual"]).max())
     manifest.data["results"] = {
         "residual_sup": float(np.abs(res.samples).max()),
         "drift_from_stored": drift,
     }
-    manifest.write(outdir)
-    print(_fmt(drift))
-    return 0
+    return _fmt(drift)
 
 
-def _cmd_phase(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("phase", cfg)
-    a, b, c = cfg["f0"]
-    f0 = ConstantCurvature2(a, b, c)
+def _cmd_phase(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
+    f0 = ConstantCurvature2(*cfg["f0"])
     phase = torus_constant_phase(f0)
     manifest.data["results"] = {
         "cos": phase.cos,
@@ -424,13 +400,10 @@ def _cmd_phase(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
         "det": f0.det,
         "tr": f0.tr,
     }
-    manifest.write(outdir)
-    print(_fmt(phase.angle))
-    return 0
+    return _fmt(phase.angle)
 
 
-def _cmd_expand(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("expand", cfg)
+def _cmd_expand(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     rows = cfg["f0_matrix"]
     if any(len(row) != len(rows) for row in rows):
         raise InvalidConfig("f0_matrix must be a square matrix")
@@ -452,14 +425,10 @@ def _cmd_expand(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
             header += ["t_small", "err_small"]
             columns += [rep_s.t_values, rep_s.errors]
     manifest.data["results"] = results
-    _write_csv(outdir / "expansion.csv", header, columns)
-    manifest.write(outdir)
-    print(str(outdir / "expansion.csv"))
-    return 0
+    return "expansion.csv", header, columns
 
 
-def _cmd_legendre(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("legendre", cfg)
+def _cmd_legendre(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     n = cfg["grid"]
     psi = _datum_profile(cfg["profile"], n, base_dir)
     psi = PeriodicProfile.from_samples(psi.samples - psi.mean(), demean=True)
@@ -475,20 +444,13 @@ def _cmd_legendre(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int
         "duality_sup": float(np.abs(duality).max()),
         "involution_sup": float(np.abs(psi_back.samples - psi.samples).max()),
     }
-    _write_csv(
-        outdir / "legendre.csv",
-        ["x", "phi", "phi_dd", "y_of_x", "duality_defect"],
-        [x, phi.samples, phi_dd, y_at, duality],
-    )
-    manifest.write(outdir)
-    print(str(outdir / "legendre.csv"))
-    return 0
+    return "legendre.csv", ["x", "phi", "phi_dd", "y_of_x", "duality_defect"], [x, phi.samples, phi_dd, y_at, duality]
 
 
-def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int) -> list[np.ndarray]:
+def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int):
+    """The seeded trial fields, one at a time, so memory does not grow with ``count``."""
     rng = np.random.default_rng(seed)
     x, y = grid2(n)
-    trials = []
     for _ in range(count):
         f = np.zeros((n, n))
         for kx in range(0, mode_limit + 1):
@@ -497,18 +459,18 @@ def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int) -> list
                     continue
                 f += rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y))
                 f += rng.normal() * np.sin(2 * np.pi * (kx * x + ky * y))
-        trials.append(f)
-    return trials
+        yield f
 
 
-def _cmd_lincheck(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("lincheck", cfg)
+def _cmd_lincheck(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     n = cfg["grid"]
     b = np.array(cfg["b_matrix"], dtype=float)
     amp = cfg.get("perturbation", 0.0)
     count = cfg.get("trials", 20)
     seed = cfg.get("seed", 0)
     mode_limit = cfg.get("mode_limit", 3)
+    if mode_limit >= n // 2:
+        raise InvalidConfig(f"mode_limit must stay below the Nyquist index {n // 2}")
     x, y = grid2(n)
     if amp > 0.0:
         u_pert = amp * (np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.sin(2 * np.pi * (x + y)))
@@ -524,29 +486,23 @@ def _cmd_lincheck(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int
                 sym = flat_symbol(np.array([kx, ky]), b)
                 sym_err = max(sym_err, float(np.abs(apply_L(ctx, gamma) - sym * gamma).max() / abs(sym)))
     trials = _band_limited_trials(n, count, seed, mode_limit)
-    pairs = list(zip(trials[::2], trials[1::2]))
     with manifest.stage("selfadjointness"):
-        defects = selfadjointness_defect(ctx, pairs)
+        defects = selfadjointness_defect(ctx, zip(trials, trials))  # consecutive pairs
     with manifest.stage("negativity"):
-        rayleigh = negativity_check(ctx, trials)
+        rayleigh = negativity_check(ctx, _band_limited_trials(n, count, seed, mode_limit))
     manifest.data["results"] = {
         "degree_defect": ctx.degree_defect(),
         "flat_symbol_rel_err": sym_err,
         "selfadjointness_max": max(defects),
         "negativity_max_rayleigh": rayleigh,
     }
-    _write_csv(outdir / "lincheck.csv", ["pair", "defect"], [np.arange(len(defects), dtype=float), np.array(defects)])
-    manifest.write(outdir)
-    print(str(outdir / "lincheck.csv"))
-    return 0
+    return "lincheck.csv", ["pair", "defect"], [np.arange(len(defects), dtype=float), np.array(defects)]
 
 
-def _cmd_limits(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
-    manifest = _Manifest("limits", cfg)
+def _cmd_limits(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     problem = _problem_from_config(cfg, base_dir)
-    t_list = sorted(cfg["t_list"])
     with manifest.stage("study"):
-        report = limit_convergence_study(problem, t_list)
+        report = limit_convergence_study(problem, sorted(cfg["t_list"]))
     manifest.data["results"] = {
         # an exact study has no order (nan), and JSON has no nan
         "order": None if report.exact else report.order,
@@ -554,10 +510,7 @@ def _cmd_limits(cfg: dict, outdir: Path, base_dir: Path, verbose: bool) -> int:
         "errors": [float(e) for e in report.errors],
         "limit_sup": report.limit_sup,
     }
-    _write_csv(outdir / "limits.csv", ["t", "error"], [report.t_values, report.errors])
-    manifest.write(outdir)
-    print(str(outdir / "limits.csv"))
-    return 0
+    return "limits.csv", ["t", "error"], [report.t_values, report.errors]
 
 
 _COMMANDS = {
@@ -591,7 +544,15 @@ def main(argv=None) -> int:
         base_dir = Path(args.config).resolve().parent
         outdir = Path(args.out or cfg.get("output", "."))
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir, base_dir, args.verbose)
+        manifest = _Manifest(args.command, cfg)
+        output = _COMMANDS[args.command](cfg, manifest, base_dir, args.verbose)
+        if isinstance(output, tuple):
+            name, header, columns = output
+            _write_csv(outdir / name, header, columns)
+            output = str(outdir / name)
+        manifest.write(outdir)
+        print(output)
+        return 0
     except DhymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

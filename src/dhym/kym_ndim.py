@@ -120,6 +120,18 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", cof, w_hess)
 
 
+def _metric_fields(v_hess, f_field, f_datum):
+    """(v, F, datum, det v, v^{-1}, v^{ij} [log det v]_ij) of a surface residual."""
+    v = as_field2d(_as_sym(v_hess, "v"))
+    f = as_field2d(_as_sym(f_field, "F"))
+    datum = _scalar_field2d(f_datum, v.shape[0])
+    det = _det2(v)
+    if det.min() <= 0.0 or (v[..., 0, 0] + v[..., 1, 1]).min() <= 0.0:
+        raise NonPositiveMetric("metric Hessian field is not positive definite")
+    vinv = _inverse22(v)
+    return v, f, datum, det, vinv, np.einsum("...ij,...ij->...", vinv, hessian2(np.log(det)))
+
+
 def residual_complex(v_hess, f_field, data: KymData, f_datum) -> tuple[np.ndarray, np.ndarray]:
     """Residual fields of the large-radius system in complex coordinates:
 
@@ -129,24 +141,11 @@ def residual_complex(v_hess, f_field, data: KymData, f_datum) -> tuple[np.ndarra
 
     Both vanish for exact solutions.
     """
-    v = as_field2d(_as_sym(v_hess, "v"))
-    f = as_field2d(_as_sym(f_field, "F"))
-    n = v.shape[0]
-    datum = _scalar_field2d(f_datum, n)
-    det = _det2(v)
-    if det.min() <= 0.0 or (v[..., 0, 0] + v[..., 1, 1]).min() <= 0.0:
-        raise NonPositiveMetric("metric Hessian field is not positive definite")
-    vinv = _inverse22(v)
+    _, f, datum, _, vinv, logdet = _metric_fields(v_hess, f_field, f_datum)
     r1 = np.einsum("...ij,...ij->...", vinv, f) - data.mu
-    logdet_hess = hessian2(np.log(det))
     m = vinv @ f  # v^{-1} F, pointwise
     quad = np.einsum("...ij,...ji->...", m, m)
-    r2 = (
-        np.einsum("...ij,...ij->...", vinv, logdet_hess)
-        + 4.0 * datum
-        - 8.0 * data.alpha * data.mu**2
-        + 8.0 * data.alpha * quad
-    )
+    r2 = logdet + 4.0 * datum - 8.0 * data.alpha * data.mu**2 + 8.0 * data.alpha * quad
     return r1, r2
 
 
@@ -158,25 +157,13 @@ def j_equation_residual(v_hess, f_field, kappa: float, alpha: float, f_datum):
 
     Requires F invertible pointwise.
     """
-    v = as_field2d(_as_sym(v_hess, "v"))
-    f = as_field2d(_as_sym(f_field, "F"))
-    n = v.shape[0]
-    datum = _scalar_field2d(f_datum, n)
-    det_v = _det2(v)
-    if det_v.min() <= 0.0:
-        raise NonPositiveMetric("metric Hessian field is not positive definite")
+    v, f, datum, det_v, _, logdet = _metric_fields(v_hess, f_field, f_datum)
     det_f = _det2(f)
     if np.abs(det_f).min() == 0.0:
         raise InvalidConfig("curvature field is singular somewhere")
     finv = _adj2(f) / det_f[..., None, None]
     r1 = np.einsum("...ij,...ij->...", finv, v) - kappa
-    vinv = _inverse22(v)
-    logdet_hess = hessian2(np.log(det_v))
-    r2 = (
-        -0.25 * np.einsum("...ij,...ij->...", vinv, logdet_hess)
-        - alpha * det_f / det_v
-        - datum
-    )
+    r2 = -0.25 * logdet - alpha * det_f / det_v - datum
     return r1, r2
 
 

@@ -37,13 +37,10 @@ __all__ = [
     "make_consistent_context",
     "solve_lincond",
     "apply_L",
-    "apply_L_terms",
     "flat_symbol",
     "selfadjointness_defect",
     "selfadjointness_refinement",
     "negativity_check",
-    "dense_operator",
-    "inner",
 ]
 
 def _gradient(f: np.ndarray):
@@ -52,6 +49,16 @@ def _gradient(f: np.ndarray):
 
 def _divergence(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return partial2(f0, 1, 0) + partial2(f1, 0, 1)
+
+
+def _jacobian(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """The matrix field d_j v_k of a vector field, indexed [..., j, k]."""
+    return np.stack([np.stack(_gradient(v), axis=-1) for v in (v0, v1)], axis=-1)
+
+
+def _mv(m: np.ndarray, g0: np.ndarray, g1: np.ndarray):
+    """Components of the matrix field m times the vector field (g0, g1)."""
+    return m[..., 0, 0] * g0 + m[..., 0, 1] * g1, m[..., 1, 0] * g0 + m[..., 1, 1] * g1
 
 
 @dataclass
@@ -73,6 +80,10 @@ class LinearizedContext:
             raise DimensionMismatch("background fields must share an N x N grid")
         if self.u_pert.shape[0] < 16:
             raise InvalidConfig("background grid too coarse (N >= 16)")
+        with np.errstate(over="ignore"):
+            b_squared = self.b_matrix @ self.b_matrix
+        if not np.isfinite(b_squared).all():
+            raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
         hess = np.eye(2) + hessian2(self.u_pert)
         det = _det2(hess)
         tr = hess[..., 0, 0] + hess[..., 1, 1]
@@ -88,10 +99,7 @@ class LinearizedContext:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Divergence-form operator d_i(u^{ij} d_j f)."""
-        g0, g1 = _gradient(f)
-        q0 = self.u_inv[..., 0, 0] * g0 + self.u_inv[..., 0, 1] * g1
-        q1 = self.u_inv[..., 1, 0] * g0 + self.u_inv[..., 1, 1] * g1
-        return _divergence(q0, q1)
+        return _divergence(*_mv(self.u_inv, *_gradient(f)))
 
     def degree_defect(self) -> float:
         """Sup-deviation of u_ij B_ij + Delta(phi) from its mean; zero for a
@@ -187,73 +195,34 @@ def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
     the right-hand side is mean free because udot is a periodic Hessian.
     """
     gdot = _as_hessian_field(ctx, udot)
-    p0, p1 = _gradient(ctx.phi)
     m = ctx.u_inv @ gdot @ ctx.u_inv
-    q0 = m[..., 0, 0] * p0 + m[..., 0, 1] * p1
-    q1 = m[..., 1, 0] * p0 + m[..., 1, 1] * p1
-    rhs = _divergence(q0, q1) - np.einsum("...ij,ij->...", gdot, ctx.b_matrix)
+    rhs = _divergence(*_mv(m, *_gradient(ctx.phi))) - np.einsum("...ij,ij->...", gdot, ctx.b_matrix)
     return _solve_elliptic(ctx, rhs)
 
 
-def apply_L_terms(ctx: LinearizedContext, udot) -> dict[str, np.ndarray]:
-    """All seven contributions to L(udot), keyed for debugging.
+def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
+    """The full linearized operator L(udot) = L0 + L1.
 
-    ``l0_*`` are the terms not involving phi-dot, ``l1_*`` the two that do.
+    With w = u^{-1} grad phi, q = m grad phi (m = u^{-1} udot u^{-1}) and
+    s = u^{-1} grad phi-dot, the five L0 terms (Hessian, transport,
+    quadratic, degree, mixed) are followed by the two L1 terms.
     """
     gdot = _as_hessian_field(ctx, udot)
-    b = ctx.b_matrix
-    uinv = ctx.u_inv
-    # recurring vector fields
-    p0, p1 = _gradient(ctx.phi)  # phi_j
-    w = np.stack(
-        [uinv[..., 0, 0] * p0 + uinv[..., 0, 1] * p1,
-         uinv[..., 1, 0] * p0 + uinv[..., 1, 1] * p1],
-        axis=-1,
-    )  # u^{in} phi_n
-    m = uinv @ gdot @ uinv  # u^{ia} udot_ab u^{bj}
-    q = np.stack(
-        [m[..., 0, 0] * p0 + m[..., 0, 1] * p1,
-         m[..., 1, 0] * p0 + m[..., 1, 1] * p1],
-        axis=-1,
-    )  # u^{ia} udot_ab u^{bm} phi_m
-
-    def dvec(vec):
-        """d_j vec[k] -> array [..., j, k]."""
-        out = np.empty(vec.shape[:-1] + (2, 2))
-        for kk in range(2):
-            out[..., 0, kk] = partial2(vec[..., kk], 1, 0)
-            out[..., 1, kk] = partial2(vec[..., kk], 0, 1)
-        return out
-
-    dw = dvec(w)
-    dq = dvec(q)
-
-    terms = {}
-    terms["l0_hessian"] = -(
-        partial2(m[..., 0, 0], 2, 0)
-        + 2.0 * partial2(m[..., 0, 1], 1, 1)
-        + partial2(m[..., 1, 1], 0, 2)
+    b, uinv, uhess = ctx.b_matrix, ctx.u_inv, ctx.u_hess
+    p0, p1 = _gradient(ctx.phi)
+    m = uinv @ gdot @ uinv
+    dw = _jacobian(*_mv(uinv, p0, p1))
+    dq = _jacobian(*_mv(m, p0, p1))
+    ds = _jacobian(*_mv(uinv, *_gradient(solve_lincond(ctx, gdot))))
+    return (
+        -(partial2(m[..., 0, 0], 2, 0) + 2.0 * partial2(m[..., 0, 1], 1, 1) + partial2(m[..., 1, 1], 0, 2))
+        + 2.0 * np.einsum("...jk,...kl,jl->...", dw, gdot, b)
+        - 2.0 * np.einsum("...il,...li->...", dq, dw)
+        + 2.0 * np.einsum("ik,jl,...ij,...kl->...", b, b, gdot, uhess)
+        - 2.0 * np.einsum("...jk,...kl,jl->...", dq, uhess, b)
+        + 2.0 * np.einsum("...jk,...kl,jl->...", ds, uhess, b)
+        + 2.0 * np.einsum("...il,...li->...", ds, dw)
     )
-    terms["l0_transport"] = 2.0 * np.einsum("...jk,...kl,jl->...", dw, gdot, b)
-    terms["l0_quadratic"] = -2.0 * np.einsum("...il,...li->...", dq, dw)
-    terms["l0_degree"] = 2.0 * np.einsum("ik,jl,...ij,...kl->...", b, b, gdot, ctx.u_hess)
-    terms["l0_mixed"] = -2.0 * np.einsum("...jk,...kl,jl->...", dq, ctx.u_hess, b)
-    phidot = solve_lincond(ctx, gdot)
-    s0, s1 = _gradient(phidot)
-    s = np.stack(
-        [uinv[..., 0, 0] * s0 + uinv[..., 0, 1] * s1,
-         uinv[..., 1, 0] * s0 + uinv[..., 1, 1] * s1],
-        axis=-1,
-    )  # u^{kn} phidot_n
-    ds = dvec(s)
-    terms["l1_degree"] = 2.0 * np.einsum("...jk,...kl,jl->...", ds, ctx.u_hess, b)
-    terms["l1_transport"] = 2.0 * np.einsum("...il,...li->...", ds, dw)
-    return terms
-
-
-def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
-    """The full linearized operator L(udot) = L0 + L1."""
-    return sum(apply_L_terms(ctx, udot).values())
 
 
 def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
@@ -266,7 +235,11 @@ def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
     tp = 2.0 * np.pi
     kbk = float(k @ b @ k)
     kb2k = float(k @ (b @ b) @ k)
-    return -(tp**4) * k2**2 - 2.0 * tp**2 * kb2k + 2.0 * tp**2 * kbk**2 / k2
+    # kbk * kbk, not kbk**2: a float power raises on overflow where a product gives inf
+    symbol = -(tp**4) * k2**2 - 2.0 * tp**2 * kb2k + 2.0 * tp**2 * (kbk * kbk) / k2
+    if not np.isfinite(symbol):
+        raise InvalidConfig("the flat symbol overflows for this B")
+    return symbol
 
 
 def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
@@ -337,21 +310,3 @@ def negativity_check(ctx: LinearizedContext, trials) -> float:
         worst = max(worst, inner(gamma, apply_L(ctx, gamma)) / norm2)
     return float(worst)
 
-
-def dense_operator(ctx: LinearizedContext) -> np.ndarray:
-    """Dense matrix of L on scalar potentials (columns are basis responses).
-
-    Memory grows like N^4; callers should keep N small (the transpose test
-    uses N <= 24).
-    """
-    n = ctx.n
-    if n > 32:
-        raise InvalidConfig("dense assembly is capped at N = 32")
-    size = n * n
-    mat = np.empty((size, size))
-    basis = np.zeros((n, n))
-    for j in range(size):
-        basis.flat[j] = 1.0
-        mat[:, j] = apply_L(ctx, basis).ravel()
-        basis.flat[j] = 0.0
-    return mat

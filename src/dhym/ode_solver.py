@@ -81,7 +81,6 @@ class ODEProblem:
     phase: Phase | None = None
     residual_tol: float = 1e-10
     damping_floor: float = 1e-4
-    max_newton: int = 30
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -98,6 +97,12 @@ class ODEProblem:
             raise SmallRadiusObstruction(
                 "the top power of the curvature class vanishes (det F0 = 0)"
             )
+        try:
+            finite = np.isfinite(self.coefficients()).all()
+        except ZeroDivisionError:  # b^2 + c^2 underflows to zero
+            finite = False
+        if not finite:
+            raise InvalidConfig("the ODE coefficients overflow for this class and coupling")
 
     @property
     def n(self) -> int:
@@ -105,14 +110,15 @@ class ODEProblem:
 
     def coefficients(self) -> tuple[float, float]:
         """(K1, K0) for this regime."""
+        # products, not float powers: a power raises on overflow where a product gives inf
         f0, alpha = self.f0, self.alpha
         if self.regime is Regime.DHYM:
             den = self.phase.cos - f0.c * self.phase.sin
-            return alpha * f0.b**2 / den, -alpha * (f0.c**2 + 1.0) / den
+            return alpha * (f0.b * f0.b) / den, -alpha * (f0.c * f0.c + 1.0) / den
         if self.regime is Regime.LARGE_RADIUS:
-            return 4.0 * alpha * f0.b**2, 2.0 * alpha * (f0.tr**2 - f0.a**2 - f0.c**2)
-        scale = f0.det / (f0.b**2 + f0.c**2)
-        return alpha * f0.b**2 * scale, -alpha * f0.c**2 * scale
+            return 4.0 * alpha * (f0.b * f0.b), 2.0 * alpha * (f0.tr * f0.tr - f0.a * f0.a - f0.c * f0.c)
+        scale = f0.det / (f0.b * f0.b + f0.c * f0.c)
+        return alpha * (f0.b * f0.b) * scale, -alpha * (f0.c * f0.c) * scale
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ def _curvature(phi: PeriodicProfile | np.ndarray) -> np.ndarray:
     return 1.0 + spectral_derivative(samples, 2, stabilized=True)
 
 
-def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | None = None) -> PeriodicProfile:
+def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | float | None = None) -> PeriodicProfile:
     """Pointwise residual of the regime ODE at phi.
 
     When the datum is compatible the residual has mean <= 1e-12 for every
@@ -176,17 +182,11 @@ def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | None
 def manufactured_datum(phi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
     """The datum A for which phi solves the regime ODE exactly.
 
-    Evaluates the left-hand side of the ODE at phi with the same stabilized
-    discretization the residual uses, so residual(phi, problem, A) vanishes
-    to roundoff; the standard way to build verification problems with a
-    known solution.
+    The residual at phi for a zero datum is the left-hand side of the ODE,
+    so residual(phi, problem, A) vanishes to roundoff; the standard way to
+    build verification problems with a known solution.
     """
-    w = _curvature(phi)
-    if w.min() <= 0.0:
-        raise NotConvex("manufactured profile must be admissible")
-    k1, k0 = problem.coefficients()
-    a = -0.25 * spectral_derivative(1.0 / w, 2, stabilized=True) - k1 * w + k0
-    return PeriodicProfile.from_samples(a)
+    return residual(phi, problem, 0.0)
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,15 @@ def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
     return LinearizedOde(w=w, k1=k1, coupling=coupling)
 
 
+_MAX_NEWTON = 30  # Newton iterations per continuation stage
+
+
 def _newton(problem: ODEProblem, phi0: np.ndarray, datum: np.ndarray):
     """Damped Newton on the residual; returns (phi, history) or None on failure."""
     phi = phi0.copy()
     r = residual(PeriodicProfile.from_samples(phi), problem, datum).samples
     history = [float(np.abs(r).max())]
-    for _ in range(problem.max_newton):
+    for _ in range(_MAX_NEWTON):
         if history[-1] <= problem.residual_tol:
             return phi, history
         lin = linearize(PeriodicProfile.from_samples(phi), problem)

@@ -171,7 +171,6 @@ def scaled_coupled_problem(base: ODEProblem, t: float) -> ODEProblem:
         datum_a=base.datum_a,
         residual_tol=base.residual_tol,
         damping_floor=base.damping_floor,
-        max_newton=base.max_newton,
     )
 
 
@@ -224,8 +223,8 @@ def limit_convergence_study(base: ODEProblem, t_list) -> LimitConvergenceReport:
     reports ``order`` nan rather than a slope fitted to roundoff.
     """
     t = np.asarray(sorted(t_list), dtype=float)
-    if t.size < 2 or t[0] <= 0.0:
-        raise InvalidConfig("the study needs >= 2 positive radius values")
+    if t.size < 2 or t[0] <= 0.0 or (np.diff(t) == 0.0).any():
+        raise InvalidConfig("the study needs >= 2 distinct positive radius values")
     limit_bundle = solve(base)
     limit_scale = _projection_scale(base)
     errors, bounds = [], []

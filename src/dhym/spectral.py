@@ -49,18 +49,21 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.arange(n // 2 + 1)
 
 
-def spectral_chop(samples: np.ndarray, rel: float = CHOP_REL) -> np.ndarray:
-    """Zero Fourier bins below ``rel`` times the largest one.
+def _chop(coeff: np.ndarray) -> np.ndarray:
+    """Zero, in place, the rfft bins below ``CHOP_REL`` times the largest one."""
+    mx = np.abs(coeff).max(axis=-1, keepdims=True)
+    coeff[np.abs(coeff) < CHOP_REL * mx] = 0.0
+    return coeff
+
+
+def spectral_chop(samples: np.ndarray) -> np.ndarray:
+    """Zero Fourier bins below ``CHOP_REL`` times the largest one.
 
     Removes sample-level roundoff noise from data known to be spectrally
     clean; exact on band-limited input and scale invariant.
     """
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[-1]
-    coeff = np.fft.rfft(samples, axis=-1)
-    mx = np.abs(coeff).max(axis=-1, keepdims=True)
-    coeff[np.abs(coeff) < rel * mx] = 0.0
-    return np.fft.irfft(coeff, n=n, axis=-1)
+    return np.fft.irfft(_chop(np.fft.rfft(samples, axis=-1)), n=samples.shape[-1], axis=-1)
 
 
 def spectral_derivative(samples: np.ndarray, order: int = 1, stabilized: bool = False) -> np.ndarray:
@@ -75,8 +78,7 @@ def spectral_derivative(samples: np.ndarray, order: int = 1, stabilized: bool = 
     n = samples.shape[-1]
     coeff = np.fft.rfft(samples, axis=-1)
     if stabilized:
-        mx = np.abs(coeff).max(axis=-1, keepdims=True)
-        coeff[np.abs(coeff) < CHOP_REL * mx] = 0.0
+        _chop(coeff)
     k = _wavenumbers(n)
     factor = (2j * np.pi * k) ** order
     if order % 2 == 1 and n % 2 == 0:
@@ -186,6 +188,7 @@ class PeriodicProfile:
 
         ``cos[j]``/``sin[j]`` multiply cos/sin(2 pi (j+1) x).
         """
+        _check_grid_size(n)  # before allocating
         x = grid(n)
         samples = np.full(n, float(constant))
         for j, a in enumerate(cos):
@@ -204,18 +207,6 @@ class PeriodicProfile:
 
     def mean(self) -> float:
         return float(self.samples.mean())
-
-    def derivative(self, order: int = 1) -> np.ndarray:
-        return spectral_derivative(self.samples, order=order)
-
-    def __call__(self, points) -> np.ndarray:
-        return trig_interpolate(self.samples, points)
-
-    def shifted(self, constant: float) -> "PeriodicProfile":
-        return PeriodicProfile(self.samples + constant)
-
-    def resampled(self, n_new: int) -> "PeriodicProfile":
-        return PeriodicProfile(resample(self.samples, n_new), mean_zero=self.mean_zero)
 
 
 # -- 2-d periodic fields on [0,1)^2 -----------------------------------------

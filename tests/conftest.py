@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dhym import ConstantCurvature2, ODEProblem, PeriodicProfile, Regime
+from dhym.linearized_ops import apply_L
 from dhym.ode_solver import manufactured_datum
 
 
@@ -49,3 +50,16 @@ def cosine_problem(regime, f0, n=256, alpha=1.0, amplitude=0.1):
 
     datum = PeriodicProfile.from_fourier(n, cos=[amplitude], constant=compatibility_constant(base))
     return ODEProblem(regime=regime, alpha=alpha, f0=f0, datum_a=datum)
+
+
+def dense_operator(ctx):
+    """Dense matrix of the 2-d linearized operator L on scalar potentials
+    (columns are basis responses).  Memory grows like N^4; keep N small."""
+    n = ctx.n
+    mat = np.empty((n * n, n * n))
+    basis = np.zeros((n, n))
+    for j in range(n * n):
+        basis.flat[j] = 1.0
+        mat[:, j] = apply_L(ctx, basis).ravel()
+        basis.flat[j] = 0.0
+    return mat

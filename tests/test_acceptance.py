@@ -45,18 +45,16 @@ from dhym.legendre import legendre_forward
 from dhym.linearized_ops import (
     LinearizedContext,
     apply_L,
-    dense_operator,
     flat_symbol,
-    inner,
     make_consistent_context,
     negativity_check,
     selfadjointness_defect,
     selfadjointness_refinement,
 )
 from dhym.ode_solver import complex_datum, manufactured_datum
-from dhym.spectral import grid, grid2, spectral_derivative, trig_interpolate
+from dhym.spectral import grid, grid2, inner, spectral_derivative, trig_interpolate
 
-from conftest import cosine_problem, flat_problem
+from conftest import cosine_problem, dense_operator, flat_problem
 
 N = 256
 REGIMES = [

@@ -292,7 +292,7 @@ def _keywords(schema):
 def test_validate_agrees_with_jsonschema():
     used = set().union(*(_keywords(schema) for schema in SCHEMAS.values()))
     assert used <= {"type", "enum", "properties", "required", "additionalProperties", "items",
-                    "minItems", "maxItems", "minimum", "exclusiveMinimum"}
+                    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum"}
     rng = np.random.default_rng(20261018)
     for command, schema in SCHEMAS.items():
         oracle = Draft202012Validator(schema)
@@ -309,12 +309,24 @@ def test_validate_agrees_with_jsonschema():
         assert 10 <= sum(verdicts) <= 290, command  # both verdicts are exercised
 
 
+# the solver commands at grids 16-64, so that a mutated config runs in milliseconds
+FUZZ_CFGS = {
+    "phase": FULL_CFGS["phase"],
+    "expand": FULL_CFGS["expand"],
+    "lincheck": dict(FULL_CFGS["lincheck"], grid=16, trials=2),
+    "legendre": dict(FULL_CFGS["legendre"], grid=64),
+    "limits": dict(FULL_CFGS["limits"], grid=32, t_list=[4, 8]),
+    "solve": dict(FULL_CFGS["solve"], grid=64),
+}
+FUZZ_COUNTS = {"phase": 150, "expand": 150, "lincheck": 100, "legendre": 150, "limits": 100, "solve": 20}
+
+
 def test_mutated_configs_exit_cleanly(tmp_path):
     # every malformed or extreme config is refused (2) or answered, never an internal error
     rng = np.random.default_rng(4)
-    for command in ("phase", "expand"):
-        for i in range(150):
-            cfg = mutate(FULL_CFGS[command], rng)
+    for command, count in FUZZ_COUNTS.items():
+        for i in range(count):
+            cfg = mutate(FUZZ_CFGS[command], rng)
             path = write_cfg(tmp_path, f"{command}-{i}.json", cfg)
             with np.errstate(all="ignore"):
                 code = main([command, "--config", path, "--out", str(tmp_path / "out")])
@@ -329,8 +341,24 @@ def test_mutated_configs_exit_cleanly(tmp_path):
         ("expand", '{"f0_matrix": [[1, 0, 0], [0, -1e300, 0], [0, 0, 3]]}'),  # expansion overflows
         ("phase", '{"f0": [0.5, 1e300, -0.3]}'),  # class integral overflows
         ("phase", '{"f0": [0.5, NaN, 1.0]}'),  # not a JSON number
+        ("lincheck", '{"grid": 16, "b_matrix": [[2, 0.7], [0.7, 1]], "trials": 1}'),  # no pair to compare
+        ("lincheck", '{"grid": 16, "b_matrix": [[1e200, 0], [0, 1]]}'),  # B B overflows
+        ("lincheck", '{"grid": 16, "b_matrix": [[2, 0.7], [0.7, 1]], "seed": -1}'),  # no numpy seed
+        ("lincheck", '{"grid": 16, "b_matrix": [[2, 0.7], [0.7, 1]], "mode_limit": 8, "trials": 2}'),  # aliased
+        ("solve", '{"regime": "large_radius", "f0": [1e160, 1e160, 1e160], "alpha": 1, '
+                  '"datum": {"kind": "fourier"}, "grid": 64}'),  # K1, K0 overflow
+        ("solve", '{"regime": "small_radius", "f0": [2e200, 1e200, 1e200], "alpha": 1, '
+                  '"datum": {"kind": "fourier"}, "grid": 64}'),  # K1, K0 overflow
+        ("solve", '{"regime": "small_radius", "f0": [1e300, 1e-200, 1e-200], "alpha": 1, '
+                  '"datum": {"kind": "fourier"}, "grid": 64}'),  # b^2 + c^2 underflows
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier"}, '
+                  '"grid": 1e300}'),  # an integer, but no power of two
+        ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
+                   '"datum": {"kind": "fourier", "cos": [0.05]}, "grid": 32, "t_list": [4, 4]}'),  # one radius twice
     ],
-    ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan"],
+    ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan", "one-trial",
+         "symbol-overflow", "negative-seed", "aliased-trials", "large-radius-overflow",
+         "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii"],
 )
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     path = tmp_path / "c.json"

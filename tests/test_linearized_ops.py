@@ -5,17 +5,16 @@ from dhym.errors import InvalidConfig
 from dhym.linearized_ops import (
     LinearizedContext,
     apply_L,
-    apply_L_terms,
-    dense_operator,
     flat_symbol,
-    inner,
     make_consistent_context,
     negativity_check,
     selfadjointness_defect,
     selfadjointness_refinement,
     solve_lincond,
 )
-from dhym.spectral import grid2, hessian2, partial2
+from dhym.spectral import grid2, hessian2, inner, partial2
+
+from conftest import dense_operator
 
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
@@ -239,13 +238,6 @@ class TestApplyL:
             kb2k = k @ (b @ b) @ k
             assert kbk**2 <= (k @ k) * kb2k + 1e-12
             assert flat_symbol(k, b) <= 1e-9
-
-    def test_term_list_sums_to_apply(self):
-        ctx = make_consistent_context(perturbed_background(24), B_REF)
-        gamma = band_limited(24, seed=6)
-        terms = apply_L_terms(ctx, gamma)
-        assert len(terms) == 7
-        assert np.allclose(sum(terms.values()), apply_L(ctx, gamma))
 
 
 class TestSelfAdjointness:

@@ -184,9 +184,10 @@ class TestLimitConvergence:
         assert 1.5 < report.order < 2.5
 
     def test_needs_two_positive_radii(self):
-        # an empty study is not exact, one radius has no order, and t <= 0 is no radius
+        # an empty study is not exact, one radius has no order (nor has one radius
+        # given twice), and t <= 0 is no radius
         base = cosine_problem(Regime.LARGE_RADIUS, ConstantCurvature2(0.0, 1.0, 0.0), n=32)
-        for radii in ([], [4.0], [0.0, 4.0], [-4.0, 4.0]):
+        for radii in ([], [4.0], [4.0, 4.0], [0.0, 4.0], [-4.0, 4.0]):
             with pytest.raises(InvalidConfig):
                 limit_convergence_study(base, radii)
 
