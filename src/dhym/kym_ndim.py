@@ -145,7 +145,8 @@ def residual_complex(v_hess, f_field, data: KymData, f_datum) -> tuple[np.ndarra
     r1 = np.einsum("...ij,...ij->...", vinv, f) - data.mu
     m = vinv @ f  # v^{-1} F, pointwise
     quad = np.einsum("...ij,...ji->...", m, m)
-    r2 = logdet + 4.0 * datum - 8.0 * data.alpha * data.mu**2 + 8.0 * data.alpha * quad
+    # mu * mu, not mu**2: a float power raises on overflow where a product gives inf
+    r2 = logdet + 4.0 * datum - 8.0 * data.alpha * (data.mu * data.mu) + 8.0 * data.alpha * quad
     return r1, r2
 
 

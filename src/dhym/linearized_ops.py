@@ -25,6 +25,8 @@ which is nonpositive by Cauchy-Schwarz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -51,19 +53,47 @@ def _divergence(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return partial2(f0, 1, 0) + partial2(f1, 0, 1)
 
 
-def _jacobian(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """The matrix field d_j v_k of a vector field, indexed [..., j, k]."""
-    return np.stack([np.stack(_gradient(v), axis=-1) for v in (v0, v1)], axis=-1)
-
-
 def _mv(m: np.ndarray, g0: np.ndarray, g1: np.ndarray):
     """Components of the matrix field m times the vector field (g0, g1)."""
     return m[..., 0, 0] * g0 + m[..., 0, 1] * g1, m[..., 1, 0] * g0 + m[..., 1, 1] * g1
 
 
+def _sandwich(u: np.ndarray, g):
+    """Components (xx, xy, yy) of u g u for a symmetric matrix field u and a
+    symmetric tangent g given by its components (xx, xy, yy)."""
+    p, q, r = u[..., 0, 0], u[..., 0, 1], u[..., 1, 1]
+    gxx, gxy, gyy = g
+    t00, t01 = gxx * p + gxy * q, gxx * q + gxy * r
+    t10, t11 = gxy * p + gyy * q, gxy * q + gyy * r
+    return p * t00 + q * t10, p * t01 + q * t11, q * t01 + r * t11
+
+
+def _contract_sym(g, c: np.ndarray) -> np.ndarray:
+    """sum_ij g_ij c_ij for a symmetric g given as (xx, xy, yy) and a matrix
+    (field) c indexed c[i, j] on its first two axes."""
+    return g[0] * c[0, 0] + g[1] * (c[0, 1] + c[1, 0]) + g[2] * c[1, 1]
+
+
+def _contract_jacobian(v0: np.ndarray, v1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_jk d_j v_k c_jk for a vector field v and a matrix field c indexed
+    c[j, k] on its first two axes."""
+    out = 0.0
+    for k, vk in enumerate((v0, v1)):
+        d0, d1 = _gradient(vk)
+        out = out + d0 * c[0, k] + d1 * c[1, k]
+    return out
+
+
 @dataclass
 class LinearizedContext:
-    """Background data; Hessian and inverse-Hessian fields precomputed."""
+    """Background data; Hessian and inverse-Hessian fields precomputed.
+
+    So are the background-only fields of ``apply_L``, on first use: grad phi
+    and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
+    dw^T B + B u B^T (against udot) and (dw + u B^T)^T (against the
+    Jacobian of the transport difference).  They are cached, so phi must
+    not change once the context is in use.
+    """
 
     u_pert: np.ndarray
     b_matrix: np.ndarray
@@ -97,8 +127,24 @@ class LinearizedContext:
     def n(self) -> int:
         return self.u_pert.shape[0]
 
+    @cached_property
+    def _grad_phi(self) -> tuple:
+        return _gradient(self.phi)
+
+    @cached_property
+    def _apply_coefs(self) -> tuple:
+        """The coefficients of udot and of D(s - q) in ``apply_L``,
+        dw^T B + B u B^T and (dw + u B^T)^T, with their matrix indices first."""
+        b = self.b_matrix
+        dw = np.empty((2, 2) + self.phi.shape)  # dw[j, k] = d_j w_k
+        for k, wk in enumerate(_mv(self.u_inv, *self._grad_phi)):
+            dw[0, k], dw[1, k] = _gradient(wk)
+        ubt = np.einsum("...kl,jl->kj...", self.u_hess, b)
+        tangent = np.einsum("ki...,kj->ij...", dw, b) + np.einsum("ik,kj...->ij...", b, ubt)
+        return tangent, (dw + ubt).swapaxes(0, 1)
+
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Divergence-form operator d_i(u^{ij} d_j f)."""
+        """Divergence-form operator d_i(u^{ij} d_j f), of a field or a stack."""
         return _divergence(*_mv(self.u_inv, *_gradient(f)))
 
     def degree_defect(self) -> float:
@@ -115,16 +161,17 @@ def _nyquist_projector(f: np.ndarray) -> np.ndarray:
     operator cannot resolve these modes; the elliptic solve pins them with a
     penalty.  On even grids the Nyquist mode of an axis is the alternating
     vector a = (-1)^i, so the projector is a sum of rank-one terms built
-    from alternating-sign row and column sums, O(N^2) without an FFT.
+    from alternating-sign row and column sums, O(N^2) without an FFT.  Acts
+    on the last two axes.
     """
-    n = f.shape[0]
+    n = f.shape[-1]
     if n % 2 != 0:
         return np.zeros_like(f)
     a = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     cols = (a @ f) / n  # Nyquist coefficient in the first axis, per column
     rows = (f @ a) / n  # Nyquist coefficient in the second axis, per row
-    both = (a @ rows) / n
-    return np.outer(a, cols) + np.outer(rows - both * a, a)
+    both = (rows @ a) / n
+    return a[:, None] * cols[..., None, :] + (rows - both[..., None] * a)[..., :, None] * a
 
 
 def _nyquist_penalty(n: int) -> float:
@@ -157,34 +204,50 @@ def _elliptic_symbol(n: int, u_inv_mean: np.ndarray) -> np.ndarray:
 def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     """Solve (Delta + sigma P) f = rhs for mean-zero f, sigma = -(pi N)^2.
 
-    P is the Nyquist projector; the penalty pins the modes the divergence
-    form cannot resolve.  The mean of rhs is removed first, since the range
-    is mean free, and a zero rhs returns zeros at once.  -(Delta + sigma P)
-    is symmetric positive definite on mean-zero fields, so CG applies;
-    preconditioned by the constant-coefficient Fourier inverse it takes a
-    number of steps set by the variation of u^{ij}, not by N (about 15 up
-    to N = 128).  Deterministic.
+    ``rhs`` is one field (N, N) or a stack (K, N, N), solved together by one
+    batched CG.  P is the Nyquist projector; the penalty pins the modes the
+    divergence form cannot resolve.  The mean of each rhs is removed first,
+    since the range is mean free, and a zero rhs gives zeros.
+    -(Delta + sigma P) is symmetric positive definite on mean-zero fields,
+    so CG applies; preconditioned by the constant-coefficient Fourier
+    inverse it takes a number of steps set by the variation of u^{ij}, not
+    by N (about 15 up to N = 128).  Deterministic.
     """
+    stack = rhs.reshape((-1,) + rhs.shape[-2:])
     penalty = _nyquist_penalty(ctx.n)
     x, converged = _pcg(
         lambda p: penalty * _nyquist_projector(p) - ctx.laplacian(p),
-        lambda r: np.fft.irfft2(np.fft.rfft2(r) / ctx._precond, s=r.shape),
-        -(rhs - rhs.mean()),
+        lambda r: np.fft.irfft2(np.fft.rfft2(r) / ctx._precond, s=r.shape[-2:]),
+        -(stack - stack.mean(axis=(-2, -1), keepdims=True)),
         SingularElliptic,
     )
-    if not converged:
+    if not converged.all():
         raise SingularElliptic("elliptic solve failed to converge")
-    return x - x.mean()
+    return (x - x.mean(axis=(-2, -1), keepdims=True)).reshape(rhs.shape)
 
 
-def _as_hessian_field(ctx: LinearizedContext, udot) -> np.ndarray:
-    """Accept a scalar potential (N, N) or a matrix field (N, N, 2, 2)."""
+def _tangent(ctx: LinearizedContext, udot):
+    """Components (xx, xy, yy) of the tangent Hessian field.
+
+    Accepts a scalar potential (N, N), a stack of them (K, N, N) or a
+    matrix field (N, N, 2, 2), whose symmetric part is taken.
+    """
     udot = np.asarray(udot, dtype=float)
-    if udot.shape == (ctx.n, ctx.n):
-        return hessian2(udot)
-    if udot.shape == (ctx.n, ctx.n, 2, 2):
-        return udot
+    grid = (ctx.n, ctx.n)
+    if udot.ndim in (2, 3) and udot.shape[-2:] == grid:
+        return partial2(udot, 2, 0), partial2(udot, 1, 1), partial2(udot, 0, 2)
+    if udot.shape == grid + (2, 2):
+        return udot[..., 0, 0], 0.5 * (udot[..., 0, 1] + udot[..., 1, 0]), udot[..., 1, 1]
     raise DimensionMismatch(f"tangent field has shape {udot.shape}")
+
+
+def _lincond_rhs(ctx: LinearizedContext, g):
+    """m = u^{-1} udot u^{-1} as (xx, xy, yy), the transport vector
+    q = m grad phi, and the right-hand side of the linearized degree equation."""
+    m = _sandwich(ctx.u_inv, g)
+    p0, p1 = ctx._grad_phi
+    q = m[0] * p0 + m[1] * p1, m[1] * p0 + m[2] * p1
+    return m, q, _divergence(*q) - _contract_sym(g, ctx.b_matrix)
 
 
 def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
@@ -193,36 +256,40 @@ def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
     Returns the mean-zero phi-dot with
     Delta phi-dot = d_i(u^{ia} udot_ab u^{bj} phi_j) - udot_ij B_ij;
     the right-hand side is mean free because udot is a periodic Hessian.
+    ``udot`` is a potential (N, N), a stack (K, N, N) or the matrix field
+    (N, N, 2, 2) of a Hessian; a stack is solved in one batched CG and gives
+    a (K, N, N) stack.
     """
-    gdot = _as_hessian_field(ctx, udot)
-    m = ctx.u_inv @ gdot @ ctx.u_inv
-    rhs = _divergence(*_mv(m, *_gradient(ctx.phi))) - np.einsum("...ij,ij->...", gdot, ctx.b_matrix)
-    return _solve_elliptic(ctx, rhs)
+    return _solve_elliptic(ctx, _lincond_rhs(ctx, _tangent(ctx, udot))[2])
 
 
 def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
     """The full linearized operator L(udot) = L0 + L1.
 
+    ``udot`` is a potential (N, N), a stack (K, N, N) or the matrix field
+    (N, N, 2, 2) of a Hessian; a stack is applied in one pass, with one
+    batched elliptic solve, and gives a (K, N, N) stack.
+
     With w = u^{-1} grad phi, q = m grad phi (m = u^{-1} udot u^{-1}) and
-    s = u^{-1} grad phi-dot, the five L0 terms (Hessian, transport,
-    quadratic, degree, mixed) are followed by the two L1 terms.
+    s = u^{-1} grad phi-dot, L0 has five terms (Hessian, transport,
+    quadratic, degree, mixed) and L1 two:
+
+        -d_i d_j m_ij + 2 <udot, dw^T B> - 2 <Dq, dw^T> + 2 <udot, B u B^T>
+        - 2 <Dq, (u B^T)^T> + 2 <Ds, (u B^T)^T> + 2 <Ds, dw^T>,
+
+    with <a, c> = sum_jk a_jk c_jk and (Dv)_jk = d_j v_k.  The terms are
+    summed by their background-only coefficients, which the context holds:
+    2 <udot, dw^T B + B u B^T> + 2 <D(s - q), (dw + u B^T)^T>.
     """
-    gdot = _as_hessian_field(ctx, udot)
-    b, uinv, uhess = ctx.b_matrix, ctx.u_inv, ctx.u_hess
-    p0, p1 = _gradient(ctx.phi)
-    m = uinv @ gdot @ uinv
-    dw = _jacobian(*_mv(uinv, p0, p1))
-    dq = _jacobian(*_mv(m, p0, p1))
-    ds = _jacobian(*_mv(uinv, *_gradient(solve_lincond(ctx, gdot))))
-    return (
-        -(partial2(m[..., 0, 0], 2, 0) + 2.0 * partial2(m[..., 0, 1], 1, 1) + partial2(m[..., 1, 1], 0, 2))
-        + 2.0 * np.einsum("...jk,...kl,jl->...", dw, gdot, b)
-        - 2.0 * np.einsum("...il,...li->...", dq, dw)
-        + 2.0 * np.einsum("ik,jl,...ij,...kl->...", b, b, gdot, uhess)
-        - 2.0 * np.einsum("...jk,...kl,jl->...", dq, uhess, b)
-        + 2.0 * np.einsum("...jk,...kl,jl->...", ds, uhess, b)
-        + 2.0 * np.einsum("...il,...li->...", ds, dw)
+    tangent_coef, transport_coef = ctx._apply_coefs
+    g = _tangent(ctx, udot)
+    m, q, rhs = _lincond_rhs(ctx, g)
+    out = 2.0 * _contract_sym(g, tangent_coef) - (
+        partial2(m[0], 2, 0) + 2.0 * partial2(m[1], 1, 1) + partial2(m[2], 0, 2)
     )
+    del g, m  # the solve needs neither; a stack of them is large
+    s0, s1 = _mv(ctx.u_inv, *_gradient(_solve_elliptic(ctx, rhs)))
+    return out + 2.0 * _contract_jacobian(s0 - q[0], s1 - q[1], transport_coef)
 
 
 def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
@@ -256,16 +323,40 @@ def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
     return LinearizedContext(u_pert=ctx.u_pert, b_matrix=ctx.b_matrix, phi=phi)
 
 
+#: Grid points per stacked application of L in the trial checks: trials go
+#: through ``apply_L`` in chunks of max(1, _CHUNK_POINTS // N^2), 8 at N = 32
+#: and 2 at N = 64.  Twice as many gave no more speed but 3 % more peak RSS
+#: on the N = 32 / 64 batteries.  From N = 128 on a chunk is one trial, so
+#: memory does not grow with the number of trials.
+_CHUNK_POINTS = 2**13
+
+
+def _applied(ctx: LinearizedContext, trials):
+    """Pairs (trial, L trial), L applied to chunks of trials at once."""
+    size = max(1, _CHUNK_POINTS // ctx.n**2)
+    trials = iter(trials)
+    while chunk := [np.asarray(t, dtype=float) for t in islice(trials, size)]:
+        if any(t.shape != (ctx.n, ctx.n) for t in chunk):
+            raise DimensionMismatch(f"trials must be {ctx.n} x {ctx.n} potentials")
+        yield from zip(chunk, apply_L(ctx, np.stack(chunk)))
+
+
+def _flatten_pairs(pairs):
+    for xi, gamma in pairs:
+        yield xi
+        yield gamma
+
+
 def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
     """Relative defect |<xi, L gamma> - <gamma, L xi>| for each trial pair.
 
     Normalized by the sizes of the operator images, so values compare across
     grids; vanishing defect means formal self-adjointness at this resolution.
+    The pairs are read lazily and L is applied to chunks of trials.
     """
     defects = []
-    for xi, gamma in trial_pairs:
-        lx = apply_L(ctx, xi)
-        lg = apply_L(ctx, gamma)
+    images = _applied(ctx, _flatten_pairs(trial_pairs))
+    for (xi, lx), (gamma, lg) in zip(images, images):
         raw = abs(inner(xi, lg) - inner(gamma, lx))
         scale = (
             float(np.abs(lg).max()) * float(np.abs(xi).max())
@@ -295,18 +386,21 @@ def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes):
     return max_defects, order
 
 
+def _checked_trial(gamma) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=float)
+    if inner(gamma, gamma) == 0.0 or abs(gamma.mean()) > 1e-12 * np.abs(gamma).max():
+        raise InvalidConfig("trials must be nonzero and mean-free")
+    return gamma
+
+
 def negativity_check(ctx: LinearizedContext, trials) -> float:
     """Max Rayleigh quotient <gamma, L gamma>/<gamma, gamma> over the trials.
 
     Trials must be mean-zero and nonzero; constants span the gauge direction
-    and are rejected.  Nonpositive up to discretization error.
+    and are rejected.  Nonpositive up to discretization error.  The trials
+    are read lazily and L is applied to chunks of them.
     """
     worst = -np.inf
-    for gamma in trials:
-        gamma = np.asarray(gamma, dtype=float)
-        norm2 = inner(gamma, gamma)
-        if norm2 == 0.0 or abs(gamma.mean()) > 1e-12 * np.abs(gamma).max():
-            raise InvalidConfig("trials must be nonzero and mean-free")
-        worst = max(worst, inner(gamma, apply_L(ctx, gamma)) / norm2)
+    for gamma, lg in _applied(ctx, map(_checked_trial, trials)):
+        worst = max(worst, inner(gamma, lg) / inner(gamma, gamma))
     return float(worst)
-

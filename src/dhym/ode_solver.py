@@ -43,6 +43,7 @@ from .legendre import datum_pushforward, legendre_forward
 from .spectral import (
     PeriodicProfile,
     _pcg,
+    inner,
     second_antiderivative,
     spectral_chop,
     spectral_derivative,
@@ -211,15 +212,15 @@ class LinearizedOde:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """4 S W (I + 4 K1 mean(w^2) S)^-1 W S r; S = -second_antiderivative."""
         y = self.w * second_antiderivative(r)
-        y = self.w * np.fft.irfft(np.fft.rfft(y) * self.coupling, n=y.shape[0])
+        y = self.w * np.fft.irfft(np.fft.rfft(y) * self.coupling, n=y.shape[-1])
         return 4.0 * second_antiderivative(y)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Mean-zero delta with apply(delta) = rhs - mean(rhs) (the range is
         mean free).  At the CG cap the last iterate goes to Newton's line
         search; only lost definiteness raises ``SingularLinearization``."""
-        delta, _ = _pcg(self.apply, self.precondition, rhs - rhs.mean(), SingularLinearization)
-        return delta - delta.mean()
+        delta, _ = _pcg(self.apply, self.precondition, (rhs - rhs.mean())[None], SingularLinearization)
+        return delta[0] - delta[0].mean()
 
 
 def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
@@ -283,6 +284,12 @@ def solve(problem: ODEProblem) -> SolutionBundle:
     a_proj, shift = project_datum(problem.datum_a, problem)
     c_a = compatibility_constant(problem)
     phi = np.zeros(problem.n)
+    # the Newton step squares residuals (the CG inner products): a datum whose
+    # residual at the flat start has no finite square can never be solved
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = residual(PeriodicProfile.from_samples(phi), problem, a_proj.samples).samples
+        if not np.isfinite(inner(start, start)):
+            raise InvalidConfig("the datum is too large: the residual at the flat start overflows")
     trace = []
     histories = []
     t_cur, failure = 0.0, ConvexityLost

@@ -49,9 +49,9 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.arange(n // 2 + 1)
 
 
-def _chop(coeff: np.ndarray) -> np.ndarray:
+def _chop(coeff: np.ndarray, axis: int = -1) -> np.ndarray:
     """Zero, in place, the rfft bins below ``CHOP_REL`` times the largest one."""
-    mx = np.abs(coeff).max(axis=-1, keepdims=True)
+    mx = np.abs(coeff).max(axis=axis, keepdims=True)
     coeff[np.abs(coeff) < CHOP_REL * mx] = 0.0
     return coeff
 
@@ -66,24 +66,28 @@ def spectral_chop(samples: np.ndarray) -> np.ndarray:
     return np.fft.irfft(_chop(np.fft.rfft(samples, axis=-1)), n=samples.shape[-1], axis=-1)
 
 
-def spectral_derivative(samples: np.ndarray, order: int = 1, stabilized: bool = False) -> np.ndarray:
-    """Differentiate periodic samples ``order`` times via the FFT.
+def spectral_derivative(
+    samples: np.ndarray, order: int = 1, stabilized: bool = False, axis: int = -1
+) -> np.ndarray:
+    """Differentiate periodic samples ``order`` times along ``axis`` via the FFT.
 
-    The Nyquist mode is dropped for odd derivative orders (its derivative is
-    not representable on the grid); for even orders it is kept.  With
-    ``stabilized`` the spectrum is noise-chopped before scaling, which keeps
-    repeated differentiation of smooth data at roundoff accuracy.
+    Every other axis is a batch axis.  The Nyquist mode is dropped for odd
+    derivative orders (its derivative is not representable on the grid); for
+    even orders it is kept.  With ``stabilized`` the spectrum is
+    noise-chopped before scaling, which keeps repeated differentiation of
+    smooth data at roundoff accuracy.
     """
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[-1]
-    coeff = np.fft.rfft(samples, axis=-1)
+    n = samples.shape[axis]
+    coeff = np.fft.rfft(samples, axis=axis)
     if stabilized:
-        _chop(coeff)
+        _chop(coeff, axis)
     k = _wavenumbers(n)
     factor = (2j * np.pi * k) ** order
     if order % 2 == 1 and n % 2 == 0:
         factor[-1] = 0.0
-    return np.fft.irfft(coeff * factor, n=n, axis=-1)
+    factor = factor.reshape((-1,) + (1,) * (samples.ndim - 1 - axis % samples.ndim))  # along axis
+    return np.fft.irfft(coeff * factor, n=n, axis=axis)
 
 
 def second_antiderivative(samples: np.ndarray) -> np.ndarray:
@@ -219,17 +223,21 @@ def grid2(n: int):
 
 
 def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Mixed spectral partial derivative of a doubly periodic field."""
+    """Mixed spectral partial derivative of a doubly periodic field.
+
+    The field lies on the last two axes, shape (..., n, n); x is axis -2 and
+    y axis -1, and any leading axes are a stack of fields.
+    """
     out = np.asarray(field_samples, dtype=float)
     if dx:
-        out = spectral_derivative(out.T, order=dx).T
+        out = spectral_derivative(out, order=dx, axis=-2)
     if dy:
         out = spectral_derivative(out, order=dy)
     return out
 
 
 def hessian2(field_samples: np.ndarray) -> np.ndarray:
-    """Hessian of a doubly periodic field, shape (n, n, 2, 2)."""
+    """Hessian of a (stack of) doubly periodic field(s), shape (..., n, n, 2, 2)."""
     f = np.asarray(field_samples, dtype=float)
     h = np.empty(f.shape + (2, 2))
     h[..., 0, 0] = partial2(f, 2, 0)
@@ -253,32 +261,58 @@ def inner(f: np.ndarray, g: np.ndarray) -> float:
     return float((f * g).mean())
 
 
-def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
-    """CG for ``operator(x) = rhs``, both SPD for ``inner`` on mean-zero fields.
+def _inner_cols(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``inner`` of each column (first axis) of two stacks."""
+    return (f * g).reshape(len(f), -1).mean(axis=1)
 
-    ``precondition`` must map to mean-free fields.  Stops when the residual's
-    sup norm is ``_CG_RTOL`` times that of ``rhs``; returns ``(x, converged)``
-    with the last iterate after ``_CG_MAXITER`` steps.  A zero ``rhs`` gives
-    zeros, and ``p . Ap <= 0`` raises ``singular``.
+
+def _sup_cols(f: np.ndarray) -> np.ndarray:
+    return np.abs(f).reshape(len(f), -1).max(axis=1)
+
+
+def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
+    """CG for ``operator(x) = rhs`` on a stack of right-hand sides.
+
+    ``rhs`` has shape (K, ...): K independent columns, each a field on which
+    ``operator`` and ``precondition`` (mapping stacks to stacks of the same
+    shape) are SPD for ``inner`` on mean-zero fields; ``precondition`` must
+    map to mean-free fields.  Each column has its own step lengths and stops
+    when its residual's sup norm is ``_CG_RTOL`` times that of its rhs; it
+    then leaves the active set, so its iterates are those of a run on that
+    column alone.  Returns ``(x, converged)``, x of the shape of ``rhs`` and
+    converged a (K,) bool array; a column still active after ``_CG_MAXITER``
+    steps keeps its last iterate.  A zero column gives zeros, and
+    ``p . Ap <= 0`` in any column raises ``singular``.
     """
-    scale = float(np.abs(rhs).max())
-    x = np.zeros_like(rhs)
-    if scale == 0.0:
-        return x, True
-    r = rhs.copy()
+    x_out = np.zeros_like(rhs)
+    scale = _sup_cols(rhs)
+    converged = scale == 0.0
+    active = np.flatnonzero(~converged)
+    if not active.size:
+        return x_out, converged
+    cols = (slice(None),) + (None,) * (rhs.ndim - 1)  # a (K,) vector against a stack
+    r = rhs[active]
+    x = np.zeros_like(r)
     p = z = precondition(r)
-    rz = inner(r, z)
+    rz = _inner_cols(r, z)
     for _ in range(_CG_MAXITER):
         ap = operator(p)
-        denom = inner(p, ap)
-        if denom <= 0.0:
+        denom = _inner_cols(p, ap)
+        if (denom <= 0.0).any():
             raise singular("operator lost definiteness in CG (p . Ap <= 0)")
-        a = rz / denom
+        a = (rz / denom)[cols]
         x += a * p
         r -= a * ap
-        if float(np.abs(r).max()) <= _CG_RTOL * scale:
-            return x, True
+        done = _sup_cols(r) <= _CG_RTOL * scale[active]
+        if done.any():
+            x_out[active[done]] = x[done]
+            converged[active[done]] = True
+            keep = ~done
+            active, x, r, p, rz = active[keep], x[keep], r[keep], p[keep], rz[keep]
+            if not active.size:
+                return x_out, converged
         z = precondition(r)
-        rz, rz_old = inner(r, z), rz
-        p = z + (rz / rz_old) * p
-    return x, False
+        rz, rz_old = _inner_cols(r, z), rz
+        p = z + (rz / rz_old)[cols] * p
+    x_out[active] = x
+    return x_out, converged

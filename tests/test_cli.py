@@ -317,12 +317,16 @@ FUZZ_CFGS = {
     "legendre": dict(FULL_CFGS["legendre"], grid=64),
     "limits": dict(FULL_CFGS["limits"], grid=32, t_list=[4, 8]),
     "solve": dict(FULL_CFGS["solve"], grid=64),
+    "residual": dict(FULL_CFGS["residual"], grid=64, solution="sol/solution.csv"),
 }
-FUZZ_COUNTS = {"phase": 150, "expand": 150, "lincheck": 100, "legendre": 150, "limits": 100, "solve": 20}
+FUZZ_COUNTS = {"phase": 150, "expand": 150, "lincheck": 100, "legendre": 150, "limits": 100, "solve": 20,
+               "residual": 100}
 
 
 def test_mutated_configs_exit_cleanly(tmp_path):
     # every malformed or extreme config is refused (2) or answered, never an internal error
+    solve_cfg = write_cfg(tmp_path, "sol.json", dict(SOLVE_CFG, grid=64))
+    assert main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "sol")]) == 0  # read by residual
     rng = np.random.default_rng(4)
     for command, count in FUZZ_COUNTS.items():
         for i in range(count):
@@ -355,10 +359,16 @@ def test_mutated_configs_exit_cleanly(tmp_path):
                   '"grid": 1e300}'),  # an integer, but no power of two
         ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
                    '"datum": {"kind": "fourier", "cos": [0.05]}, "grid": 32, "t_list": [4, 4]}'),  # one radius twice
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, '
+                  '"datum": {"kind": "fourier", "cos": [1e300], "constant": -2}, "grid": 64}'),  # residual overflows
+        ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
+                   '"datum": {"kind": "fourier", "cos": [1e300], "constant": -2}, "grid": 32, '
+                   '"t_list": [4, 8]}'),  # residual overflows
     ],
     ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan", "one-trial",
          "symbol-overflow", "negative-seed", "aliased-trials", "large-radius-overflow",
-         "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii"],
+         "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii",
+         "solve-datum-overflow", "limits-datum-overflow"],
 )
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     path = tmp_path / "c.json"

@@ -135,6 +135,16 @@ class TestResidualComplex:
         with pytest.raises(NonPositiveMetric):
             residual_complex(v, v, data, np.zeros((n, n)))
 
+    def test_huge_degree_does_not_raise(self):
+        # mu = 1e200: mu squared overflows to inf, which a float power raises on
+        n = 16
+        b = np.diag([1e200, 0.0])
+        v = np.broadcast_to(np.eye(2), (n, n, 2, 2)).copy()
+        f = np.broadcast_to(b, (n, n, 2, 2)).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1, r2 = residual_complex(v, f, KymData.from_constant_curvature(b, 1.0), np.zeros((n, n)))
+        assert r1.shape == r2.shape == (n, n)
+
 
 class TestJEquationResidual:
     def test_flat_solution(self):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from dhym.errors import InvalidConfig
+from dhym import linearized_ops
+from dhym.errors import DimensionMismatch, InvalidConfig
 from dhym.linearized_ops import (
     LinearizedContext,
     apply_L,
@@ -12,7 +15,7 @@ from dhym.linearized_ops import (
     selfadjointness_refinement,
     solve_lincond,
 )
-from dhym.spectral import grid2, hessian2, inner, partial2
+from dhym.spectral import _pcg, grid2, hessian2, inner, partial2
 
 from conftest import dense_operator
 
@@ -329,3 +332,95 @@ class TestContext:
             LinearizedContext(
                 u_pert=0.05 * np.cos(2 * np.pi * x), b_matrix=B_REF, phi=np.zeros((32, 32))
             )
+
+
+class TestStackedTrials:
+    """apply_L and solve_lincond on a (K, N, N) stack, and the chunked checks."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_stack_agrees_with_loop(self, n, k):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        stack = np.array([band_limited(n, seed=200 + i) for i in range(k)])
+        for fn in (apply_L, solve_lincond):
+            looped = np.array([fn(ctx, f) for f in stack])
+            batched = fn(ctx, stack)
+            assert batched.shape == (k, n, n)
+            assert np.abs(batched - looped).max() <= 1e-14 * np.abs(looped).max()
+
+    def test_zero_slot_gives_exact_zeros(self):
+        ctx = make_consistent_context(perturbed_background(32), B_REF)
+        stack = np.array([band_limited(32, seed=220), np.zeros((32, 32)), white_noise(32, seed=221)])
+        for fn in (apply_L, solve_lincond):
+            out = fn(ctx, stack)
+            assert not out[1].any()
+            assert np.abs(out[0]).max() > 0.0 and np.abs(out[2]).max() > 0.0
+
+    def test_early_column_keeps_its_unbatched_iterate(self):
+        # a diagonal SPD operator: one column is an eigenvector (one CG step),
+        # the other spreads over 40 eigenvalues and needs many more
+        d = np.linspace(1.0, 50.0, 40)
+        easy = np.zeros(40)
+        easy[7] = 3.0
+        hard = np.random.default_rng(5).standard_normal(40)
+        widths = []
+
+        def operator(p):
+            widths.append(len(p))
+            return d * p
+
+        x, converged = _pcg(operator, lambda r: r.copy(), np.array([easy, hard]), ValueError)
+        assert converged.all()
+        assert widths[0] == 2 and widths[1:] and set(widths[1:]) == {1}
+        for col, rhs in enumerate((easy, hard)):
+            alone, _ = _pcg(lambda p: d * p, lambda r: r.copy(), rhs[None], ValueError)
+            assert np.array_equal(x[col], alone[0])
+
+    def test_constant_trial_mid_chunk_is_rejected(self):
+        ctx = make_consistent_context(perturbed_background(32), B_REF)
+        assert linearized_ops._CHUNK_POINTS // 32**2 >= 5  # the constant sits inside one chunk
+        trials = [band_limited(32, seed=230 + i) for i in range(4)]
+        trials.insert(2, np.ones((32, 32)))
+        with pytest.raises(InvalidConfig):
+            negativity_check(ctx, trials)
+
+    def test_chunked_checks_match_per_trial(self, monkeypatch):
+        # chunks of 3 trials, so pairs straddle chunks; the inconsistent
+        # background gives defects far above roundoff, which pin the pairing
+        n = 24
+        x, y = grid2(n)
+        ctx = LinearizedContext(
+            u_pert=perturbed_background(n), b_matrix=B_REF, phi=0.01 * np.cos(2 * np.pi * (x + 2 * y))
+        )
+        monkeypatch.setattr(linearized_ops, "_CHUNK_POINTS", 3 * n * n)
+        trials = [band_limited(n, seed=240 + i, kmax=2) for i in range(10)]
+        images = [apply_L(ctx, t) for t in trials]
+        worst = max(inner(t, lt) / inner(t, t) for t, lt in zip(trials, images))
+        assert abs(negativity_check(ctx, trials) - worst) <= 1e-13 * abs(worst)
+        expected = []
+        for (xi, lx), (gamma, lg) in zip(zip(trials[::2], images[::2]), zip(trials[1::2], images[1::2])):
+            scale = np.abs(lg).max() * np.abs(xi).max() + np.abs(lx).max() * np.abs(gamma).max()
+            expected.append(abs(inner(xi, lg) - inner(gamma, lx)) / scale)
+        defects = selfadjointness_defect(ctx, zip(trials[::2], trials[1::2]))
+        assert min(expected) > 1e-8
+        assert np.allclose(defects, expected, rtol=1e-6, atol=0.0)
+
+    def test_selfadjointness_solves_per_chunk(self, monkeypatch):
+        ctx = make_consistent_context(perturbed_background(16), B_REF)
+        solve = linearized_ops._solve_elliptic
+        calls = []
+
+        def counted(ctx, rhs):
+            calls.append(rhs.shape)
+            return solve(ctx, rhs)
+
+        monkeypatch.setattr(linearized_ops, "_solve_elliptic", counted)
+        pairs = [(band_limited(16, seed=250 + i), band_limited(16, seed=270 + i)) for i in range(10)]
+        selfadjointness_defect(ctx, pairs)
+        k = max(1, linearized_ops._CHUNK_POINTS // 16**2)
+        assert 0 < len(calls) <= math.ceil(20 / k)
+
+    def test_rejects_misshapen_trial(self):
+        ctx = flat_context(16)
+        with pytest.raises(DimensionMismatch):
+            negativity_check(ctx, [band_limited(16, seed=1), band_limited(32, seed=2)])

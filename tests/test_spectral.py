@@ -99,6 +99,17 @@ class TestFields2d:
         ref = -8 * np.pi**2 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
         assert np.abs(fxy - ref).max() < 1e-10
 
+    def test_stack_of_fields(self, rng):
+        # leading axes are a stack: each field is differentiated on its own
+        stack = rng.standard_normal((3, 2, 16, 16))
+        for dx, dy in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+            out = partial2(stack, dx, dy)
+            for idx in np.ndindex(stack.shape[:2]):
+                assert np.allclose(out[idx], partial2(stack[idx], dx, dy), rtol=0.0, atol=1e-12)
+        h = hessian2(stack)
+        assert h.shape == (3, 2, 16, 16, 2, 2)
+        assert np.allclose(h[1, 0], hessian2(stack[1, 0]), rtol=0.0, atol=1e-10)
+
     def test_hessian_symmetry(self, rng):
         f = rng.standard_normal((32, 32))
         h = hessian2(f)
