@@ -88,12 +88,15 @@ _MATRIX2 = {
     "minItems": 2,
     "maxItems": 2,
 }
+# `solve --grid 8192` peaks at 1.6 GB RSS and 17 s (435 MB and 4.4 s at 4096,
+# on a 2-core 8 GB machine): the Legendre transform's off-grid interpolation
+# is dense, O(N^2) in time and memory
+_GRID = {"type": "integer", "minimum": 16, "maximum": 8192}
 _TOL = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "residual": {"type": "number", "exclusiveMinimum": 0},
-        "damping_floor": {"type": "number", "exclusiveMinimum": 0},
     },
 }
 
@@ -102,7 +105,7 @@ _PROBLEM_KEYS = {
     "f0": _F0,
     "alpha": {"type": "number", "minimum": 0},
     "datum": _DATUM,
-    "grid": {"type": "integer", "minimum": 16},
+    "grid": _GRID,
     "tolerances": _TOL,
     "output": {"type": "string"},
 }
@@ -142,7 +145,7 @@ SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "profile": _DATUM,
-            "grid": {"type": "integer", "minimum": 16},
+            "grid": _GRID,
             "output": {"type": "string"},
         },
         "required": ["profile", "grid"],
@@ -299,7 +302,6 @@ def _problem_from_config(cfg: dict, base_dir: Path) -> ODEProblem:
         f0=ConstantCurvature2(*cfg["f0"]),
         datum_a=_datum_profile(cfg["datum"], cfg["grid"], base_dir),
         residual_tol=tol.get("residual", 1e-10),
-        damping_floor=tol.get("damping_floor", 1e-4),
     )
 
 
@@ -336,8 +338,6 @@ def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     problem = _problem_from_config(cfg, base_dir)
     with manifest.stage("solve"):
         bundle = solve(problem)
-    a_proj, shift = project_datum(problem.datum_a, problem)
-    res = residual(bundle.phi, problem, a_proj.samples)
     mp = max_principle_verify(bundle, problem)
     phi_dd = spectral_derivative(bundle.phi.samples, 2, stabilized=True)
     manifest.data["constants"] = {
@@ -363,7 +363,7 @@ def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     return (
         "solution.csv",
         ["x", "phi", "phi_dd", "psi", "phiF", "residual"],
-        [grid(problem.n), bundle.phi.samples, phi_dd, bundle.psi.samples, bundle.phi_f.samples, res.samples],
+        [grid(problem.n), bundle.phi.samples, phi_dd, bundle.psi.samples, bundle.phi_f.samples, bundle.residual.samples],
     )
 
 

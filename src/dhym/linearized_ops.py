@@ -227,17 +227,11 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
 
 
 def _tangent(ctx: LinearizedContext, udot):
-    """Components (xx, xy, yy) of the tangent Hessian field.
-
-    Accepts a scalar potential (N, N), a stack of them (K, N, N) or a
-    matrix field (N, N, 2, 2), whose symmetric part is taken.
-    """
+    """Components (xx, xy, yy) of the tangent Hessian field of a scalar
+    potential (N, N) or a stack of them (K, N, N)."""
     udot = np.asarray(udot, dtype=float)
-    grid = (ctx.n, ctx.n)
-    if udot.ndim in (2, 3) and udot.shape[-2:] == grid:
+    if udot.ndim in (2, 3) and udot.shape[-2:] == (ctx.n, ctx.n):
         return partial2(udot, 2, 0), partial2(udot, 1, 1), partial2(udot, 0, 2)
-    if udot.shape == grid + (2, 2):
-        return udot[..., 0, 0], 0.5 * (udot[..., 0, 1] + udot[..., 1, 0]), udot[..., 1, 1]
     raise DimensionMismatch(f"tangent field has shape {udot.shape}")
 
 
@@ -256,9 +250,8 @@ def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
     Returns the mean-zero phi-dot with
     Delta phi-dot = d_i(u^{ia} udot_ab u^{bj} phi_j) - udot_ij B_ij;
     the right-hand side is mean free because udot is a periodic Hessian.
-    ``udot`` is a potential (N, N), a stack (K, N, N) or the matrix field
-    (N, N, 2, 2) of a Hessian; a stack is solved in one batched CG and gives
-    a (K, N, N) stack.
+    ``udot`` is a potential (N, N) or a stack (K, N, N); a stack is solved
+    in one batched CG and gives a (K, N, N) stack.
     """
     return _solve_elliptic(ctx, _lincond_rhs(ctx, _tangent(ctx, udot))[2])
 
@@ -266,9 +259,8 @@ def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
 def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
     """The full linearized operator L(udot) = L0 + L1.
 
-    ``udot`` is a potential (N, N), a stack (K, N, N) or the matrix field
-    (N, N, 2, 2) of a Hessian; a stack is applied in one pass, with one
-    batched elliptic solve, and gives a (K, N, N) stack.
+    ``udot`` is a potential (N, N) or a stack (K, N, N); a stack is applied
+    in one pass, with one batched elliptic solve, and gives a (K, N, N) stack.
 
     With w = u^{-1} grad phi, q = m grad phi (m = u^{-1} udot u^{-1}) and
     s = u^{-1} grad phi-dot, L0 has five terms (Hessian, transport,

@@ -25,7 +25,7 @@ backtracking line search.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     SingularLinearization,
     SmallRadiusObstruction,
 )
-from .legendre import datum_pushforward, legendre_forward
+from .legendre import MonotoneMap, datum_pushforward, legendre_forward
 from .spectral import (
     PeriodicProfile,
     _pcg,
@@ -81,7 +81,6 @@ class ODEProblem:
     datum_a: PeriodicProfile
     phase: Phase | None = None
     residual_tol: float = 1e-10
-    damping_floor: float = 1e-4
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -124,21 +123,24 @@ class ODEProblem:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """A solved instance: symplectic potential and everything derived."""
+    """A solved instance: symplectic potential and everything derived, with
+    the Legendre map x -> x + phi'(x) that gave psi and the final residual."""
 
     phi: PeriodicProfile
     psi: PeriodicProfile
     phi_f: PeriodicProfile
     datum_shift: float
     continuation_trace: list
-    regime: Regime
-    residual_sup: float
-    newton_history: list = field(default_factory=list)
-    #: per-stage list of residual sup-norms after each Newton iteration
+    gradient_map: MonotoneMap
+    residual: PeriodicProfile
 
     @property
     def n(self) -> int:
         return self.phi.n
+
+    @property
+    def residual_sup(self) -> float:
+        return float(np.abs(self.residual.samples).max())
 
 
 def compatibility_constant(problem: ODEProblem) -> float:
@@ -158,9 +160,14 @@ def project_datum(a: PeriodicProfile, problem: ODEProblem) -> tuple[PeriodicProf
     return PeriodicProfile(a.samples + shift), shift
 
 
-def _curvature(phi: PeriodicProfile | np.ndarray) -> np.ndarray:
-    samples = phi.samples if isinstance(phi, PeriodicProfile) else np.asarray(phi, float)
+def _curvature(samples: np.ndarray) -> np.ndarray:
     return 1.0 + spectral_derivative(samples, 2, stabilized=True)
+
+
+def _residual_at(w: np.ndarray, problem: ODEProblem, datum: np.ndarray | float) -> PeriodicProfile:
+    k1, k0 = problem.coefficients()
+    r = -0.25 * spectral_derivative(1.0 / w, 2, stabilized=True) - k1 * w + k0 - datum
+    return PeriodicProfile.from_samples(r)
 
 
 def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | float | None = None) -> PeriodicProfile:
@@ -171,13 +178,10 @@ def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | floa
     Differentiation is noise-stabilized: four derivative orders act on phi,
     so unfiltered sample roundoff would swamp the 1e-10 residual tolerance.
     """
-    w = _curvature(phi)
+    w = _curvature(phi.samples)
     if w.min() <= 0.0:
         raise NotConvex("phi left the admissibility cone 1 + phi'' > 0")
-    k1, k0 = problem.coefficients()
-    a = problem.datum_a.samples if datum is None else datum
-    r = -0.25 * spectral_derivative(1.0 / w, 2, stabilized=True) - k1 * w + k0 - a
-    return PeriodicProfile.from_samples(r)
+    return _residual_at(w, problem, problem.datum_a.samples if datum is None else datum)
 
 
 def manufactured_datum(phi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
@@ -225,7 +229,7 @@ class LinearizedOde:
 
 def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
     """The linearized operator of the residual at phi, with its preconditioner."""
-    w = _curvature(phi)
+    w = _curvature(phi.samples)
     if w.min() <= 0.0:
         raise NotConvex("cannot linearize outside the admissibility cone")
     k1, _ = problem.coefficients()
@@ -235,47 +239,48 @@ def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
 
 
 _MAX_NEWTON = 30  # Newton iterations per continuation stage
+_STEP_FLOOR = 1e-4  # smallest step of the Newton line search and of the continuation
 
 
-def _newton(problem: ODEProblem, phi0: np.ndarray, datum: np.ndarray):
-    """Damped Newton on the residual; returns (phi, history) or None on failure."""
-    phi = phi0.copy()
+def _newton(problem: ODEProblem, phi: np.ndarray, datum: np.ndarray):
+    """Damped Newton on the residual; returns (phi, residual sup-norm history).
+
+    A line search whose step falls below the floor raises the reason of its
+    last rejection: ``ConvexityLost`` or ``ContinuationStalled``.
+    """
     r = residual(PeriodicProfile.from_samples(phi), problem, datum).samples
     history = [float(np.abs(r).max())]
-    for _ in range(_MAX_NEWTON):
-        if history[-1] <= problem.residual_tol:
-            return phi, history
-        lin = linearize(PeriodicProfile.from_samples(phi), problem)
-        delta = lin.solve(-r)
+    while history[-1] > problem.residual_tol:
+        if len(history) > _MAX_NEWTON:
+            raise ContinuationStalled(f"Newton did not converge in {_MAX_NEWTON} iterations")
+        delta = linearize(PeriodicProfile.from_samples(phi), problem).solve(-r)
         step = 1.0
         while True:
             cand = spectral_chop(phi + step * delta)
             cand -= cand.mean()
-            if (1.0 + spectral_derivative(cand, 2, stabilized=True)).min() > 1e-6:
-                r_new = residual(PeriodicProfile.from_samples(cand), problem, datum).samples
-                norm_new = float(np.abs(r_new).max())
-                if norm_new <= (1.0 - 0.25 * step) * history[-1] or norm_new <= problem.residual_tol:
+            w = _curvature(cand)
+            if w.min() > 1e-6:
+                r = _residual_at(w, problem, datum).samples
+                norm = float(np.abs(r).max())
+                if norm <= (1.0 - 0.25 * step) * history[-1] or norm <= problem.residual_tol:
                     break
                 reason = ContinuationStalled
             else:
                 reason = ConvexityLost
             step *= 0.5
-            if step < problem.damping_floor:
-                return None, reason
+            if step < _STEP_FLOOR:
+                raise reason("the Newton line search step fell below the floor")
         phi = cand
-        r = r_new
-        history.append(norm_new)
-    if history[-1] <= problem.residual_tol:
-        return phi, history
-    return None, ContinuationStalled
+        history.append(norm)
+    return phi, history
 
 
 def solve(problem: ODEProblem) -> SolutionBundle:
     """Solve the regime ODE by Newton continuation from the flat solution.
 
     The path replaces the datum by A_t = t A' + (1 - t) int A'; t jumps to 1
-    directly and bisects toward the last good parameter on failure, with a
-    step floor of 1e-4.  Deterministic: no randomness anywhere.
+    directly and bisects toward the last good parameter on failure, down to
+    the step floor ``_STEP_FLOOR``.  Deterministic: no randomness anywhere.
     """
     if problem.regime is Regime.SMALL_RADIUS and problem.f0.b != 0.0 and problem.f0.det <= 0.0:
         raise SmallRadiusObstruction(
@@ -291,39 +296,29 @@ def solve(problem: ODEProblem) -> SolutionBundle:
         if not np.isfinite(inner(start, start)):
             raise InvalidConfig("the datum is too large: the residual at the flat start overflows")
     trace = []
-    histories = []
-    t_cur, failure = 0.0, ConvexityLost
+    t_cur, t_next = 0.0, 1.0
     while t_cur < 1.0:
-        t_next = 1.0
-        while True:
-            datum_t = t_next * a_proj.samples + (1.0 - t_next) * c_a
-            result, info = _newton(problem, phi, datum_t)
-            if result is not None:
-                phi = result
-                trace.append((t_next, len(info) - 1, info[-1]))
-                histories.append(info)
-                t_cur = t_next
-                break
-            failure = info
+        datum_t = t_next * a_proj.samples + (1.0 - t_next) * c_a
+        try:
+            phi, history = _newton(problem, phi, datum_t)
+        except (ContinuationStalled, ConvexityLost) as exc:
             t_next = t_cur + 0.5 * (t_next - t_cur)
-            if t_next - t_cur < 1e-4:
-                raise failure(
-                    f"continuation step fell below the floor at t = {t_cur:g}"
-                )
+            if t_next - t_cur < _STEP_FLOOR:
+                raise type(exc)(f"continuation step fell below the floor at t = {t_cur:g}") from exc
+            continue
+        trace.append((t_next, len(history) - 1, history[-1]))
+        t_cur, t_next = t_next, 1.0
     phi_prof = PeriodicProfile.from_samples(phi, demean=True)
-    psi, _ = legendre_forward(phi_prof)
-    final = residual(phi_prof, problem, a_proj.samples)
-    bundle = SolutionBundle(
+    psi, gradient_map = legendre_forward(phi_prof)
+    return SolutionBundle(
         phi=phi_prof,
         psi=psi,
-        phi_f=PeriodicProfile.zeros(problem.n),
+        phi_f=reconstruct_bundle_potential(psi, problem),
         datum_shift=shift,
         continuation_trace=trace,
-        regime=problem.regime,
-        residual_sup=float(np.abs(final.samples).max()),
-        newton_history=histories,
+        gradient_map=gradient_map,
+        residual=residual(phi_prof, problem, a_proj.samples),
     )
-    return replace(bundle, phi_f=reconstruct_bundle_potential(bundle, problem))
 
 
 def _bundle_curvature_ratio(problem: ODEProblem) -> float:
@@ -344,7 +339,7 @@ def _bundle_curvature_ratio(problem: ODEProblem) -> float:
     return f0.c * f0.det / (f0.b**2 + f0.c**2)
 
 
-def reconstruct_bundle_potential(bundle: SolutionBundle, problem: ODEProblem) -> PeriodicProfile:
+def reconstruct_bundle_potential(psi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
     """Bundle potential phi_F with phi_F'' prescribed by the regime identity.
 
     The prescription is a multiple of psi'', hence mean-zero, and integrates
@@ -353,7 +348,7 @@ def reconstruct_bundle_potential(bundle: SolutionBundle, problem: ODEProblem) ->
     rejected.
     """
     ratio = _bundle_curvature_ratio(problem)
-    prescribed = ratio * spectral_derivative(bundle.psi.samples, 2, stabilized=True)
+    prescribed = ratio * spectral_derivative(psi.samples, 2, stabilized=True)
     if abs(prescribed.mean()) > 1e-10:
         raise NonPeriodicCurvature("prescribed second derivative has nonzero mean")
     return PeriodicProfile.from_samples(second_antiderivative(prescribed), demean=True)
@@ -379,7 +374,7 @@ def max_principle_verify(bundle: SolutionBundle, problem: ODEProblem) -> MaxPrin
     solution must satisfy this (up to discretization error).
     """
     k1, k0 = problem.coefficients()
-    w = _curvature(bundle.phi)
+    w = _curvature(bundle.phi.samples)
     i = int(np.argmax(w))
     lhs = k1 * w[i] - k0
     a_proj, _ = project_datum(problem.datum_a, problem)
@@ -413,5 +408,4 @@ def lift_to_2d(bundle: SolutionBundle, problem: ODEProblem):
 def complex_datum(bundle: SolutionBundle, problem: ODEProblem) -> PeriodicProfile:
     """The datum transported to the complex-coordinate side: f(y(x)) = A'(x)."""
     a_proj, _ = project_datum(problem.datum_a, problem)
-    _, gradient_map = legendre_forward(bundle.phi)
-    return datum_pushforward(a_proj, gradient_map)
+    return datum_pushforward(a_proj, bundle.gradient_map)

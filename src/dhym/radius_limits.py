@@ -170,7 +170,6 @@ def scaled_coupled_problem(base: ODEProblem, t: float) -> ODEProblem:
         f0=f0,
         datum_a=base.datum_a,
         residual_tol=base.residual_tol,
-        damping_floor=base.damping_floor,
     )
 
 

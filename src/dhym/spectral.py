@@ -120,7 +120,7 @@ def trig_interpolate(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     nodes = grid(n)
     d = pts[:, None] - nodes[None, :]
     on_node = np.abs(np.sin(np.pi * d)) < 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.where(on_node, 0.0, 1.0 / np.tan(np.pi * d))
     w *= (-1.0) ** np.arange(n)[None, :]
     num = w @ samples

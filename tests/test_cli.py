@@ -214,7 +214,7 @@ FULL_CFGS = {
     "solve": dict(
         SOLVE_CFG,
         datum={"kind": "fourier", "cos": [0.1], "sin": [0.0, 0.02], "constant": -2.0, "file": "d.csv"},
-        tolerances={"residual": 1e-10, "damping_floor": 1e-4},
+        tolerances={"residual": 1e-10},
         output="out",
     ),
     "residual": dict(SOLVE_CFG, solution="solution.csv", output="out"),
@@ -364,17 +364,37 @@ def test_mutated_configs_exit_cleanly(tmp_path):
         ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
                    '"datum": {"kind": "fourier", "cos": [1e300], "constant": -2}, "grid": 32, '
                    '"t_list": [4, 8]}'),  # residual overflows
+        # powers of two far past the grid maximum, which numpy cannot allocate
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier"}, '
+                  '"grid": 1099511627776}'),
+        ("residual", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier"}, '
+                     '"solution": "solution.csv", "grid": 1099511627776}'),
+        ("legendre", '{"profile": {"kind": "fourier", "cos": [0.01]}, "grid": 1099511627776}'),
+        ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
+                   '"datum": {"kind": "fourier", "cos": [0.05]}, "grid": 1099511627776, "t_list": [4, 8]}'),
     ],
     ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan", "one-trial",
          "symbol-overflow", "negative-seed", "aliased-trials", "large-radius-overflow",
          "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii",
-         "solve-datum-overflow", "limits-datum-overflow"],
+         "solve-datum-overflow", "limits-datum-overflow", "solve-pow2-grid", "residual-pow2-grid",
+         "legendre-pow2-grid", "limits-pow2-grid"],
 )
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     path = tmp_path / "c.json"
     path.write_text(text)
     with np.errstate(all="ignore"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_grid_override_past_maximum_exits_2(tmp_path):
+    path = write_cfg(tmp_path, "c.json", SOLVE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path), "--grid", "1099511627776"]) == 2
+
+
+def test_damping_floor_key_exits_2(tmp_path):
+    # the step floor is a solver constant: a config that still sets it is refused, not ignored
+    cfg = dict(SOLVE_CFG, tolerances={"residual": 1e-10, "damping_floor": 1e-4})
+    assert main(["solve", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 2
 
 
 _LIMITS_CFG = {

@@ -16,6 +16,18 @@ def transform_pair(psi):
     return phi, m
 
 
+def drawn_curvature(n, amps, phases):
+    """psi'' = sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x), scaled to sup|psi''| <= 0.9."""
+    x = grid(n)
+    psi_dd = np.zeros(n)
+    for k, (a, b) in enumerate(zip(amps, phases), start=1):
+        psi_dd += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
+    scale = np.abs(psi_dd).max()
+    if scale > 0.9:
+        psi_dd *= 0.9 / scale
+    return psi_dd
+
+
 class TestForward:
     def test_trivial(self):
         psi = PeriodicProfile.zeros(64)
@@ -71,17 +83,15 @@ class TestForward:
     )
     @settings(max_examples=25, deadline=None)
     def test_involution_property(self, amps, phases):
-        # combined curvature bounded by sup|psi''| <= 0.9
-        n = 512
-        x = grid(n)
-        psi_dd = np.zeros(n)
-        for k, (a, b) in enumerate(zip(amps, phases), start=1):
-            psi_dd += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
-        scale = np.abs(psi_dd).max()
-        if scale > 0.9:
-            psi_dd *= 0.9 / scale
+        # near the cone edge N = 512 under-resolves the conjugate: on the
+        # worst boundary draw (min(1 + psi'') = 0.1) the round trip misses by
+        # 3.6e-8 / 2.2e-10 / 3.4e-14 at N = 512 / 1024 / 2048, while every
+        # boundary draw with min(1 + psi'') >= 0.15 stays within 2.2e-10 at 512
         from dhym.spectral import second_antiderivative
 
+        psi_dd = drawn_curvature(512, amps, phases)
+        if 1.0 + psi_dd.min() < 0.15:
+            psi_dd = drawn_curvature(1024, amps, phases)
         psi = PeriodicProfile.from_samples(second_antiderivative(psi_dd), demean=True)
         phi, _ = legendre_forward(psi)
         psi_back, _ = legendre_forward(phi)

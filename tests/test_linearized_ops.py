@@ -81,12 +81,14 @@ class TestSolveLincond:
         resid = np.einsum("...ij,ij->...", gdot, ctx.b_matrix) + ctx.laplacian(phidot) - transport
         assert np.abs(resid).max() < 1e-9
 
-    def test_matrix_field_entry_point(self):
+    def test_matrix_field_rejected(self):
+        # the operator takes potentials only; a Hessian field is not one
         ctx = flat_context(32)
-        gamma = band_limited(32, seed=3)
-        out_scalar = solve_lincond(ctx, gamma)
-        out_matrix = solve_lincond(ctx, hessian2(gamma))
-        assert np.allclose(out_scalar, out_matrix)
+        hess = hessian2(band_limited(32, seed=3))
+        with pytest.raises(DimensionMismatch):
+            solve_lincond(ctx, hess)
+        with pytest.raises(DimensionMismatch):
+            apply_L(ctx, hess)
 
     def test_spectral_residual_decrease(self):
         # accuracy of the elliptic solve improves spectrally with N

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,13 @@ class TestInterpolation:
         n = 32
         f = np.arange(n, dtype=float)
         assert np.allclose(trig_interpolate(f, grid(n)), f)
+
+    def test_point_next_to_node_no_warning(self):
+        # 1/tan(pi d) overflows at d = 1e-310; np.where masks that entry
+        f = np.arange(32, dtype=float) + 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trig_interpolate(f, np.array([1e-310]))[0] == f[0]
 
     def test_resample_band_limited(self):
         n = 32
