@@ -395,7 +395,7 @@ def _cmd_phase(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
         "sin": phase.sin,
         "magnitude": phase.magnitude,
         "angle": phase.angle,
-        "positivity_constant": phase_positivity_constant(f0, phase),
+        "positivity_constant": phase_positivity_constant(f0),
         "average_radius": average_radius(2, f0.matrix),
         "det": f0.det,
         "tr": f0.tr,

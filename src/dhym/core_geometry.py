@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     DegeneratePhase,
-    DhymError,
     DimensionMismatch,
     InvalidConfig,
     NonPositiveMetric,
@@ -157,33 +155,28 @@ def torus_constant_phase(f0: ConstantCurvature2) -> Phase:
 
         cos = (1 - det F0)/N,   sin = -tr F0 / N,
         N   = ((1 - det F0)^2 + (tr F0)^2)^(1/2).
+
+    N >= 1 for every real symmetric F0: it is prod (1 + l_i^2)^(1/2) over
+    the eigenvalues l_i of F0.
     """
     re = 1.0 - f0.det
     im = -f0.tr
     n = float(np.hypot(re, im))
     if not np.isfinite(n):
         raise InvalidConfig("the defining integral overflows for this class")
-    if n == 0.0:
-        raise DegeneratePhase("the defining integral vanishes for this class")
     return Phase(cos=re / n, sin=im / n, magnitude=n)
 
 
-def phase_positivity_constant(f0: ConstantCurvature2, phase: Phase) -> float:
-    """The coefficient b^2 / (cos - c sin) controlling the coupling term.
+def phase_positivity_constant(f0: ConstantCurvature2) -> float:
+    """The coefficient b^2 / (cos - c sin) of the coupling term at the class
+    phase, where cos - c sin = (1 + b^2 + c^2)/N:
 
-    It is nonnegative, vanishes exactly when b = 0, and coincides with
-    b^2 N / (1 + b^2 + c^2); both expressions are evaluated and must agree
-    to 1e-12.
+        b^2 N / (1 + b^2 + c^2),
+
+    nonnegative and zero exactly when b = 0.
     """
-    den = phase.cos - f0.c * phase.sin
-    if abs(den) < 1e-14:
-        raise DegenerateDenominator("cos - c sin is numerically zero")
-    value = f0.b**2 / den
-    # (b / |(1, b, c)|)^2 N: no square of a large entry overflows
-    alt = (f0.b / np.hypot(np.hypot(1.0, f0.b), f0.c)) ** 2 * phase.magnitude
-    if not np.isnan(alt) and abs(value - alt) > 1e-12 * max(1.0, abs(value)):
-        raise DhymError(f"positivity constant mismatch: {value!r} vs {alt!r}")
-    return float(value)
+    s = torus_constant_phase(f0).magnitude / (1.0 + f0.b * f0.b + f0.c * f0.c)
+    return f0.b * f0.b * s
 
 
 def _det2(m: np.ndarray) -> np.ndarray:

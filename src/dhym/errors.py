@@ -36,10 +36,6 @@ class DegeneratePhase(DhymError):
     exit_code = 3
 
 
-class DegenerateDenominator(DhymError):
-    exit_code = 3
-
-
 class PhasePreconditionViolated(DhymError):
     """The sign conditions on the phase required by a bound verifier fail."""
 
@@ -75,13 +71,6 @@ class ConvexityLost(DhymError):
 
 
 class SingularLinearization(DhymError):
-    exit_code = 5
-
-
-class NonPeriodicCurvature(DhymError):
-    """The prescribed bundle curvature has a nonzero mean and cannot be
-    integrated to a periodic potential."""
-
     exit_code = 5
 
 

@@ -59,24 +59,22 @@ def _scalar_field2d(f: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KymData:
-    """Degree and coupling of the large-radius system, with the constant
-    curvature part B (the trace of B is the degree)."""
+    """Coupling of the large-radius system and the constant curvature part
+    B; the degree ``mu`` is tr B."""
 
-    mu: float
     alpha: float
     b_matrix: np.ndarray
 
     @classmethod
     def from_constant_curvature(cls, f0, alpha: float) -> "KymData":
-        b = _as_sym(f0, "B")
-        mu = float(np.trace(b))
-        return cls(mu=mu, alpha=float(alpha), b_matrix=b)
+        return cls(alpha=float(alpha), b_matrix=f0)
 
     def __post_init__(self):
-        b = _as_sym(self.b_matrix, "B")
-        if abs(np.trace(b) - self.mu) > 1e-10 * max(1.0, abs(self.mu)):
-            raise InvalidConfig("degree must equal tr(B) for a flat background")
-        object.__setattr__(self, "b_matrix", b)
+        object.__setattr__(self, "b_matrix", _as_sym(self.b_matrix, "B"))
+
+    @property
+    def mu(self) -> float:
+        return float(np.trace(self.b_matrix))
 
 
 def _hessian_of_potential(phi_field: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ mean-zero profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,18 @@ __all__ = ["MonotoneMap", "legendre_forward", "datum_pushforward", "datum_pullba
 class MonotoneMap:
     """The gradient map s -> s + p'(s) of a uniformly convex potential.
 
-    ``values`` are the images of the uniform grid nodes; the map has degree
-    one (m(s+1) = m(s) + 1) by construction.  ``d1`` and ``d2`` hold the
-    sampled first and second derivatives of p for off-grid evaluation.
+    ``d1`` and ``d2`` hold the sampled first and second derivatives of p
+    for off-grid evaluation; ``values``, the images s + p'(s) of the uniform
+    grid nodes, follow from ``d1``.  The map has degree one
+    (m(s+1) = m(s) + 1) by construction.
     """
 
-    values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "values", grid(self.d1.shape[0]) + self.d1)
         ext = np.append(self.values, self.values[0] + 1.0)
         if not (np.diff(ext) > 0.0).all():
             raise NotMonotone("gradient map is not strictly increasing")
@@ -100,7 +102,7 @@ def legendre_forward(psi: PeriodicProfile):
     d2 = spectral_derivative(psi.samples, 2)
     if (1.0 + d2).min() <= 0.0:
         raise NotConvex("1 + psi'' must be positive for the Legendre transform")
-    m = MonotoneMap(values=psi.x + d1, d1=d1, d2=d2)
+    m = MonotoneMap(d1=d1, d2=d2)
     x_nodes = grid(psi.n)
     y_at = m.inverse(x_nodes)
     # u(x) = x y - v(y) at y = y(x): the periodic part is -psi(y) - psi'(y)^2/2

@@ -5,11 +5,13 @@ With w = 1 + phi''(x) the three regimes share the structure
     R(phi) = -(1/4) (1/w)'' - K1 * w + K0 - A(x),
 
 where the coefficients are determined by the constant curvature
-representative F0 = [[a, b], [b, c]], the coupling alpha and (in the coupled
-regime) the phase angle:
+representative F0 = [[a, b], [b, c]] and the coupling alpha.  In the coupled
+regime they involve the phase angle of the classes, which F0 fixes
+(``torus_constant_phase``); there cos - c sin = (1 + b^2 + c^2)/N with N the
+modulus of the class integral, so with s = N / (1 + b^2 + c^2):
 
-* coupled (``dhym``):    K1 = alpha b^2 / (cos - c sin),
-                         K0 = -alpha (c^2 + 1) / (cos - c sin);
+* coupled (``dhym``):    K1 = alpha b^2 / (cos - c sin) = alpha b^2 s,
+                         K0 = -alpha (c^2 + 1) / (cos - c sin) = -alpha (c^2 + 1) s;
 * large radius (``kym``):   K1 = 4 alpha b^2,
                             K0 = 2 alpha ((a+c)^2 - a^2 - c^2) = 4 alpha a c;
 * small radius (``j-eq``):  K1 = alpha b^2 det(F0) / (b^2 + c^2),
@@ -25,7 +27,7 @@ backtracking line search.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .errors import (
     ContinuationStalled,
     ConvexityLost,
     InvalidConfig,
-    NonPeriodicCurvature,
     NotConvex,
     SingularLinearization,
     SmallRadiusObstruction,
@@ -79,7 +80,8 @@ class ODEProblem:
     alpha: float
     f0: ConstantCurvature2
     datum_a: PeriodicProfile
-    phase: Phase | None = None
+    #: the phase angle of the classes, fixed by f0; None in the limit regimes
+    phase: Phase | None = field(init=False)
     residual_tol: float = 1e-10
 
     def __post_init__(self):
@@ -87,12 +89,7 @@ class ODEProblem:
             raise InvalidConfig("coupling constant must be nonnegative")
         regime = Regime(self.regime)
         object.__setattr__(self, "regime", regime)
-        if regime is Regime.DHYM and self.phase is None:
-            object.__setattr__(self, "phase", torus_constant_phase(self.f0))
-        if regime is Regime.DHYM:
-            # K1 >= 0 needs it: (1 + b^2 + c^2)/N > 0 for the class phase
-            if self.phase.cos - self.f0.c * self.phase.sin <= 1e-12:
-                raise InvalidConfig("phase denominator cos - c sin must be positive")
+        object.__setattr__(self, "phase", torus_constant_phase(self.f0) if regime is Regime.DHYM else None)
         if regime is Regime.SMALL_RADIUS and self.f0.det == 0.0:
             raise SmallRadiusObstruction(
                 "the top power of the curvature class vanishes (det F0 = 0)"
@@ -113,8 +110,8 @@ class ODEProblem:
         # products, not float powers: a power raises on overflow where a product gives inf
         f0, alpha = self.f0, self.alpha
         if self.regime is Regime.DHYM:
-            den = self.phase.cos - f0.c * self.phase.sin
-            return alpha * (f0.b * f0.b) / den, -alpha * (f0.c * f0.c + 1.0) / den
+            s = self.phase.magnitude / (1.0 + f0.b * f0.b + f0.c * f0.c)
+            return alpha * (f0.b * f0.b) * s, -alpha * (f0.c * f0.c + 1.0) * s
         if self.regime is Regime.LARGE_RADIUS:
             return 4.0 * alpha * (f0.b * f0.b), 2.0 * alpha * (f0.tr * f0.tr - f0.a * f0.a - f0.c * f0.c)
         scale = f0.det / (f0.b * f0.b + f0.c * f0.c)
@@ -325,15 +322,8 @@ def _bundle_curvature_ratio(problem: ODEProblem) -> float:
     """Coefficient r in phi_F'' = r * psi'' for each regime."""
     f0 = problem.f0
     if problem.regime is Regime.DHYM:
-        ph = problem.phase
-        den = ph.cos - f0.c * ph.sin
-        # the psi-independent part vanishes identically for the class phase
-        const = -(ph.sin * (1.0 - f0.det) + ph.cos * f0.tr) / den
-        if abs(const) > 1e-12:
-            raise NonPeriodicCurvature(
-                f"constant part of the prescribed curvature is {const:g}, not 0"
-            )
-        return -(f0.c * ph.cos + ph.sin) / den
+        # -(c cos + sin) / (cos - c sin) at the class phase
+        return (f0.a + f0.c * f0.det) / (1.0 + f0.b * f0.b + f0.c * f0.c)
     if problem.regime is Regime.LARGE_RADIUS:
         return f0.a
     return f0.c * f0.det / (f0.b**2 + f0.c**2)
@@ -342,15 +332,11 @@ def _bundle_curvature_ratio(problem: ODEProblem) -> float:
 def reconstruct_bundle_potential(psi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
     """Bundle potential phi_F with phi_F'' prescribed by the regime identity.
 
-    The prescription is a multiple of psi'', hence mean-zero, and integrates
-    to the periodic potential r * psi (mean-zero gauge).  A nonzero mean of
-    the prescribed curvature would make the potential non-periodic and is
-    rejected.
+    The prescription is a multiple of psi'', hence mean-zero (its k = 0 bin
+    is zero by construction), and integrates to the periodic potential
+    r * psi (mean-zero gauge).
     """
-    ratio = _bundle_curvature_ratio(problem)
-    prescribed = ratio * spectral_derivative(psi.samples, 2, stabilized=True)
-    if abs(prescribed.mean()) > 1e-10:
-        raise NonPeriodicCurvature("prescribed second derivative has nonzero mean")
+    prescribed = _bundle_curvature_ratio(problem) * spectral_derivative(psi.samples, 2, stabilized=True)
     return PeriodicProfile.from_samples(second_antiderivative(prescribed), demean=True)
 
 

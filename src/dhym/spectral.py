@@ -9,7 +9,7 @@ sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +161,6 @@ class PeriodicProfile:
     """
 
     samples: np.ndarray
-    mean_zero: bool = field(default=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -170,36 +169,37 @@ class PeriodicProfile:
         if not np.isfinite(samples).all():
             raise InvalidConfig("profile samples must be finite")
         _check_grid_size(samples.shape[0])
-        if self.mean_zero:
-            if abs(samples.mean()) > 1e-13 * max(1.0, np.abs(samples).max()):
-                raise InvalidConfig("profile declared mean-zero has nonzero mean")
         object.__setattr__(self, "samples", samples)
 
     @classmethod
     def zeros(cls, n: int) -> "PeriodicProfile":
-        return cls(np.zeros(n), mean_zero=True)
+        return cls(np.zeros(n))
 
     @classmethod
     def from_samples(cls, samples, demean: bool = False) -> "PeriodicProfile":
         samples = np.asarray(samples, dtype=float)
         if demean:
             samples = samples - samples.mean()
-        return cls(samples, mean_zero=demean)
+        return cls(samples)
 
     @classmethod
     def from_fourier(cls, n: int, cos=(), sin=(), constant: float = 0.0) -> "PeriodicProfile":
         """Build from low-order Fourier coefficients.
 
-        ``cos[j]``/``sin[j]`` multiply cos/sin(2 pi (j+1) x).
+        ``cos[j]``/``sin[j]`` multiply cos/sin(2 pi (j+1) x).  A nonzero
+        coefficient at a mode >= n/2 would alias on the grid and is refused.
         """
         _check_grid_size(n)  # before allocating
+        for name, coeffs in (("cos", cos), ("sin", sin)):
+            if any(a != 0.0 for a in coeffs[n // 2 - 1 :]):
+                raise InvalidConfig(f"{name} coefficients must vanish from mode {n // 2} (the Nyquist index) on")
         x = grid(n)
         samples = np.full(n, float(constant))
         for j, a in enumerate(cos):
             samples += a * np.cos(2 * np.pi * (j + 1) * x)
         for j, a in enumerate(sin):
             samples += a * np.sin(2 * np.pi * (j + 1) * x)
-        return cls(samples, mean_zero=(constant == 0.0))
+        return cls(samples)
 
     @property
     def n(self) -> int:

@@ -156,8 +156,8 @@ def test_criterion_05_phase_identities():
         f0 = ConstantCurvature2(a, b, c)
         ph = torus_constant_phase(f0)
         worst_circle = max(worst_circle, abs(ph.cos**2 + ph.sin**2 - 1.0))
-        value = phase_positivity_constant(f0, ph)
-        alt = b**2 * ph.magnitude / (1.0 + b**2 + c**2)
+        value = phase_positivity_constant(f0)
+        alt = b**2 / (ph.cos - c * ph.sin)  # the defining expression
         worst_identity = max(worst_identity, abs(value - alt) / max(1.0, abs(value)))
     ok = worst_circle <= 1e-12 and worst_identity <= 1e-12
     report(5, "phase circle and coupling-positivity identities on 1000 classes", ok,

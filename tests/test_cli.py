@@ -372,18 +372,50 @@ def test_mutated_configs_exit_cleanly(tmp_path):
         ("legendre", '{"profile": {"kind": "fourier", "cos": [0.01]}, "grid": 1099511627776}'),
         ("limits", '{"regime": "large_radius", "f0": [0.4, 1, 0.3], "alpha": 1, '
                    '"datum": {"kind": "fourier", "cos": [0.05]}, "grid": 1099511627776, "t_list": [4, 8]}'),
+        # Fourier modes at or past the Nyquist index 8 of a 16-point grid alias
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier", '
+                  '"cos": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.1]}, "grid": 16}'),
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier", '
+                  '"cos": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.1], "constant": -2}, "grid": 16}'),
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier", '
+                  '"cos": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0.1], "constant": -2}, "grid": 16}'),
     ],
     ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan", "one-trial",
          "symbol-overflow", "negative-seed", "aliased-trials", "large-radius-overflow",
          "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii",
          "solve-datum-overflow", "limits-datum-overflow", "solve-pow2-grid", "residual-pow2-grid",
-         "legendre-pow2-grid", "limits-pow2-grid"],
+         "legendre-pow2-grid", "limits-pow2-grid", "aliased-mode-16", "aliased-mode-16-constant",
+         "aliased-mode-10"],
 )
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     path = tmp_path / "c.json"
     path.write_text(text)
     with np.errstate(all="ignore"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "regime, f0",
+    [("dhym", [1000, 0.5, 0.3]), ("large_radius", [1e10, 0.5, 0.3]), ("large_radius", [1e13, 0, 0]),
+     ("dhym", [1e13, 0, 0])],
+    ids=["coupled-1e3", "large-radius-1e10", "large-radius-1e13", "coupled-1e13"],
+)
+def test_large_class_solves(tmp_path, regime, f0):
+    # valid classes with large entries: the class phase, the coefficients and
+    # the bundle ratio are closed forms, with no identity check on roundoff
+    cfg = {"regime": regime, "f0": f0, "alpha": 1, "datum": {"kind": "fourier", "cos": [0.1]}, "grid": 64}
+    assert main(["solve", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["results"]["residual_sup"] <= 1e-10
+
+
+def test_large_class_phase(tmp_path):
+    # a valid class with a large entry: the positivity constant is its closed form
+    path = write_cfg(tmp_path, "c.json", {"f0": [1e5, 0.5, 0.3]})
+    assert main(["phase", "--config", path, "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    expected = 0.25 * results["magnitude"] / (1.0 + 0.25 + 0.09)
+    assert abs(results["positivity_constant"] - expected) <= 1e-15 * expected
 
 
 def test_grid_override_past_maximum_exits_2(tmp_path):

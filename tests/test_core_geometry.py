@@ -171,7 +171,7 @@ class TestTorusConstantPhase:
     @settings(max_examples=200, deadline=None)
     def test_class_integral_never_vanishes(self, a, b, c):
         # N = 0 needs det = 1 and tr = 0, but tr = 0 forces det <= 0 for a
-        # real symmetric class; the degenerate guard is purely defensive
+        # real symmetric class: N >= 1, so the phase is always defined
         f0 = ConstantCurvature2(a, b, c)
         assert (1.0 - f0.det) ** 2 + f0.tr**2 > 0.0
         torus_constant_phase(f0)
@@ -180,11 +180,11 @@ class TestTorusConstantPhase:
 class TestPositivityConstant:
     def test_vanishes_without_coupling(self):
         f0 = ConstantCurvature2(0.7, 0.0, -0.3)
-        assert phase_positivity_constant(f0, torus_constant_phase(f0)) == 0.0
+        assert phase_positivity_constant(f0) == 0.0
 
     def test_offdiagonal_value(self):
         f0 = ConstantCurvature2(0.0, 1.0, 0.0)
-        value = phase_positivity_constant(f0, torus_constant_phase(f0))
+        value = phase_positivity_constant(f0)
         assert abs(value - 1.0) < 1e-14  # b^2 N / (1 + b^2 + c^2) = 2/2
 
     def test_two_expressions_agree(self, rng):
@@ -194,8 +194,8 @@ class TestPositivityConstant:
             if (1.0 - f0.det) ** 2 + f0.tr**2 < 1e-12:
                 continue
             ph = torus_constant_phase(f0)
-            value = phase_positivity_constant(f0, ph)
-            alt = b**2 * ph.magnitude / (1.0 + b**2 + c**2)
+            value = phase_positivity_constant(f0)
+            alt = b**2 / (ph.cos - c * ph.sin)  # the defining expression
             assert abs(value - alt) <= 1e-12 * max(1.0, abs(value))
             assert value >= 0.0
             assert (value <= 1e-14) == (abs(b) < 1e-7 or value <= 1e-14)
@@ -206,7 +206,7 @@ class TestPositivityConstant:
             f0 = ConstantCurvature2(a, 0.0, c)
             if (1.0 - f0.det) ** 2 + f0.tr**2 < 1e-12:
                 continue
-            assert phase_positivity_constant(f0, torus_constant_phase(f0)) == 0.0
+            assert phase_positivity_constant(f0) == 0.0
 
 
 class TestSurfaceResiduals:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dhym import ConstantCurvature2, Regime, lift_to_2d, solve
-from dhym.errors import InvalidConfig, NonPositiveMetric, NotConvex
+from dhym.errors import NonPositiveMetric, NotConvex
 from dhym.kym_ndim import (
     KymData,
     abreu_operator,
@@ -239,5 +239,6 @@ class TestFieldHelpers:
         assert (full[:, 5] == m).all()
 
     def test_kym_data_degree_consistency(self):
-        with pytest.raises(InvalidConfig):
-            KymData(mu=5.0, alpha=1.0, b_matrix=np.eye(2))
+        b = np.array([[0.5, 0.3], [0.3, 0.4]])
+        data = KymData(alpha=1.0, b_matrix=b)
+        assert data.mu == np.trace(b)

@@ -158,7 +158,8 @@ class TestMonotoneMap:
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(NotMonotone):
-            MonotoneMap(values=np.array([0.0, 0.6, 0.4, 0.9]), d1=np.zeros(4), d2=np.zeros(4))
+            # values = grid(4) + d1 = [0, 0.6, 0.4, 0.9]
+            MonotoneMap(d1=np.array([0.0, 0.35, -0.1, 0.15]), d2=np.zeros(4))
 
 
 class TestDatumTransport:

@@ -23,7 +23,6 @@ from dhym.core_geometry import Phase, torus_constant_phase
 from dhym.errors import (
     ContinuationStalled,
     ConvexityLost,
-    InvalidConfig,
     NotConvex,
     SmallRadiusObstruction,
 )
@@ -57,6 +56,24 @@ class TestCompatibilityConstant:
         assert abs(compatibility_constant(large) - 4.0 * alpha * f0.det) < 1e-13
         small = flat_problem(Regime.SMALL_RADIUS, f0, alpha=alpha)
         assert abs(compatibility_constant(small) + alpha * f0.det) < 1e-13
+
+    @pytest.mark.parametrize("a", [10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_coupled_coefficients_against_mpmath(self, a):
+        # the defining expressions at the class phase, in 50 digits
+        import mpmath
+
+        f0 = ConstantCurvature2(a, 0.5, 0.3)
+        problem = flat_problem(Regime.DHYM, f0, n=16)
+        got = (*problem.coefficients(), ode_solver._bundle_curvature_ratio(problem))
+        with mpmath.workdps(50):
+            ma, mb, mc = (mpmath.mpf(v) for v in (f0.a, f0.b, f0.c))
+            det, tr = ma * mc - mb * mb, ma + mc
+            n = mpmath.sqrt((1 - det) ** 2 + tr**2)
+            cos, sin = (1 - det) / n, -tr / n
+            den = cos - mc * sin
+            exact = (mb * mb / den, -(mc * mc + 1) / den, -(mc * cos + sin) / den)
+            for value, ref in zip(got, exact):
+                assert abs(mpmath.mpf(value) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("regime,f0", REGIME_CASES)
     def test_quadrature_oracle(self, regime, f0):
@@ -292,10 +309,11 @@ class TestSolve:
         assert bundle.residual_sup <= problem.residual_tol
 
     def test_antipodal_phase_rejected(self):
-        # the antipodal phase makes cos - c sin negative, hence K1 < 0
+        # the phase is the class phase of f0, derived; no other phase (such as
+        # the antipodal one, which would make K1 < 0) can be passed
         f0 = ConstantCurvature2(0.5, 0.3, 0.4)
         ph = torus_constant_phase(f0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(TypeError):
             ODEProblem(
                 regime=Regime.DHYM,
                 alpha=1.0,
@@ -303,6 +321,9 @@ class TestSolve:
                 datum_a=PeriodicProfile.zeros(64),
                 phase=Phase(-ph.cos, -ph.sin, ph.magnitude),
             )
+        assert flat_problem(Regime.DHYM, f0, n=64).phase == ph
+        assert flat_problem(Regime.LARGE_RADIUS, f0, n=64).phase is None
+        assert flat_problem(Regime.SMALL_RADIUS, f0, n=64).phase is None
 
     def test_small_radius_obstruction(self):
         problem = flat_problem(Regime.SMALL_RADIUS, ConstantCurvature2(1.0, 0.5, -1.0))

@@ -132,15 +132,18 @@ class TestPeriodicProfile:
         with pytest.raises(InvalidConfig):
             PeriodicProfile(np.zeros(48))  # not a power of two
 
-    def test_mean_zero_enforced(self):
-        with pytest.raises(InvalidConfig):
-            PeriodicProfile(np.ones(16), mean_zero=True)
+    def test_from_fourier_refuses_aliased_modes(self):
+        # mode 8 is the Nyquist index of a 16-point grid, mode 10 aliases to 6
+        for cos, sin in (([0.0] * 7 + [0.1], ()), ([0.0] * 9 + [0.1], ()), ((), [0.0] * 15 + [0.1])):
+            with pytest.raises(InvalidConfig):
+                PeriodicProfile.from_fourier(16, cos=cos, sin=sin)
+        p = PeriodicProfile.from_fourier(16, cos=[0.1] * 7 + [0.0] * 9)  # zeros past the limit are fine
+        assert np.abs(p.samples).max() > 0.0
 
     def test_from_fourier(self):
         p = PeriodicProfile.from_fourier(32, cos=[1.0], sin=[0.0, 0.5])
         x = grid(32)
         assert np.abs(p.samples - np.cos(2 * np.pi * x) - 0.5 * np.sin(4 * np.pi * x)).max() < 1e-14
-        assert p.mean_zero
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidConfig):
