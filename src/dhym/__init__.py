@@ -2,7 +2,7 @@
 
 Numerical library for the coupled phase/curvature equations reduced to the
 real torus: pointwise phase and radius algebra, periodic Legendre duality,
-Newton-continuation solvers for the reduced one-dimensional equations and
+damped-Newton solvers for the reduced one-dimensional equations and
 their large/small radius limits, expansion-order studies, and the discrete
 linearized operator with its self-adjointness and negativity checks.
 """

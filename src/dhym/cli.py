@@ -49,9 +49,9 @@ from .ode_solver import (
     ODEProblem,
     Regime,
     compatibility_constant,
+    curvature_residual,
+    effective_tolerance,
     max_principle_verify,
-    project_datum,
-    residual,
     solve,
 )
 from .radius_limits import (
@@ -339,7 +339,7 @@ def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     with manifest.stage("solve"):
         bundle = solve(problem)
     mp = max_principle_verify(bundle, problem)
-    phi_dd = spectral_derivative(bundle.phi.samples, 2, stabilized=True)
+    phi_dd = 1.0 / bundle.rho.samples - 1.0  # the solver's w - 1, so `dhym residual` reproduces F
     manifest.data["constants"] = {
         "compatibility_constant": compatibility_constant(problem),
         "datum_shift": bundle.datum_shift,
@@ -354,6 +354,7 @@ def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
         }
     manifest.data["results"] = {
         "residual_sup": bundle.residual_sup,
+        "effective_tolerance": effective_tolerance(problem, bundle.residual_scale),
         "continuation_trace": [list(t) for t in bundle.continuation_trace],
         "max_principle": {"lhs": mp.lhs, "sup_datum": mp.sup_datum, "margin": mp.margin, "holds": mp.holds},
         "min_curvature": float((1.0 + phi_dd).min()),
@@ -368,17 +369,17 @@ def _cmd_solve(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
 
 
 def _cmd_residual(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
-    table = _read_csv(base_dir / cfg["solution"], ("phi", "residual"))
-    n = table["phi"].shape[0]
+    # w = 1 + phi'' from the stored second derivative: F(1/w) is then second
+    # order in the data, where re-differentiating phi would make it fourth
+    table = _read_csv(base_dir / cfg["solution"], ("phi_dd", "residual"))
+    n = table["phi_dd"].shape[0]
     if cfg.get("grid", n) != n:
         raise InvalidConfig(f"solution CSV has {n} rows, config grid is {cfg['grid']}")
     if "datum" not in cfg:
         raise InvalidConfig("the residual command needs the original datum")
     problem = _problem_from_config(dict(cfg, grid=n), base_dir)
-    phi = PeriodicProfile.from_samples(table["phi"])
-    a_proj, _ = project_datum(problem.datum_a, problem)
     with manifest.stage("residual"):
-        res = residual(phi, problem, a_proj.samples)
+        res = curvature_residual(1.0 + table["phi_dd"], problem)
     drift = float(np.abs(res.samples - table["residual"]).max())
     manifest.data["results"] = {
         "residual_sup": float(np.abs(res.samples).max()),
@@ -435,7 +436,7 @@ def _cmd_legendre(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool)
     with manifest.stage("transform"):
         phi, m = legendre_forward(psi)
     x = grid(n)
-    y_at = m.inverse(x)
+    y_at = m.preimages
     phi_dd = spectral_derivative(phi.samples, 2, stabilized=True)
     psi_dd = spectral_derivative(psi.samples, 2, stabilized=True)
     duality = (1.0 + phi_dd) * (1.0 + trig_interpolate(psi_dd, y_at)) - 1.0

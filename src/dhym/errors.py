@@ -58,16 +58,15 @@ class SmallRadiusObstruction(DhymError):
     exit_code = 3
 
 
-class ContinuationStalled(DhymError):
-    """The continuation step was bisected below its floor."""
+class NotConverged(DhymError):
+    """The solver stopped above its effective tolerance; carries the best
+    residual sup-norm, the roundoff floor c eps S' and the scale S'."""
 
     exit_code = 4
 
-
-class ConvexityLost(DhymError):
-    """Damping could not keep the iterate inside the admissibility cone."""
-
-    exit_code = 4
+    def __init__(self, message: str, residual: float, floor: float, scale: float):
+        super().__init__(message)
+        self.residual, self.floor, self.scale = residual, floor, scale
 
 
 class SingularLinearization(DhymError):

@@ -18,10 +18,11 @@ mean-zero profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotConvex, NotMonotone
+from .errors import DimensionMismatch, NotConvex, NotMonotone
 from .spectral import PeriodicProfile, grid, spectral_chop, spectral_derivative, trig_interpolate
 
 __all__ = ["MonotoneMap", "legendre_forward", "datum_pushforward", "datum_pullback"]
@@ -33,8 +34,9 @@ class MonotoneMap:
 
     ``d1`` and ``d2`` hold the sampled first and second derivatives of p
     for off-grid evaluation; ``values``, the images s + p'(s) of the uniform
-    grid nodes, follow from ``d1``.  The map has degree one
-    (m(s+1) = m(s) + 1) by construction.
+    grid nodes, follow from ``d1``, and ``preimages``, the points the map
+    sends to the grid nodes, are inverted once, on first use.  The map has
+    degree one (m(s+1) = m(s) + 1) by construction.
     """
 
     d1: np.ndarray
@@ -50,6 +52,10 @@ class MonotoneMap:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def preimages(self) -> np.ndarray:
+        return self.inverse(grid(self.n))
 
     def forward(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -103,8 +109,7 @@ def legendre_forward(psi: PeriodicProfile):
     if (1.0 + d2).min() <= 0.0:
         raise NotConvex("1 + psi'' must be positive for the Legendre transform")
     m = MonotoneMap(d1=d1, d2=d2)
-    x_nodes = grid(psi.n)
-    y_at = m.inverse(x_nodes)
+    y_at = m.preimages
     # u(x) = x y - v(y) at y = y(x): the periodic part is -psi(y) - psi'(y)^2/2
     phi_raw = -trig_interpolate(psi.samples, y_at) - 0.5 * trig_interpolate(d1, y_at) ** 2
     # node inversion and interpolation leave sample-level noise that later
@@ -117,11 +122,12 @@ def legendre_forward(psi: PeriodicProfile):
 def datum_pushforward(a: PeriodicProfile, m: MonotoneMap) -> PeriodicProfile:
     """Transport a datum through the gradient map: f(m(s)) = a(s).
 
-    Given a on the source grid and the map m, returns f resampled on the
-    uniform image grid, so that composing back with m recovers a.
+    Given a on the map's source grid, returns f resampled on the uniform
+    image grid, so that composing back with m recovers a.
     """
-    targets = m.inverse(grid(a.n))
-    return PeriodicProfile.from_samples(trig_interpolate(a.samples, targets))
+    if a.n != m.n:
+        raise DimensionMismatch(f"datum has {a.n} samples, the map {m.n}")
+    return PeriodicProfile.from_samples(trig_interpolate(a.samples, m.preimages))
 
 
 def datum_pullback(f: PeriodicProfile, m: MonotoneMap) -> PeriodicProfile:

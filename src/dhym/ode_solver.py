@@ -1,4 +1,4 @@
-"""Damped-Newton continuation solver for the three reduced periodic ODEs.
+"""Damped-Newton solver for the three reduced periodic ODEs.
 
 With w = 1 + phi''(x) the three regimes share the structure
 
@@ -18,10 +18,19 @@ modulus of the class integral, so with s = N / (1 + b^2 + c^2):
                             K0 = -alpha c^2 det(F0) / (b^2 + c^2).
 
 Integrating over one period (the exact-derivative term drops, the mean of w
-is one) forces the mean of the datum: int A = K0 - K1.  The solver projects
-any datum onto that slice, follows the continuity path A_t = t A + (1-t)
-int A from the flat solution, and enforces the admissibility cone w > 0 by a
-backtracking line search.
+is one) forces the mean of the datum: int A = K0 - K1, and the solver
+projects any datum onto that slice.  There the ODE is exactly
+
+    F(rho) = -(1/4) rho'' - K1 (1/rho - 1) - A~ = 0,  A~ = A - mean A,
+
+in the dual curvature rho = 1/w = 1 + psi''(y(x)) of ``legendre``: second
+order, free of K0, with Jacobian -(1/4) D^2 + K1 rho^-2, SPD as K1 > 0 (and
+K1 >= 0 in every regime).  ``solve`` runs one damped Newton from rho = 1,
+with no continuation.  Each iterate is shifted to mean(1/rho) = 1, which
+keeps it in the cone rho > 0 and makes phi = d^-2 (1/rho) periodic; on that
+slice F has mean zero at any K1 (for K1 = 0, F is linear and the first step
+is exact).  Converged means ||F||_inf <= max(tol, c eps S'), S' the largest
+term F cancels: a tolerance an exact solution can reach.
 """
 
 from __future__ import annotations
@@ -33,9 +42,8 @@ import numpy as np
 
 from .core_geometry import ConstantCurvature2, Phase, torus_constant_phase
 from .errors import (
-    ContinuationStalled,
-    ConvexityLost,
     InvalidConfig,
+    NotConverged,
     NotConvex,
     SingularLinearization,
     SmallRadiusObstruction,
@@ -44,9 +52,10 @@ from .legendre import MonotoneMap, datum_pushforward, legendre_forward
 from .spectral import (
     PeriodicProfile,
     _pcg,
+    _tail_chopped_second_derivative,
+    _tail_start,
     inner,
     second_antiderivative,
-    spectral_chop,
     spectral_derivative,
 )
 
@@ -59,9 +68,11 @@ __all__ = [
     "compatibility_constant",
     "project_datum",
     "residual",
+    "curvature_residual",
     "manufactured_datum",
     "linearize",
     "solve",
+    "effective_tolerance",
     "reconstruct_bundle_potential",
     "max_principle_verify",
     "lift_to_2d",
@@ -121,7 +132,10 @@ class ODEProblem:
 @dataclass(frozen=True)
 class SolutionBundle:
     """A solved instance: symplectic potential and everything derived, with
-    the Legendre map x -> x + phi'(x) that gave psi and the final residual."""
+    the Legendre map x -> x + phi'(x) that gave psi, the solver's dual
+    curvature rho = 1/(1 + phi''), the residual F at rho and the scale S'
+    of the terms F cancels (``effective_tolerance`` of S' is what F met).
+    ``continuation_trace`` is [(1.0, Newton iterations, residual sup)]."""
 
     phi: PeriodicProfile
     psi: PeriodicProfile
@@ -129,7 +143,9 @@ class SolutionBundle:
     datum_shift: float
     continuation_trace: list
     gradient_map: MonotoneMap
+    rho: PeriodicProfile
     residual: PeriodicProfile
+    residual_scale: float
 
     @property
     def n(self) -> int:
@@ -157,164 +173,177 @@ def project_datum(a: PeriodicProfile, problem: ODEProblem) -> tuple[PeriodicProf
     return PeriodicProfile(a.samples + shift), shift
 
 
-def _curvature(samples: np.ndarray) -> np.ndarray:
-    return 1.0 + spectral_derivative(samples, 2, stabilized=True)
+def _residual_at(rho: np.ndarray, k1: float, a_dev: np.ndarray) -> tuple[np.ndarray, float]:
+    """F(rho) and the scale S' of the terms it cancels: the largest of
+    (1/4) |rho''|, K1 |1/rho - 1|, |A~| and the roundoff scale of (1/4) rho''.
+    F is computed to a small multiple of eps S'.  rho'' keeps every bin the
+    datum drives, however small, so F sees all of A~."""
+    rho_dd, roundoff = _tail_chopped_second_derivative(rho, _tail_start(np.fft.rfft(a_dev)))
+    drift = k1 * (1.0 / rho - 1.0)
+    scale = max(0.25 * np.abs(rho_dd).max(), np.abs(drift).max(), np.abs(a_dev).max(), 0.25 * roundoff)
+    return -0.25 * rho_dd - drift - a_dev, float(scale)
 
 
-def _residual_at(w: np.ndarray, problem: ODEProblem, datum: np.ndarray | float) -> PeriodicProfile:
-    k1, k0 = problem.coefficients()
-    r = -0.25 * spectral_derivative(1.0 / w, 2, stabilized=True) - k1 * w + k0 - datum
-    return PeriodicProfile.from_samples(r)
+def curvature_residual(w: np.ndarray, problem: ODEProblem, datum: np.ndarray | float | None = None) -> PeriodicProfile:
+    """F at rho = 1/w, for the curvature w = 1 + phi'' of a potential.
+
+    ``residual``, ``solve`` and ``dhym residual`` (from the phi'' of a
+    solution CSV) all evaluate this F.  The datum (default: the problem's)
+    enters as its deviation from its mean: F is the residual of the
+    projected problem that ``solve`` solves.
+    """
+    if np.min(w) <= 0.0:
+        raise NotConvex("phi left the admissibility cone 1 + phi'' > 0")
+    datum = np.broadcast_to(np.asarray(problem.datum_a.samples if datum is None else datum, dtype=float), np.shape(w))
+    f, _ = _residual_at(1.0 / np.asarray(w, dtype=float), problem.coefficients()[0], datum - datum.mean())
+    return PeriodicProfile.from_samples(f)
 
 
 def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | float | None = None) -> PeriodicProfile:
-    """Pointwise residual of the regime ODE at phi.
-
-    When the datum is compatible the residual has mean <= 1e-12 for every
-    admissible phi (exact integral identity, preserved by the discretization).
-    Differentiation is noise-stabilized: four derivative orders act on phi,
-    so unfiltered sample roundoff would swamp the 1e-10 residual tolerance.
-    """
-    w = _curvature(phi.samples)
-    if w.min() <= 0.0:
-        raise NotConvex("phi left the admissibility cone 1 + phi'' > 0")
-    return _residual_at(w, problem, problem.datum_a.samples if datum is None else datum)
+    """F at w = 1 + phi'' (``curvature_residual``).  From phi, F is fourth
+    order, so where phi's spectrum decays slowly its roundoff tail costs
+    accuracy; a bundle's own ``residual`` is F at the solver's rho."""
+    return curvature_residual(1.0 + _tail_chopped_second_derivative(phi.samples)[0], problem, datum)
 
 
 def manufactured_datum(phi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
-    """The datum A for which phi solves the regime ODE exactly.
+    """A datum for which phi solves the regime ODE exactly.
 
-    The residual at phi for a zero datum is the left-hand side of the ODE,
-    so residual(phi, problem, A) vanishes to roundoff; the standard way to
-    build verification problems with a known solution.
+    The residual at phi for a zero datum is the left-hand side of the ODE
+    on the compatible slice, so residual(phi, problem, A) vanishes to
+    roundoff; the standard way to build verification problems with a known
+    solution.  Its mean is zero, and the projection supplies K0 - K1.
     """
     return residual(phi, problem, 0.0)
 
 
 @dataclass(frozen=True)
 class LinearizedOde:
-    """Derivative of the residual map at phi, applied and inverted matrix-free.
+    """Jacobian of F at rho on the slice mean(1/rho) = 1, in mean-zero
+    coordinates, applied and inverted matrix-free; ``inv2`` is rho^-2.
 
-    ``apply``: L delta = (1/4) (delta'' / w^2)'' - K1 delta'', by the residual's
-    stabilized FFT derivatives; for K1 >= 0 it is SPD on mean-zero fields.
-    With S = (-D^2)^-1, L = D^2 W^-1 (I + 4 K1 W S W) W^-1 D^2 / 4, and the
-    preconditioner freezes W S W at mean(w^2) S (exact for constant w or
-    K1 = 0); ``coupling`` is the rfft symbol of (I + 4 K1 mean(w^2) S)^-1.
+    A mean-zero delta moves rho to rho + delta - c, where the constant
+    c = mean(rho^-2 delta) / mean(rho^-2) keeps mean(1/rho) = 1 to first
+    order; J delta = (-(1/4) D^2 + K1 rho^-2)(delta - c), which has mean
+    zero.  J is symmetric, kills constants and is SPD on mean-zero fields
+    for every K1 >= 0, with no 1/K1 anywhere.  The preconditioner is the
+    rfft multiplier (1/4 (2 pi k)^2 + K1 mean(rho^-2))^-1 on k >= 1, exact
+    for constant rho.
     """
 
-    w: np.ndarray
     k1: float
-    coupling: np.ndarray
+    inv2: np.ndarray
 
-    def apply(self, delta_phi: np.ndarray) -> np.ndarray:
-        d2 = spectral_derivative(np.asarray(delta_phi, dtype=float), 2, stabilized=True)
-        return 0.25 * spectral_derivative(d2 / self.w**2, 2, stabilized=True) - self.k1 * d2
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """4 S W (I + 4 K1 mean(w^2) S)^-1 W S r; S = -second_antiderivative."""
-        y = self.w * second_antiderivative(r)
-        y = self.w * np.fft.irfft(np.fft.rfft(y) * self.coupling, n=y.shape[-1])
-        return 4.0 * second_antiderivative(y)
+    def apply(self, delta: np.ndarray) -> np.ndarray:
+        c = np.mean(self.inv2 * delta) / self.inv2.mean()
+        return -0.25 * spectral_derivative(delta, 2) + self.k1 * self.inv2 * (delta - c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Mean-zero delta with apply(delta) = rhs - mean(rhs) (the range is
-        mean free).  At the CG cap the last iterate goes to Newton's line
-        search; only lost definiteness raises ``SingularLinearization``."""
-        delta, _ = _pcg(self.apply, self.precondition, (rhs - rhs.mean())[None], SingularLinearization)
-        return delta[0] - delta[0].mean()
+        """Mean-zero delta with J delta = rhs - mean(rhs).  At the CG cap the
+        last iterate goes to Newton's line search; only lost definiteness
+        raises ``SingularLinearization``."""
+        n = self.inv2.shape[0]
+        diag = 0.25 * (2.0 * np.pi * np.arange(n // 2 + 1)) ** 2 + self.k1 * self.inv2.mean()
+        diag[0] = np.inf
+        precondition = lambda r: np.fft.irfft(np.fft.rfft(r) / diag, n=n)
+        rhs = np.asarray(rhs, dtype=float)
+        delta, _ = _pcg(self.apply, precondition, (rhs - rhs.mean())[None], SingularLinearization)
+        return delta[0]
 
 
-def linearize(phi: PeriodicProfile, problem: ODEProblem) -> LinearizedOde:
-    """The linearized operator of the residual at phi, with its preconditioner."""
-    w = _curvature(phi.samples)
-    if w.min() <= 0.0:
-        raise NotConvex("cannot linearize outside the admissibility cone")
-    k1, _ = problem.coefficients()
-    k2 = (2.0 * np.pi * np.arange(1, w.shape[0] // 2 + 1)) ** 2
-    coupling = np.concatenate([[1.0], k2 / (k2 + 4.0 * k1 * float(np.mean(w**2)))])
-    return LinearizedOde(w=w, k1=k1, coupling=coupling)
+def linearize(rho: np.ndarray, problem: ODEProblem) -> LinearizedOde:
+    """The Jacobian of F at the dual curvature rho > 0, on the slice."""
+    return LinearizedOde(k1=problem.coefficients()[0], inv2=rho**-2.0)
 
 
-_MAX_NEWTON = 30  # Newton iterations per continuation stage
-_STEP_FLOOR = 1e-4  # smallest step of the Newton line search and of the continuation
+_TOL_FACTOR = 256.0  # c of the effective tolerance max(tol, c eps S')
+_MAX_NEWTON = 30  # Newton iterations per solve
+_STEP_FLOOR = 1e-4  # smallest step of the Newton line search
 
 
-def _newton(problem: ODEProblem, phi: np.ndarray, datum: np.ndarray):
-    """Damped Newton on the residual; returns (phi, residual sup-norm history).
+def effective_tolerance(problem: ODEProblem, scale: float) -> float:
+    """max(tol, c eps S'): the residual bound ``solve`` meets at scale S'."""
+    return max(problem.residual_tol, _TOL_FACTOR * np.finfo(float).eps * scale)
 
-    A line search whose step falls below the floor raises the reason of its
-    last rejection: ``ConvexityLost`` or ``ContinuationStalled``.
+
+def _normalized(rho: np.ndarray) -> np.ndarray:
+    """rho shifted to mean(1/rho) = 1, inside the cone rho > 0.  With q =
+    rho - mean rho, mean(1/(s + q)) decreases on s > -min q and lies between
+    1/s and 1/(s + min q) (Jensen): bisect s on [max(1, -min q), 1 - min q]."""
+    q = rho - rho.mean()
+    lo, hi = max(1.0, -q.min()), 1.0 - q.min()
+    s = 0.5 * (lo + hi)
+    while lo < s < hi:
+        lo, hi = (s, hi) if np.mean(1.0 / (s + q)) > 1.0 else (lo, s)
+        s = 0.5 * (lo + hi)
+    return hi + q
+
+
+def _newton(problem: ODEProblem, k1: float, a_dev: np.ndarray):
+    """Damped Newton on F from rho = 1; returns (rho, F, S', sup-norm history).
+
+    Each candidate is ``_normalized``, so it lies in the cone with
+    mean(1/rho) = 1, where F has mean zero; the step solves the Jacobian on
+    that slice and the shift fixes the mean to all orders.  A step is
+    accepted once it cuts ||F|| by a quarter of its length, or meets the
+    effective tolerance.  Newton stalls when the step is halved below
+    ``_STEP_FLOOR`` or after ``_MAX_NEWTON`` steps, and raises
+    ``NotConverged``.
     """
-    r = residual(PeriodicProfile.from_samples(phi), problem, datum).samples
-    history = [float(np.abs(r).max())]
-    while history[-1] > problem.residual_tol:
-        if len(history) > _MAX_NEWTON:
-            raise ContinuationStalled(f"Newton did not converge in {_MAX_NEWTON} iterations")
-        delta = linearize(PeriodicProfile.from_samples(phi), problem).solve(-r)
+    rho = np.ones(problem.n)
+    f, scale = _residual_at(rho, k1, a_dev)
+    history = [float(np.abs(f).max())]
+    while history[-1] > effective_tolerance(problem, scale) and len(history) <= _MAX_NEWTON:
+        delta = linearize(rho, problem).solve(-f)
         step = 1.0
-        while True:
-            cand = spectral_chop(phi + step * delta)
-            cand -= cand.mean()
-            w = _curvature(cand)
-            if w.min() > 1e-6:
-                r = _residual_at(w, problem, datum).samples
-                norm = float(np.abs(r).max())
-                if norm <= (1.0 - 0.25 * step) * history[-1] or norm <= problem.residual_tol:
-                    break
-                reason = ContinuationStalled
-            else:
-                reason = ConvexityLost
+        while step >= _STEP_FLOOR:
+            cand = _normalized(rho + step * delta)
+            f_cand, scale_cand = _residual_at(cand, k1, a_dev)
+            norm = float(np.abs(f_cand).max())
+            if norm <= (1.0 - 0.25 * step) * history[-1] or norm <= effective_tolerance(problem, scale_cand):
+                break
             step *= 0.5
-            if step < _STEP_FLOOR:
-                raise reason("the Newton line search step fell below the floor")
-        phi = cand
+        else:  # no step above the floor reduces ||F||: stalled
+            break
+        rho, f, scale = cand, f_cand, scale_cand
         history.append(norm)
-    return phi, history
+    if history[-1] > (tol := effective_tolerance(problem, scale)):
+        floor = _TOL_FACTOR * np.finfo(float).eps * scale
+        raise NotConverged(
+            f"Newton stopped after {len(history) - 1} steps (step floor {_STEP_FLOOR:g}) at residual {history[-1]:.3e}"
+            f" > effective tolerance {tol:.3e} (roundoff floor {floor:.3e}, S' = {scale:.3e})", history[-1], floor, scale
+        )
+    return rho, f, scale, history
 
 
 def solve(problem: ODEProblem) -> SolutionBundle:
-    """Solve the regime ODE by Newton continuation from the flat solution.
+    """Solve the regime ODE for rho = 1/w, then phi = d^-2 (1/rho).
 
-    The path replaces the datum by A_t = t A' + (1 - t) int A'; t jumps to 1
-    directly and bisects toward the last good parameter on failure, down to
-    the step floor ``_STEP_FLOOR``.  Deterministic: no randomness anywhere.
+    Deterministic: no randomness anywhere.
     """
     if problem.regime is Regime.SMALL_RADIUS and problem.f0.b != 0.0 and problem.f0.det <= 0.0:
         raise SmallRadiusObstruction(
             "small-radius coupling requires det F0 > 0 when b != 0"
         )
-    a_proj, shift = project_datum(problem.datum_a, problem)
-    c_a = compatibility_constant(problem)
-    phi = np.zeros(problem.n)
     # the Newton step squares residuals (the CG inner products): a datum whose
     # residual at the flat start has no finite square can never be solved
     with np.errstate(over="ignore", invalid="ignore"):
-        start = residual(PeriodicProfile.from_samples(phi), problem, a_proj.samples).samples
-        if not np.isfinite(inner(start, start)):
+        a_dev = problem.datum_a.samples - problem.datum_a.mean()
+        if not np.isfinite(inner(a_dev, a_dev)):
             raise InvalidConfig("the datum is too large: the residual at the flat start overflows")
-    trace = []
-    t_cur, t_next = 0.0, 1.0
-    while t_cur < 1.0:
-        datum_t = t_next * a_proj.samples + (1.0 - t_next) * c_a
-        try:
-            phi, history = _newton(problem, phi, datum_t)
-        except (ContinuationStalled, ConvexityLost) as exc:
-            t_next = t_cur + 0.5 * (t_next - t_cur)
-            if t_next - t_cur < _STEP_FLOOR:
-                raise type(exc)(f"continuation step fell below the floor at t = {t_cur:g}") from exc
-            continue
-        trace.append((t_next, len(history) - 1, history[-1]))
-        t_cur, t_next = t_next, 1.0
-    phi_prof = PeriodicProfile.from_samples(phi, demean=True)
-    psi, gradient_map = legendre_forward(phi_prof)
+    rho, f, scale, history = _newton(problem, problem.coefficients()[0], a_dev)
+    phi = PeriodicProfile.from_samples(second_antiderivative(1.0 / rho), demean=True)
+    psi, gradient_map = legendre_forward(phi)
     return SolutionBundle(
-        phi=phi_prof,
+        phi=phi,
         psi=psi,
         phi_f=reconstruct_bundle_potential(psi, problem),
-        datum_shift=shift,
-        continuation_trace=trace,
+        datum_shift=compatibility_constant(problem) - problem.datum_a.mean(),
+        continuation_trace=[(1.0, len(history) - 1, history[-1])],
         gradient_map=gradient_map,
-        residual=residual(phi_prof, problem, a_proj.samples),
+        rho=PeriodicProfile.from_samples(rho),
+        residual=PeriodicProfile.from_samples(f),
+        residual_scale=scale,
     )
 
 
@@ -360,7 +389,7 @@ def max_principle_verify(bundle: SolutionBundle, problem: ODEProblem) -> MaxPrin
     solution must satisfy this (up to discretization error).
     """
     k1, k0 = problem.coefficients()
-    w = _curvature(bundle.phi.samples)
+    w = 1.0 + _tail_chopped_second_derivative(bundle.phi.samples)[0]
     i = int(np.argmax(w))
     lhs = k1 * w[i] - k0
     a_proj, _ = project_datum(problem.datum_a, problem)

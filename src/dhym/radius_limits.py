@@ -16,7 +16,7 @@ import numpy as np
 
 from .core_geometry import ConstantCurvature2, _as_sym
 from .errors import DegeneratePhase, DegenerateTopPower, InvalidConfig
-from .ode_solver import ODEProblem, Regime, project_datum, solve
+from .ode_solver import ODEProblem, Regime, solve
 
 __all__ = [
     "CohomologyData",
@@ -173,7 +173,7 @@ def scaled_coupled_problem(base: ODEProblem, t: float) -> ODEProblem:
     )
 
 
-#: roundoff bound of an exact limit study, per unit of the projection scale
+#: roundoff bound of an exact limit study, per unit of the residual scale S'
 _EXACT_EPS = np.finfo(float).eps / 16.0
 
 
@@ -192,13 +192,6 @@ class LimitConvergenceReport:
     exact: bool
 
 
-def _projection_scale(problem: ODEProblem) -> float:
-    """Largest magnitude the datum projection of ``problem`` cancels."""
-    k1, k0 = problem.coefficients()
-    datum, _ = project_datum(problem.datum_a, problem)
-    return max(1.0, abs(k0), abs(k1), float(np.abs(datum.samples).max()))
-
-
 def limit_convergence_study(base: ODEProblem, t_list) -> LimitConvergenceReport:
     """Solve the rescaled coupled ODE along t and compare with the limit ODE.
 
@@ -213,25 +206,24 @@ def limit_convergence_study(base: ODEProblem, t_list) -> LimitConvergenceReport:
     classes with b != 0 have det F0 < 0, which the small-radius regime
     refuses.  The K0 mismatch is absorbed by the compatibility projection.
 
-    The study is ``exact`` when every difference is at most eps * S / 16,
-    where S is the largest of 1, |K0|, |K1| and the projected datum of either
-    problem; the rescaled |K0| grows like alpha t^2.  Rounding the projected
-    datum moves the equation by about eps * S, and the fourth-order term damps
-    the response on mean-free data by sum_{k >= 1} 8 / (2 pi k)^4 = 1/180
-    (at w = 1), so roundoff alone stays well below the bound.  An exact study
+    The study is ``exact`` when every difference is at most eps * S' / 16,
+    where S' is the larger ``residual_scale`` of the two solves: the largest
+    term the residual F(rho) cancels.  K0 is not in F, so S' does not grow
+    with the rescaled |K0| ~ alpha t^2.  Rounding moves F by about eps * S',
+    and at w = 1 that moves rho by (-(1/4) D^2)^-1 and phi by a further
+    d^-2: on mean-free data 4 d^-4, of sup norm sum_{k >= 1} 8 / (2 pi k)^4
+    = 1/180, so roundoff alone stays well below the bound.  An exact study
     reports ``order`` nan rather than a slope fitted to roundoff.
     """
     t = np.asarray(sorted(t_list), dtype=float)
     if t.size < 2 or t[0] <= 0.0 or (np.diff(t) == 0.0).any():
         raise InvalidConfig("the study needs >= 2 distinct positive radius values")
     limit_bundle = solve(base)
-    limit_scale = _projection_scale(base)
     errors, bounds = [], []
     for tv in t:
-        scaled = scaled_coupled_problem(base, tv)
-        bundle = solve(scaled)
+        bundle = solve(scaled_coupled_problem(base, tv))
         errors.append(float(np.abs(bundle.phi.samples - limit_bundle.phi.samples).max()))
-        bounds.append(_EXACT_EPS * max(limit_scale, _projection_scale(scaled)))
+        bounds.append(_EXACT_EPS * max(limit_bundle.residual_scale, bundle.residual_scale))
     errors = np.asarray(errors)
     exact = bool((errors <= np.asarray(bounds)).all())
     order = float("nan") if exact else fit_loglog_slope(t, errors)

@@ -56,6 +56,30 @@ def _chop(coeff: np.ndarray, axis: int = -1) -> np.ndarray:
     return coeff
 
 
+_TAIL_REL = 64.0 * np.finfo(float).eps  # roundoff tail, relative to the largest bin
+
+
+def _tail_start(coeff: np.ndarray) -> int:
+    """Index of the first bin of the roundoff tail of an rfft spectrum: the
+    first bin whose envelope max_{j >= k} |c_j| is at most ``_TAIL_REL``
+    times the largest bin.  The bins before it are kept, so a spectrum the
+    grid does not resolve loses nothing."""
+    mag = np.abs(coeff)
+    return int(np.count_nonzero(np.maximum.accumulate(mag[::-1])[::-1] > _TAIL_REL * mag.max()))
+
+
+def _tail_chopped_second_derivative(samples: np.ndarray, keep: int = 0) -> tuple[np.ndarray, float]:
+    """f'' of 1-d samples after the roundoff tail of their spectrum is zeroed
+    (never the first ``keep`` bins), and (2 pi K)^2 max_k |f_k|, the
+    roundoff scale of f'' (K the highest kept bin)."""
+    n = samples.shape[0]
+    coeff = np.fft.rfft(samples)
+    kept = max(keep, _tail_start(coeff))
+    coeff[kept:] = 0.0
+    k2 = (2.0 * np.pi * _wavenumbers(n)) ** 2
+    return np.fft.irfft(-k2 * coeff, n=n), float(k2[max(kept - 1, 0)] * np.abs(coeff).max() / n)
+
+
 def spectral_chop(samples: np.ndarray) -> np.ndarray:
     """Zero Fourier bins below ``CHOP_REL`` times the largest one.
 
@@ -273,13 +297,14 @@ def _sup_cols(f: np.ndarray) -> np.ndarray:
 def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
     """CG for ``operator(x) = rhs`` on a stack of right-hand sides.
 
-    ``rhs`` has shape (K, ...): K independent columns, each a field on which
-    ``operator`` and ``precondition`` (mapping stacks to stacks of the same
-    shape) are SPD for ``inner`` on mean-zero fields; ``precondition`` must
-    map to mean-free fields.  Each column has its own step lengths and stops
-    when its residual's sup norm is ``_CG_RTOL`` times that of its rhs; it
-    then leaves the active set, so its iterates are those of a run on that
-    column alone.  Returns ``(x, converged)``, x of the shape of ``rhs`` and
+    ``rhs`` has shape (K, ...): K independent columns, each a field.
+    ``operator`` and ``precondition`` map stacks to stacks of the same shape
+    and must be SPD for ``inner`` on a subspace that holds every rhs and
+    that both map into: all fields, or the mean-zero ones when the rhs and
+    the preconditioned fields are mean free.  Each column has its own step
+    lengths and stops when its residual's sup norm is ``_CG_RTOL`` times
+    that of its rhs; it then leaves the active set, so its iterates are
+    those of a run on that column alone.  Returns ``(x, converged)``, x of the shape of ``rhs`` and
     converged a (K,) bool array; a column still active after ``_CG_MAXITER``
     steps keeps its last iterate.  A zero column gives zeros, and
     ``p . Ap <= 0`` in any column raises ``singular``.

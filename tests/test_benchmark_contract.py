@@ -20,3 +20,22 @@ def test_every_span_group_is_wrapped(monkeypatch):
         tracer.uninstall()
     missing = [name for names in tracing._SPAN_GROUPS.values() for name in names if name not in registered]
     assert not missing
+
+
+def test_solve_bundle_shape_read_by_the_tracer(monkeypatch):
+    # tracing.py sums continuation_trace[i][1] into the accepted Newton
+    # iterations and divides by the linearize calls (newton_accept_ratio)
+    import numpy as np
+
+    from conftest import cosine_problem
+    from dhym import ConstantCurvature2, Regime, ode_solver
+
+    calls = []
+    linearize = ode_solver.linearize
+    monkeypatch.setattr(ode_solver, "linearize", lambda *args: calls.append(1) or linearize(*args))
+    bundle = ode_solver.solve(cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0), n=64, amplitude=2.0))
+    assert isinstance(bundle.continuation_trace, list) and len(bundle.continuation_trace) == 1
+    t, iterations, res = bundle.continuation_trace[0]
+    assert t == 1.0 and isinstance(iterations, int) and iterations >= 1
+    assert res == bundle.residual_sup == float(np.abs(bundle.residual.samples).max())
+    assert len(calls) == iterations

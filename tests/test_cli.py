@@ -39,6 +39,17 @@ def test_solve_flat_datum(tmp_path, capsys):
     assert manifest["constants"]["compatibility_constant"] == -2.0
 
 
+def test_solve_stall_exit_code(tmp_path, capsys, monkeypatch):
+    # a stalled Newton exits 4 and names the line search floor, never a t
+    from dhym import ode_solver
+
+    monkeypatch.setattr(ode_solver, "_STEP_FLOOR", 2.0)
+    code = main(["solve", "--config", write_cfg(tmp_path, "c.json", SOLVE_CFG), "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "step floor 2" in err and "effective tolerance" in err and "t =" not in err
+
+
 def test_solve_reference_instance(tmp_path):
     code = main(["solve", "--config", write_cfg(tmp_path, "c.json", SOLVE_CFG), "--out", str(tmp_path)])
     assert code == 0

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import dhym.legendre
 from dhym import PeriodicProfile, datum_pullback, datum_pushforward, legendre_forward
-from dhym.errors import NotConvex, NotMonotone
+from dhym.errors import DimensionMismatch, NotConvex, NotMonotone
 from dhym.legendre import MonotoneMap
 from dhym.spectral import grid, spectral_derivative, trig_interpolate
 
@@ -186,6 +186,12 @@ class TestDatumTransport:
         a = PeriodicProfile.from_fourier(n, cos=[1.0])
         back = datum_pullback(datum_pushforward(a, m), m)
         assert np.abs(back.samples - a.samples).max() < 1e-8
+
+    def test_grid_mismatch_refused(self):
+        # the map keeps the preimages of its own grid nodes only
+        _, m = legendre_forward(PeriodicProfile.from_fourier(64, cos=[0.01]))
+        with pytest.raises(DimensionMismatch):
+            datum_pushforward(PeriodicProfile.from_fourier(128, cos=[1.0]), m)
 
     def test_transport_relation(self):
         # f(y(x)) = a(x) at the source nodes

@@ -178,6 +178,14 @@ class TestLimitConvergence:
         assert -2.5 < report.order < -1.5
         assert not report.exact
 
+    def test_large_radius_order_at_large_radii(self):
+        # the residual scale has no K0 ~ alpha t^2 in it, so radii where the
+        # difference falls to 1e-14 still converge, on the t^-2 line
+        base = cosine_problem(Regime.LARGE_RADIUS, ConstantCurvature2(0.4, 1.0, 0.3), n=64, amplitude=0.05)
+        report = limit_convergence_study(base, [128.0, 362.0, 512.0, 2048.0, 8192.0])
+        assert abs(report.order + 2.0) < 0.05
+        assert not report.exact
+
     def test_small_radius_order(self):
         base = cosine_problem(Regime.SMALL_RADIUS, ConstantCurvature2(2.0, 0.5, 1.0), amplitude=0.05)
         report = limit_convergence_study(base, [1 / 4, 1 / 8, 1 / 16, 1 / 32])
