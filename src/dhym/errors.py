@@ -43,9 +43,10 @@ class PhasePreconditionViolated(DhymError):
 
 
 class NotConvex(DhymError):
-    """A potential left the admissibility cone 1 + phi'' > 0."""
+    """An input potential lies outside the admissibility cone 1 + phi'' > 0;
+    the solver keeps its own iterates inside."""
 
-    exit_code = 4
+    exit_code = 2
 
 
 class NotMonotone(DhymError):

@@ -51,9 +51,9 @@ from .errors import (
 from .legendre import MonotoneMap, datum_pushforward, legendre_forward
 from .spectral import (
     PeriodicProfile,
+    _chop,
     _pcg,
     _tail_chopped_second_derivative,
-    _tail_start,
     inner,
     second_antiderivative,
     spectral_derivative,
@@ -178,7 +178,7 @@ def _residual_at(rho: np.ndarray, k1: float, a_dev: np.ndarray) -> tuple[np.ndar
     (1/4) |rho''|, K1 |1/rho - 1|, |A~| and the roundoff scale of (1/4) rho''.
     F is computed to a small multiple of eps S'.  rho'' keeps every bin the
     datum drives, however small, so F sees all of A~."""
-    rho_dd, roundoff = _tail_chopped_second_derivative(rho, _tail_start(np.fft.rfft(a_dev)))
+    rho_dd, roundoff = _tail_chopped_second_derivative(rho, _chop(np.fft.rfft(a_dev)))
     drift = k1 * (1.0 / rho - 1.0)
     scale = max(0.25 * np.abs(rho_dd).max(), np.abs(drift).max(), np.abs(a_dev).max(), 0.25 * roundoff)
     return -0.25 * rho_dd - drift - a_dev, float(scale)
@@ -203,7 +203,7 @@ def residual(phi: PeriodicProfile, problem: ODEProblem, datum: np.ndarray | floa
     """F at w = 1 + phi'' (``curvature_residual``).  From phi, F is fourth
     order, so where phi's spectrum decays slowly its roundoff tail costs
     accuracy; a bundle's own ``residual`` is F at the solver's rho."""
-    return curvature_residual(1.0 + _tail_chopped_second_derivative(phi.samples)[0], problem, datum)
+    return curvature_residual(1.0 + spectral_derivative(phi.samples, 2, stabilized=True), problem, datum)
 
 
 def manufactured_datum(phi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
@@ -361,12 +361,11 @@ def _bundle_curvature_ratio(problem: ODEProblem) -> float:
 def reconstruct_bundle_potential(psi: PeriodicProfile, problem: ODEProblem) -> PeriodicProfile:
     """Bundle potential phi_F with phi_F'' prescribed by the regime identity.
 
-    The prescription is a multiple of psi'', hence mean-zero (its k = 0 bin
-    is zero by construction), and integrates to the periodic potential
-    r * psi (mean-zero gauge).
+    The prescription phi_F'' = r * psi'' integrates to the periodic potential
+    r * psi (mean-zero gauge); psi comes out of ``legendre_forward`` already
+    chopped, so no derivative is taken.
     """
-    prescribed = _bundle_curvature_ratio(problem) * spectral_derivative(psi.samples, 2, stabilized=True)
-    return PeriodicProfile.from_samples(second_antiderivative(prescribed), demean=True)
+    return PeriodicProfile.from_samples(_bundle_curvature_ratio(problem) * psi.samples, demean=True)
 
 
 @dataclass(frozen=True)
@@ -389,7 +388,7 @@ def max_principle_verify(bundle: SolutionBundle, problem: ODEProblem) -> MaxPrin
     solution must satisfy this (up to discretization error).
     """
     k1, k0 = problem.coefficients()
-    w = 1.0 + _tail_chopped_second_derivative(bundle.phi.samples)[0]
+    w = 1.0 + spectral_derivative(bundle.phi.samples, 2, stabilized=True)
     i = int(np.argmax(w))
     lhs = k1 * w[i] - k0
     a_proj, _ = project_datum(problem.datum_a, problem)

@@ -5,6 +5,11 @@ uniform grid ``x_k = k/N``.  Derivatives are computed in Fourier space, so
 smooth data is differentiated with spectral accuracy; this is what makes the
 1e-8 .. 1e-12 identity tolerances used throughout realistic at moderate grid
 sizes.
+
+One rule, ``_chop``, decides which Fourier bins are roundoff on every
+stabilized path: the trailing tail whose envelope has fallen to 64 eps of the
+largest bin (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43,
+2017).  A small bin before that tail is signal and is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig
 
 __all__ = [
-    "CHOP_REL",
     "grid",
     "spectral_chop",
     "spectral_derivative",
@@ -31,14 +35,6 @@ __all__ = [
     "inner",
 ]
 
-#: Relative spectral noise threshold.  Forward FFTs of smooth data carry an
-#: absolute per-bin rounding error of order eps * ||f||, which high-order
-#: derivative factors amplify dramatically; bins this far below the largest
-#: one are pure roundoff for the analytic profiles handled here and are
-#: zeroed by the stabilized differentiation paths.
-CHOP_REL = 1e-13
-
-
 def grid(n: int) -> np.ndarray:
     """Uniform nodes k/n of the unit circle."""
     return np.arange(n) / n
@@ -49,45 +45,42 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.arange(n // 2 + 1)
 
 
-def _chop(coeff: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Zero, in place, the rfft bins below ``CHOP_REL`` times the largest one."""
-    mx = np.abs(coeff).max(axis=axis, keepdims=True)
-    coeff[np.abs(coeff) < CHOP_REL * mx] = 0.0
-    return coeff
-
-
 _TAIL_REL = 64.0 * np.finfo(float).eps  # roundoff tail, relative to the largest bin
 
 
-def _tail_start(coeff: np.ndarray) -> int:
-    """Index of the first bin of the roundoff tail of an rfft spectrum: the
-    first bin whose envelope max_{j >= k} |c_j| is at most ``_TAIL_REL``
-    times the largest bin.  The bins before it are kept, so a spectrum the
-    grid does not resolve loses nothing."""
-    mag = np.abs(coeff)
-    return int(np.count_nonzero(np.maximum.accumulate(mag[::-1])[::-1] > _TAIL_REL * mag.max()))
+def _chop(coeff: np.ndarray, axis: int = -1, keep: int = 0) -> int:
+    """Zero, in place, the roundoff tail of an rfft spectrum along ``axis``
+    (other axes are a batch): the bins from the first one whose envelope
+    max_{j >= k} |c_j| is at most ``_TAIL_REL`` times the largest bin on,
+    never one of the first ``keep``.  Returns the largest kept count."""
+    mag = np.moveaxis(np.abs(coeff), axis, -1)
+    envelope = np.maximum.accumulate(mag[..., ::-1], axis=-1)[..., ::-1]
+    kept = np.maximum(keep, np.count_nonzero(envelope > _TAIL_REL * mag.max(axis=-1, keepdims=True), axis=-1))
+    np.moveaxis(coeff, axis, -1)[np.arange(mag.shape[-1]) >= kept[..., None]] = 0.0
+    return int(kept.max())
 
 
 def _tail_chopped_second_derivative(samples: np.ndarray, keep: int = 0) -> tuple[np.ndarray, float]:
-    """f'' of 1-d samples after the roundoff tail of their spectrum is zeroed
-    (never the first ``keep`` bins), and (2 pi K)^2 max_k |f_k|, the
-    roundoff scale of f'' (K the highest kept bin)."""
+    """f'' of 1-d samples after ``_chop`` (never the first ``keep`` bins),
+    and (2 pi K)^2 max_k |f_k|, the roundoff scale of f'' (K the highest
+    kept bin)."""
     n = samples.shape[0]
     coeff = np.fft.rfft(samples)
-    kept = max(keep, _tail_start(coeff))
-    coeff[kept:] = 0.0
+    kept = _chop(coeff, keep=keep)
     k2 = (2.0 * np.pi * _wavenumbers(n)) ** 2
     return np.fft.irfft(-k2 * coeff, n=n), float(k2[max(kept - 1, 0)] * np.abs(coeff).max() / n)
 
 
 def spectral_chop(samples: np.ndarray) -> np.ndarray:
-    """Zero Fourier bins below ``CHOP_REL`` times the largest one.
+    """Zero the roundoff tail of the samples' spectrum (``_chop``).
 
-    Removes sample-level roundoff noise from data known to be spectrally
-    clean; exact on band-limited input and scale invariant.
+    Removes sample-level roundoff noise from smooth data; exact on
+    band-limited input and scale invariant.
     """
     samples = np.asarray(samples, dtype=float)
-    return np.fft.irfft(_chop(np.fft.rfft(samples, axis=-1)), n=samples.shape[-1], axis=-1)
+    coeff = np.fft.rfft(samples, axis=-1)
+    _chop(coeff)
+    return np.fft.irfft(coeff, n=samples.shape[-1], axis=-1)
 
 
 def spectral_derivative(
@@ -97,9 +90,9 @@ def spectral_derivative(
 
     Every other axis is a batch axis.  The Nyquist mode is dropped for odd
     derivative orders (its derivative is not representable on the grid); for
-    even orders it is kept.  With ``stabilized`` the spectrum is
-    noise-chopped before scaling, which keeps repeated differentiation of
-    smooth data at roundoff accuracy.
+    even orders it is kept.  With ``stabilized`` the roundoff tail of the
+    spectrum is zeroed before scaling (``_chop``), which keeps repeated
+    differentiation of smooth data at roundoff accuracy.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[axis]

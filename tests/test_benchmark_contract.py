@@ -39,3 +39,24 @@ def test_solve_bundle_shape_read_by_the_tracer(monkeypatch):
     assert t == 1.0 and isinstance(iterations, int) and iterations >= 1
     assert res == bundle.residual_sup == float(np.abs(bundle.residual.samples).max())
     assert len(calls) == iterations
+
+
+def test_workload_ops_pass_their_claims(monkeypatch, tmp_path):
+    # the benchmark ops call the library directly (spectral_derivative with
+    # stabilized=True, residual, project_datum, max_principle_verify,
+    # lift_to_2d, complex_datum, the linearized-operator battery): a changed
+    # signature or a wrong answer there fails here, not in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    sweep = workloads.OdeSweep(0, tmp_path)
+    for regime, f0 in workloads.CLASSES:
+        _, problem, target = sweep._manufactured(regime, f0, 64, 0.5)
+        checks = workloads.verified_solve(problem, target=target)
+        assert {"cone", "max_principle", "manufactured"} <= set(checks)
+        assert all(passed for passed, claim in checks.values() if claim), (regime, checks)
+    field = workloads.Field2d(0, tmp_path)
+    u, b = field._background(32)
+    trials = [workloads.band_limited(field.rng, 32, 3) for _ in range(20)]
+    checks = workloads.field_battery(u, b, trials)
+    assert len(checks) == 6 and all(passed for passed, claim in checks.values() if claim), checks

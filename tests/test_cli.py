@@ -206,6 +206,20 @@ def test_residual_missing_solution_csv(tmp_path):
         assert main(["residual", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def test_legendre_profile_outside_cone_exits_2(tmp_path):
+    # 1 + psi'' = 1 - 0.03 (2 pi)^2 cos < 0 somewhere: bad input, no solver ran
+    path = write_cfg(tmp_path, "c.json", {"profile": {"kind": "fourier", "cos": [0.03]}, "grid": 64})
+    assert main(["legendre", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_residual_curvature_outside_cone_exits_2(tmp_path):
+    n = 64
+    np.savetxt(tmp_path / "bad.csv", np.column_stack([np.full(n, -2.0), np.zeros(n)]),
+               delimiter=",", header="phi_dd,residual", comments="")
+    path = write_cfg(tmp_path, "r.json", dict(SOLVE_CFG, grid=n, solution="bad.csv"))
+    assert main(["residual", "--config", path, "--out", str(tmp_path)]) == 2
+
+
 def test_import_leaves_scipy_out():
     # scipy and jsonschema are test-only dependencies: the command line must load neither
     src = str(Path(dhym.__file__).resolve().parents[1])

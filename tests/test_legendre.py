@@ -70,6 +70,18 @@ class TestForward:
         psi_dd_at = trig_interpolate(spectral_derivative(psi.samples, 2), y_at)
         assert np.abs((1.0 + phi_dd) * (1.0 + psi_dd_at) - 1.0).max() < 1e-8
 
+    @pytest.mark.parametrize("amp, bound", [(0.005, 1.2e-12), (0.0113, 1.7e-11)])
+    def test_duality_floor(self, amp, bound):
+        # the defect `dhym legendre` reports, at about twice its measured
+        # floor (6.0e-13 / 8.5e-12): zeroing only the roundoff tail of
+        # the spectra keeps their small interior bins
+        n = 256
+        psi = PeriodicProfile.from_fourier(n, cos=[amp])
+        phi, m = legendre_forward(psi)
+        phi_dd = spectral_derivative(phi.samples, 2, stabilized=True)
+        psi_dd = spectral_derivative(psi.samples, 2, stabilized=True)
+        assert np.abs((1.0 + phi_dd) * (1.0 + trig_interpolate(psi_dd, m.preimages)) - 1.0).max() <= bound
+
     def test_involution_simple(self):
         n = 256
         psi = PeriodicProfile.from_fourier(n, cos=[0.01])

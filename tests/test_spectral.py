@@ -6,6 +6,7 @@ import pytest
 from dhym.errors import InvalidConfig
 from dhym.spectral import (
     PeriodicProfile,
+    _tail_chopped_second_derivative,
     grid,
     hessian2,
     partial2,
@@ -58,6 +59,30 @@ class TestDerivatives:
 
     def test_chop_zero_input(self):
         assert np.abs(spectral_chop(np.zeros(32))).max() == 0.0
+
+    @pytest.mark.parametrize("path", ["chop", "stabilized-d2"])
+    def test_chop_keeps_small_interior_bin(self, path):
+        # the mode-3 bin is 5e-14 of the largest, above the 64 eps (1.4e-14)
+        # roundoff tail: it is signal, and only the trailing tail is chopped
+        n = 256
+        x = grid(n)
+        f = np.cos(2 * np.pi * x) + 1e-3 * np.cos(2 * np.pi * 5 * x) + 5e-14 * np.cos(2 * np.pi * 3 * x)
+        if path == "chop":
+            bin3 = abs(np.fft.rfft(spectral_chop(f))[3])
+        else:
+            bin3 = abs(np.fft.rfft(spectral_derivative(f, 2, stabilized=True))[3]) / (2 * np.pi * 3) ** 2
+        assert abs(bin3 - 5e-14 * n / 2) <= 0.01 * 5e-14 * n / 2
+
+    def test_one_chop_rule_for_rho_and_stabilized_paths(self, rng):
+        # the rho'' of the ODE residual and the stabilized second derivative
+        # zero the same bins of the same samples
+        n = 256
+        x = grid(n)
+        f = 1.0 / (1.5 + np.cos(2 * np.pi * x)) + 1e-15 * rng.standard_normal(n)
+        rho_dd, _ = _tail_chopped_second_derivative(f)
+        stabilized = spectral_derivative(f, 2, stabilized=True)
+        assert not np.array_equal(stabilized, spectral_derivative(f, 2))  # a tail was chopped
+        np.testing.assert_array_equal(rho_dd, stabilized)
 
 
 class TestInterpolation:
