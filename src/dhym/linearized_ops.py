@@ -88,6 +88,11 @@ def _contract_jacobian(v0: np.ndarray, v1: np.ndarray, c: np.ndarray) -> np.ndar
 class LinearizedContext:
     """Background data; Hessian and inverse-Hessian fields precomputed.
 
+    ``u_inv`` (N, N, 2, 2) is a view of the contiguous ``_u_inv_fields``
+    (2, 2, N, N).  The elliptic solve's data is built here too: ``_dk``, the
+    first-derivative multipliers 2 pi i k (Nyquist index dropped), and the
+    preconditioner's weight W and symbol S (``_precondition``).
+
     So are the background-only fields of ``apply_L``, on first use: grad phi
     and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
     dw^T B + B u B^T (against udot) and (dw + u B^T)^T (against the
@@ -100,7 +105,10 @@ class LinearizedContext:
     phi: np.ndarray
     u_hess: np.ndarray = field(init=False)
     u_inv: np.ndarray = field(init=False)
-    _precond: np.ndarray = field(init=False, repr=False)
+    _u_inv_fields: np.ndarray = field(init=False, repr=False)
+    _dk: np.ndarray = field(init=False, repr=False)
+    _weight: np.ndarray = field(init=False, repr=False)
+    _symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u_pert = np.asarray(self.u_pert, dtype=float)
@@ -120,8 +128,14 @@ class LinearizedContext:
         if det.min() <= 0.0 or tr.min() <= 0.0:
             raise InvalidConfig("background Hessian is not positive definite")
         self.u_hess = hess
-        self.u_inv = _adj2(hess) / det[..., None, None]
-        self._precond = _elliptic_symbol(self.n, self.u_inv.mean(axis=(0, 1)))
+        self._u_inv_fields = np.moveaxis(_adj2(hess) / det[..., None, None], (-2, -1), (0, 1)).copy()
+        self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
+        n, k = self.n, np.arange(self.n // 2 + 1)
+        self._dk = np.where(2 * k < n, 2j * np.pi * k, 0.0)
+        # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1;
+        # S is the symbol of mean(a^{ij}), W = (det u^{ij})^(-1/4) = det^(1/4)
+        self._weight = det**0.25
+        self._symbol = _elliptic_symbol(n, np.tensordot(self._u_inv_fields, np.sqrt(det), 2) / det.size)
 
     @property
     def n(self) -> int:
@@ -145,33 +159,45 @@ class LinearizedContext:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Divergence-form operator d_i(u^{ij} d_j f), of a field or a stack."""
-        return _divergence(*_mv(self.u_inv, *_gradient(f)))
+        return -self._operator(f, 0.0)
+
+    def _operator(self, f: np.ndarray, penalty: float) -> np.ndarray:
+        """-(Delta + sigma P) f, sigma = -penalty, of a field or a stack; P
+        projects onto the modes with a Nyquist index in either axis.  One rfft
+        of f along each axis gives grad f and, from its Nyquist row or column,
+        P f, which fills the Nyquist bins the divergence multipliers drop."""
+        n, h = self.n, self.n // 2
+        dx, dy = self._dk[:, None], self._dk
+        fx, fy = np.fft.rfft(f, axis=-2), np.fft.rfft(f, axis=-1)
+        if n % 2 == 0:
+            # P = Px + Py (1 - Px): with a = (-1)^i, n Px f = a x (a . f) and
+            # n Py (1 - Px) f = (f . a - a (a . f . a) / n) x a
+            a = 1.0 - 2.0 * (np.arange(n) % 2)
+            corner = (fx[..., h, :].real @ a) / n
+            nyquist = penalty * fx[..., h, :], penalty * (fy[..., h] - corner[..., None] * a)
+        fx *= dx  # in place, to hold fewer N x N temporaries
+        fy *= dy
+        gx, gy = np.fft.irfft(fx, n=n, axis=-2), np.fft.irfft(fy, n=n, axis=-1)
+        del fx, fy
+        (uxx, uxy), (_, uyy) = self._u_inv_fields
+        sx = np.fft.rfft(uxx * gx + uxy * gy, axis=-2) * -dx
+        sy = np.fft.rfft(uxy * gx + uyy * gy, axis=-1) * -dy
+        if n % 2 == 0:
+            sx[..., h, :], sy[..., h] = nyquist
+        return np.fft.irfft(sx, n=n, axis=-2) + np.fft.irfft(sy, n=n, axis=-1)
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r = Pi W S^-1 (W r) of a field or a stack, Pi the removal of
+        the mean (S^-1 zeroes the mean mode).  Symmetric positive definite on
+        mean-zero fields, since W > 0."""
+        z = self._weight * np.fft.irfft2(np.fft.rfft2(self._weight * r) / self._symbol, s=r.shape[-2:])
+        return z - z.mean(axis=(-2, -1), keepdims=True)
 
     def degree_defect(self) -> float:
         """Sup-deviation of u_ij B_ij + Delta(phi) from its mean; zero for a
         consistent background."""
         lhs = np.einsum("...ij,ij->...", self.u_hess, self.b_matrix) + self.laplacian(self.phi)
         return float(np.abs(lhs - lhs.mean()).max())
-
-
-def _nyquist_projector(f: np.ndarray) -> np.ndarray:
-    """Project onto the modes carrying a Nyquist frequency in either axis.
-
-    Spectral first derivatives drop the Nyquist index, so the divergence-form
-    operator cannot resolve these modes; the elliptic solve pins them with a
-    penalty.  On even grids the Nyquist mode of an axis is the alternating
-    vector a = (-1)^i, so the projector is a sum of rank-one terms built
-    from alternating-sign row and column sums, O(N^2) without an FFT.  Acts
-    on the last two axes.
-    """
-    n = f.shape[-1]
-    if n % 2 != 0:
-        return np.zeros_like(f)
-    a = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    cols = (a @ f) / n  # Nyquist coefficient in the first axis, per column
-    rows = (f @ a) / n  # Nyquist coefficient in the second axis, per row
-    both = (rows @ a) / n
-    return a[:, None] * cols[..., None, :] + (rows - both[..., None] * a)[..., :, None] * a
 
 
 def _nyquist_penalty(n: int) -> float:
@@ -181,9 +207,9 @@ def _nyquist_penalty(n: int) -> float:
     return (np.pi * n) ** 2
 
 
-def _elliptic_symbol(n: int, u_inv_mean: np.ndarray) -> np.ndarray:
-    """rfft2 symbol of -(Delta + sigma P) at the constant coefficients
-    mean(u^{ij}): the preconditioner of the elliptic solve.
+def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
+    """rfft2 symbol of -(Delta + sigma P) for the constant 2x2 coefficient
+    matrix ``coef`` in place of u^{ij}.
 
     The wavenumbers drop the Nyquist index, as spectral first derivatives
     do.  The mean mode is infinite, so dividing by the symbol zeroes it.
@@ -194,8 +220,7 @@ def _elliptic_symbol(n: int, u_inv_mean: np.ndarray) -> np.ndarray:
         k[n // 2] = 0.0
         nyq[n // 2] = True
     kx, ky = k[:, None], k[None, : n // 2 + 1]
-    m = u_inv_mean
-    sym = (2.0 * np.pi) ** 2 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * ky + m[1, 1] * ky**2)
+    sym = (2.0 * np.pi) ** 2 * (coef[0, 0] * kx**2 + 2.0 * coef[0, 1] * kx * ky + coef[1, 1] * ky**2)
     sym += _nyquist_penalty(n) * (nyq[:, None] | nyq[None, : n // 2 + 1])
     sym[0, 0] = np.inf
     return sym
@@ -209,15 +234,18 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     divergence form cannot resolve.  The mean of each rhs is removed first,
     since the range is mean free, and a zero rhs gives zeros.
     -(Delta + sigma P) is symmetric positive definite on mean-zero fields,
-    so CG applies; preconditioned by the constant-coefficient Fourier
-    inverse it takes a number of steps set by the variation of u^{ij}, not
-    by N (about 15 up to N = 128).  Deterministic.
+    so CG applies, one fused kernel (``LinearizedContext._operator``) per
+    step.  The preconditioner scales out the pointwise factor
+    (det u^{ij})^(1/2) of u^{ij} and inverts the constant-coefficient
+    symbol of what remains (Concus & Golub, SIAM J. Numer. Anal. 10, 1973);
+    the steps it takes are set by the variation of u^{ij}, not by N (about
+    10 from N = 16 to N = 128 on the field-2d backgrounds).  Deterministic.
     """
     stack = rhs.reshape((-1,) + rhs.shape[-2:])
     penalty = _nyquist_penalty(ctx.n)
     x, converged = _pcg(
-        lambda p: penalty * _nyquist_projector(p) - ctx.laplacian(p),
-        lambda r: np.fft.irfft2(np.fft.rfft2(r) / ctx._precond, s=r.shape[-2:]),
+        lambda p: ctx._operator(p, penalty),
+        ctx._precondition,
         -(stack - stack.mean(axis=(-2, -1), keepdims=True)),
         SingularElliptic,
     )

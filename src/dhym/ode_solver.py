@@ -173,12 +173,12 @@ def project_datum(a: PeriodicProfile, problem: ODEProblem) -> tuple[PeriodicProf
     return PeriodicProfile(a.samples + shift), shift
 
 
-def _residual_at(rho: np.ndarray, k1: float, a_dev: np.ndarray) -> tuple[np.ndarray, float]:
+def _residual_at(rho: np.ndarray, k1: float, a_dev: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
     """F(rho) and the scale S' of the terms it cancels: the largest of
     (1/4) |rho''|, K1 |1/rho - 1|, |A~| and the roundoff scale of (1/4) rho''.
-    F is computed to a small multiple of eps S'.  rho'' keeps every bin the
-    datum drives, however small, so F sees all of A~."""
-    rho_dd, roundoff = _tail_chopped_second_derivative(rho, _chop(np.fft.rfft(a_dev)))
+    F is computed to a small multiple of eps S'.  rho'' keeps the first
+    ``keep`` bins, those ``_chop`` keeps of A~, so F sees all of A~."""
+    rho_dd, roundoff = _tail_chopped_second_derivative(rho, keep)
     drift = k1 * (1.0 / rho - 1.0)
     scale = max(0.25 * np.abs(rho_dd).max(), np.abs(drift).max(), np.abs(a_dev).max(), 0.25 * roundoff)
     return -0.25 * rho_dd - drift - a_dev, float(scale)
@@ -195,7 +195,8 @@ def curvature_residual(w: np.ndarray, problem: ODEProblem, datum: np.ndarray | f
     if np.min(w) <= 0.0:
         raise NotConvex("phi left the admissibility cone 1 + phi'' > 0")
     datum = np.broadcast_to(np.asarray(problem.datum_a.samples if datum is None else datum, dtype=float), np.shape(w))
-    f, _ = _residual_at(1.0 / np.asarray(w, dtype=float), problem.coefficients()[0], datum - datum.mean())
+    a_dev = datum - datum.mean()
+    f, _ = _residual_at(1.0 / np.asarray(w, dtype=float), problem.coefficients()[0], a_dev, _chop(np.fft.rfft(a_dev)))
     return PeriodicProfile.from_samples(f)
 
 
@@ -291,14 +292,15 @@ def _newton(problem: ODEProblem, k1: float, a_dev: np.ndarray):
     ``NotConverged``.
     """
     rho = np.ones(problem.n)
-    f, scale = _residual_at(rho, k1, a_dev)
+    keep = _chop(np.fft.rfft(a_dev))
+    f, scale = _residual_at(rho, k1, a_dev, keep)
     history = [float(np.abs(f).max())]
     while history[-1] > effective_tolerance(problem, scale) and len(history) <= _MAX_NEWTON:
         delta = linearize(rho, problem).solve(-f)
         step = 1.0
         while step >= _STEP_FLOOR:
             cand = _normalized(rho + step * delta)
-            f_cand, scale_cand = _residual_at(cand, k1, a_dev)
+            f_cand, scale_cand = _residual_at(cand, k1, a_dev, keep)
             norm = float(np.abs(f_cand).max())
             if norm <= (1.0 - 0.25 * step) * history[-1] or norm <= effective_tolerance(problem, scale_cand):
                 break

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dhym import linearized_ops
-from dhym.errors import DimensionMismatch, InvalidConfig
+from dhym.errors import DimensionMismatch, InvalidConfig, SingularElliptic
 from dhym.linearized_ops import (
     LinearizedContext,
     apply_L,
@@ -121,6 +121,17 @@ def lincond_rhs(ctx, gamma):
     return transport - np.einsum("...ij,ij->...", gdot, ctx.b_matrix)
 
 
+def nyquist_projection(f):
+    """The FFT projection of an (N, N) field, N even, onto the modes with a
+    Nyquist index in either axis."""
+    n = f.shape[-1]
+    coeff = np.fft.fft2(f)
+    keep = np.zeros_like(coeff)
+    keep[n // 2, :] = coeff[n // 2, :]
+    keep[:, n // 2] = coeff[:, n // 2]
+    return np.real(np.fft.ifft2(keep))
+
+
 def dense_elliptic_oracle(ctx, rhs):
     """Solve (Delta + sigma P) f = rhs, mean(f) = 0, by dense LU of the
     bordered matrix: sigma = -(pi N)^2, P the FFT projector onto the modes
@@ -132,11 +143,7 @@ def dense_elliptic_oracle(ctx, rhs):
     basis = np.zeros((n, n))
     for j in range(size):
         basis.flat[j] = 1.0
-        coeff = np.fft.fft2(basis)
-        keep = np.zeros_like(coeff)
-        keep[n // 2, :] = coeff[n // 2, :]
-        keep[:, n // 2] = coeff[:, n // 2]
-        mat[:size, j] = (ctx.laplacian(basis) + sigma * np.real(np.fft.ifft2(keep))).ravel()
+        mat[:size, j] = (ctx.laplacian(basis) + sigma * nyquist_projection(basis)).ravel()
         basis.flat[j] = 0.0
     mat[:size, size] = 1.0
     mat[size, :size] = 1.0 / size
@@ -181,19 +188,98 @@ class TestEllipticSolve:
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_laplacian_applications_per_solve(self, n, monkeypatch):
+        # the CG applies the fused kernel -(Delta + sigma P), not laplacian
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         calls = []
-        laplacian = LinearizedContext.laplacian
+        operator = LinearizedContext._operator
 
-        def counted(self, f):
+        def counted(self, f, penalty):
             calls.append(1)
-            return laplacian(self, f)
+            return operator(self, f, penalty)
 
-        monkeypatch.setattr(LinearizedContext, "laplacian", counted)
+        monkeypatch.setattr(LinearizedContext, "_operator", counted)
         for gamma in (delta(n), band_limited(n, seed=9)):
             calls.clear()
             solve_lincond(ctx, gamma)
             assert 0 < len(calls) <= 20
+
+
+def assert_symmetric_positive(fields, images):
+    """<f, A g> = <g, A f> to roundoff and <f, A f> > 0 over the fields."""
+    for f, af in zip(fields, images):
+        assert inner(f, af) > 0.0
+        for g, ag in zip(fields, images):
+            assert abs(inner(f, ag) - inner(g, af)) <= 1e-14 * np.sqrt(inner(f, af) * inner(g, ag))
+
+
+def hessian_scaled_background(n, seed, sup_hessian):
+    """Band-limited (k <= 1) metric potential with sup |Hess u_pert| given."""
+    u = band_limited(n, seed=seed, kmax=1)
+    return u * (sup_hessian / np.abs(hessian2(u)).max())
+
+
+class TestFusedOperator:
+    """The CG operator -(Delta + sigma P) and the scaled preconditioner."""
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_penalty_term_is_the_fft_projector(self, n):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        penalty = linearized_ops._nyquist_penalty(n)
+        f = white_noise(n, seed=n)
+        term = ctx._operator(f, penalty) - ctx._operator(f, 0.0)
+        ref = penalty * nyquist_projection(f)
+        assert np.abs(term - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [16, 24, 25])
+    def test_operator_symmetric_positive(self, n):
+        ctx = make_consistent_context(perturbed_background(n, amplitude=0.006), B_REF)
+        penalty = linearized_ops._nyquist_penalty(n)
+        fields = [white_noise(n, seed=30 + i) for i in range(3)] + [band_limited(n, seed=33)]
+        assert_symmetric_positive(fields, [ctx._operator(f, penalty) for f in fields])
+
+    @pytest.mark.parametrize("n", [16, 25, 32])
+    def test_laplacian_matches_partial2_composition(self, n):
+        # the fused path does the arithmetic of grad / divergence by partial2
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        f = np.array([white_noise(n, seed=50), band_limited(n, seed=51)])
+        u = ctx.u_inv
+        g0, g1 = partial2(f, 1, 0), partial2(f, 0, 1)
+        flux0, flux1 = u[..., 0, 0] * g0 + u[..., 0, 1] * g1, u[..., 1, 0] * g0 + u[..., 1, 1] * g1
+        ref = partial2(flux0, 1, 0) + partial2(flux1, 0, 1)
+        assert np.array_equal(ctx.laplacian(f), ref)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("sup_hessian", [0.1, 0.3])
+    def test_preconditioner_symmetric_positive_mean_free(self, n, sup_hessian):
+        ctx = make_consistent_context(hessian_scaled_background(n, 1, sup_hessian), B_REF)
+        fields = [white_noise(n, seed=40 + i) for i in range(3)] + [band_limited(n, seed=43)]
+        images = [ctx._precondition(f) for f in fields]
+        assert_symmetric_positive(fields, images)
+        assert all(abs(mf.mean()) <= 1e-15 * np.abs(mf).max() for mf in images)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("sup_hessian, saved", [(0.1, 1), (0.3, 2)])
+    def test_scaling_saves_operator_applications(self, n, sup_hessian, saved):
+        # against the constant-symbol preconditioner, mean(u^{ij}), through
+        # the same CG; at 0.1 the scaling saves 1 to 3 applications of 11 or 12
+        for seed in range(4):
+            ctx = make_consistent_context(hessian_scaled_background(n, seed, sup_hessian), B_REF)
+            symbol = linearized_ops._elliptic_symbol(n, ctx.u_inv.mean(axis=(0, 1)))
+            constant = lambda r: np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape[-2:])
+            rhs = lincond_rhs(ctx, band_limited(n, seed=100 + seed))
+            penalty = linearized_ops._nyquist_penalty(n)
+            counts = []
+            for precondition in (constant, ctx._precondition):
+                calls = []
+                _, converged = _pcg(
+                    lambda p: calls.append(1) or ctx._operator(p, penalty),
+                    precondition,
+                    -(rhs - rhs.mean())[None],
+                    SingularElliptic,
+                )
+                assert converged.all()
+                counts.append(len(calls))
+            assert counts[1] <= counts[0] - saved, counts
 
 
 class TestApplyL:

@@ -451,6 +451,15 @@ class TestSolve:
         b2 = solve(problem)
         assert (b1.phi.samples == b2.phi.samples).all()
 
+    def test_one_datum_chop_per_solve(self, monkeypatch):
+        # the datum's kept bin count is fixed: one chop, not one per residual
+        chops, residuals = [], []
+        chop, residual_at = ode_solver._chop, ode_solver._residual_at
+        monkeypatch.setattr(ode_solver, "_chop", lambda *args: chops.append(1) or chop(*args))
+        monkeypatch.setattr(ode_solver, "_residual_at", lambda *args: residuals.append(1) or residual_at(*args))
+        solve(cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0), n=64, amplitude=2.0))
+        assert len(chops) == 1 and len(residuals) > 2
+
 
 class TestBundlePotential:
     def test_flat_vanishes(self):

@@ -1,0 +1,209 @@
+"""Layer benchmark of the 2-d elliptic solve, ``linearized_ops._solve_elliptic``.
+
+Run from the repository root::
+
+    python3 tools/bench_elliptic.py change=src
+    python3 tools/bench_elliptic.py parent=/path/to/parent/src change=src
+
+Each ``LABEL=DIR`` names a directory holding a ``dhym`` package, so one run
+compares versions of the code.  The versions are measured in fresh worker
+processes, ``ROUNDS`` rounds that alternate which version goes first, so
+that a slow spell of a shared machine falls on both.  The result is written
+to ``BENCH_elliptic.json`` at the repository root, one record per label.
+
+Per grid size N = 16 / 32 / 64 / 128, the solve gets stacks of
+K = max(1, 2^13 / N^2) right-hand sides, as the field-2d battery chunks its
+trials.  Each size uses six seeded field-2d-like backgrounds: a
+band-limited (k <= 1) metric potential with sup |Hess u_pert| in
+[0.05, 0.15], and right-hand sides of the linearized degree equation for
+band-limited (k <= 3) directions.  A record holds, per size:
+
+* ``wall_s``: quartiles of the wall time of one ``_solve_elliptic`` call,
+  five timed calls per background and round after an untimed one;
+* ``operator_applications``: mean CG operator applications per call;
+* ``residual_sup_rel``: the largest true relative residual
+  ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over the right-hand sides,
+  recomputed with ``LinearizedContext.laplacian`` and an ``fft2`` Nyquist
+  projector, not read from the CG recursion.
+
+``field2d_applications`` is the mean number of CG operator applications per
+``_solve_elliptic`` call over the first 16 backgrounds of the seed-1 pool of
+the field-2d benchmark workload, with the battery run as
+``perfbench/workloads.py::field_battery`` runs it.
+
+One BLAS / OpenMP thread, as in ``perfbench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (16, 32, 64, 128)
+STACK_POINTS = 2**13
+BACKGROUNDS = 6  # per grid size
+REPS = 5  # timed solves per background and round
+ROUNDS = 5
+B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
+
+
+def _count_applications(lo):
+    """Wrap the ``_pcg`` that ``linearized_ops`` calls so that it counts the
+    operator applications; returns the list the counts go to."""
+    pcg, counts = lo._pcg, []
+
+    def counted(operator, precondition, rhs, singular):
+        counts.append(0)
+
+        def apply(p):
+            counts[-1] += 1
+            return operator(p)
+
+        return pcg(apply, precondition, rhs, singular)
+
+    lo._pcg = counted
+    return counts
+
+
+def _relative_residual(ctx, x, rhs, sigma) -> float:
+    """max over columns of ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf,
+    P the fft2 projector onto the modes with a Nyquist index."""
+    n = ctx.n
+    coeff = np.fft.fft2(x)
+    keep = np.zeros_like(coeff)
+    if n % 2 == 0:
+        keep[..., n // 2, :] = coeff[..., n // 2, :]
+        keep[..., :, n // 2] = coeff[..., :, n // 2]
+    target = rhs - rhs.mean(axis=(-2, -1), keepdims=True)
+    resid = ctx.laplacian(x) + sigma * np.fft.ifft2(keep).real - target
+    return float((np.abs(resid).max(axis=(-2, -1)) / np.abs(target).max(axis=(-2, -1))).max())
+
+
+def _background(rng, n, workloads):
+    u = workloads.band_limited(rng, n, 1)
+    u *= rng.uniform(0.05, 0.15) / np.abs(workloads.spectral.hessian2(u)).max()
+    b = B_REF + rng.uniform(-0.2, 0.2, (2, 2))
+    return u, 0.5 * (b + b.T)
+
+
+def bench_size(lo, workloads, counts, n) -> dict:
+    rng = np.random.default_rng(n)
+    k = max(1, STACK_POINTS // n**2)
+    sigma = -lo._nyquist_penalty(n)
+    times, applications, residual = [], [], 0.0
+    for _ in range(BACKGROUNDS):
+        ctx = lo.make_consistent_context(*_background(rng, n, workloads))
+        trials = np.array([workloads.band_limited(rng, n, 3) for _ in range(k)])
+        rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
+        counts.clear()
+        x = lo._solve_elliptic(ctx, rhs)  # warms the context, counts, checks
+        applications.append(counts[0])
+        residual = max(residual, _relative_residual(ctx, x, rhs, sigma))
+        for _ in range(REPS):
+            t0 = time.perf_counter()
+            lo._solve_elliptic(ctx, rhs)
+            times.append(time.perf_counter() - t0)
+    return {"n": n, "stack": k, "times": times, "applications": applications, "residual": residual}
+
+
+def field2d_applications(lo, workloads, counts, backgrounds=16) -> dict:
+    solves = []
+    solve = lo._solve_elliptic
+
+    def counted(ctx, rhs):
+        solves.append(1)
+        return solve(ctx, rhs)
+
+    lo._solve_elliptic = counted
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            pool = workloads.Field2d(1, Path(tmp)).inputs()
+        out = {}
+        for n, (grounds, trials) in pool.items():
+            counts.clear()
+            solves.clear()
+            for u, b in grounds[:backgrounds]:
+                workloads.field_battery(u, b, trials)
+            out[str(n)] = sum(counts) / len(solves)
+    finally:
+        lo._solve_elliptic = solve
+    return out
+
+
+def worker(src: str, first: bool) -> None:
+    """One round for the package in ``src``; prints its samples as JSON."""
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
+    import workloads
+    from dhym import linearized_ops as lo
+
+    counts = _count_applications(lo)
+    out = {"sizes": [bench_size(lo, workloads, counts, n) for n in SIZES]}
+    if first:
+        out["field2d_applications"] = field2d_applications(lo, workloads, counts)
+    print(json.dumps(out))
+
+
+def _record(rounds: list) -> dict:
+    sizes = []
+    for rows in zip(*(r["sizes"] for r in rounds)):
+        times = [t for row in rows for t in row["times"]]
+        q1, q2, q3 = np.percentile(times, [25, 50, 75])
+        sizes.append({
+            "n": rows[0]["n"],
+            "stack": rows[0]["stack"],
+            "samples": len(times),
+            "wall_s": {"p25": q1, "p50": q2, "p75": q3},
+            "operator_applications": float(np.mean(rows[0]["applications"])),
+            "residual_sup_rel": max(row["residual"] for row in rows),
+        })
+    return {"sizes": sizes, "field2d_applications": rounds[0]["field2d_applications"]}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sources", nargs="*", metavar="LABEL=DIR", help="directories holding a dhym package")
+    parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--first", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker(args.worker, args.first)
+    pairs = (s.split("=", 1) for s in args.sources or [f"change={ROOT / 'src'}"])
+    sources = {label: str(Path(src).resolve()) for label, src in pairs}
+    rounds = {label: [] for label in sources}
+    for i in range(ROUNDS):
+        for label in list(sources)[:: 1 if i % 2 == 0 else -1]:
+            cmd = [sys.executable, __file__, "--worker", sources[label]] + ["--first"] * (i == 0)
+            out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+            rounds[label].append(json.loads(out.splitlines()[-1]))
+    doc = {
+        "benchmark": "linearized_ops._solve_elliptic",
+        "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} cores, numpy {np.__version__}",
+        "rounds": ROUNDS,
+        "records": {label: _record(r) for label, r in rounds.items()},
+    }
+    (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2) + "\n")
+    for label, record in doc["records"].items():
+        print(label, "field-2d applications per solve:", record["field2d_applications"])
+        for row in record["sizes"]:
+            ms = {q: 1e3 * t for q, t in row["wall_s"].items()}
+            print(
+                f"  N={row['n']:4d} K={row['stack']:2d}  {ms['p50']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
+                f"  {row['operator_applications']:5.2f} applications  residual {row['residual_sup_rel']:.1e}"
+            )
+
+
+if __name__ == "__main__":
+    main()
