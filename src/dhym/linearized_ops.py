@@ -24,6 +24,7 @@ which is nonpositive by Cauchy-Schwarz.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -98,6 +99,13 @@ class LinearizedContext:
     dw^T B + B u B^T (against udot) and (dw + u B^T)^T (against the
     Jacobian of the transport difference).  They are cached, so phi must
     not change once the context is in use.
+
+    ``_rayleigh`` maps each trial the trial checks have applied L to, by a
+    16-byte blake2b digest of its shape and float64 samples, to its Rayleigh
+    quotient <gamma, L gamma>/<gamma, gamma>, so ``negativity_check`` does
+    not apply L again to a trial ``selfadjointness_defect`` already did.  It
+    holds scalars, never images.  Like the coefficients, the quotients
+    belong to this phi: with another they would be stale.
     """
 
     u_pert: np.ndarray
@@ -109,6 +117,7 @@ class LinearizedContext:
     _dk: np.ndarray = field(init=False, repr=False)
     _weight: np.ndarray = field(init=False, repr=False)
     _symbol: np.ndarray = field(init=False, repr=False)
+    _rayleigh: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.u_pert = np.asarray(self.u_pert, dtype=float)
@@ -351,14 +360,32 @@ def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
 _CHUNK_POINTS = 2**13
 
 
+def _as_trial(ctx: LinearizedContext, trial) -> np.ndarray:
+    trial = np.asarray(trial, dtype=float)
+    if trial.shape != (ctx.n, ctx.n):
+        raise DimensionMismatch(f"trials must be {ctx.n} x {ctx.n} potentials")
+    return trial
+
+
+def _trial_key(trial: np.ndarray) -> bytes:
+    """The key of a float64 trial in ``LinearizedContext._rayleigh``."""
+    digest = hashlib.blake2b(str(trial.shape).encode(), digest_size=16)
+    digest.update(np.ascontiguousarray(trial))
+    return digest.digest()
+
+
 def _applied(ctx: LinearizedContext, trials):
-    """Pairs (trial, L trial), L applied to chunks of trials at once."""
+    """Triples (trial, L trial, Rayleigh quotient), L applied to chunks of
+    trials at once.  The quotient of a nonzero trial goes into the context's
+    memo; a zero trial has none (nan)."""
     size = max(1, _CHUNK_POINTS // ctx.n**2)
     trials = iter(trials)
-    while chunk := [np.asarray(t, dtype=float) for t in islice(trials, size)]:
-        if any(t.shape != (ctx.n, ctx.n) for t in chunk):
-            raise DimensionMismatch(f"trials must be {ctx.n} x {ctx.n} potentials")
-        yield from zip(chunk, apply_L(ctx, np.stack(chunk)))
+    while chunk := [_as_trial(ctx, t) for t in islice(trials, size)]:
+        for trial, image in zip(chunk, apply_L(ctx, np.stack(chunk))):
+            norm, quotient = inner(trial, trial), float("nan")
+            if norm:
+                quotient = ctx._rayleigh[_trial_key(trial)] = inner(trial, image) / norm
+            yield trial, image, quotient
 
 
 def _flatten_pairs(pairs):
@@ -372,11 +399,13 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
 
     Normalized by the sizes of the operator images, so values compare across
     grids; vanishing defect means formal self-adjointness at this resolution.
-    The pairs are read lazily and L is applied to chunks of trials.
+    The pairs are read lazily and L is applied to chunks of trials.  Each
+    image is dropped once its pair is done; only the Rayleigh quotient of
+    each trial stays, in the context's memo, for ``negativity_check``.
     """
     defects = []
     images = _applied(ctx, _flatten_pairs(trial_pairs))
-    for (xi, lx), (gamma, lg) in zip(images, images):
+    for (xi, lx, _), (gamma, lg, _) in zip(images, images):
         raw = abs(inner(xi, lg) - inner(gamma, lx))
         scale = (
             float(np.abs(lg).max()) * float(np.abs(xi).max())
@@ -417,10 +446,24 @@ def negativity_check(ctx: LinearizedContext, trials) -> float:
     """Max Rayleigh quotient <gamma, L gamma>/<gamma, gamma> over the trials.
 
     Trials must be mean-zero and nonzero; constants span the gauge direction
-    and are rejected.  Nonpositive up to discretization error.  The trials
-    are read lazily and L is applied to chunks of them.
+    and are rejected.  Nonpositive up to discretization error.  Every trial
+    is checked; the quotient of one this context has applied L to (in
+    ``selfadjointness_defect``, say) is read from its memo, so each trial
+    costs one application of L per context.  The others are read lazily and
+    L is applied to chunks of them.
     """
     worst = -np.inf
-    for gamma, lg in _applied(ctx, map(_checked_trial, trials)):
-        worst = max(worst, inner(gamma, lg) / inner(gamma, gamma))
+
+    def misses():
+        nonlocal worst
+        for trial in trials:
+            gamma = _as_trial(ctx, _checked_trial(trial))
+            quotient = ctx._rayleigh.get(_trial_key(gamma))
+            if quotient is None:
+                yield gamma
+            else:
+                worst = max(worst, quotient)
+
+    for _, _, quotient in _applied(ctx, misses()):
+        worst = max(worst, quotient)
     return float(worst)

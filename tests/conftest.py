@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dhym import ConstantCurvature2, ODEProblem, PeriodicProfile, Regime
+from dhym import linearized_ops
 from dhym.linearized_ops import apply_L
 from dhym.ode_solver import manufactured_datum
 
@@ -63,3 +64,16 @@ def dense_operator(ctx):
         mat[:, j] = apply_L(ctx, basis).ravel()
         basis.flat[j] = 0.0
     return mat
+
+
+def count_columns(monkeypatch):
+    """Wrap ``linearized_ops.apply_L``, which the trial checks call, so that
+    it records the number of trials of each call; returns that list."""
+    apply, widths = linearized_ops.apply_L, []
+
+    def counted(ctx, udot):
+        widths.append(len(udot) if np.ndim(udot) == 3 else 1)
+        return apply(ctx, udot)
+
+    monkeypatch.setattr(linearized_ops, "apply_L", counted)
+    return widths

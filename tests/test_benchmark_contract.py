@@ -46,6 +46,8 @@ def test_workload_ops_pass_their_claims(monkeypatch, tmp_path):
     # stabilized=True, residual, project_datum, max_principle_verify,
     # lift_to_2d, complex_datum, the linearized-operator battery): a changed
     # signature or a wrong answer there fails here, not in the benchmark
+    from conftest import count_columns
+
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -58,5 +60,9 @@ def test_workload_ops_pass_their_claims(monkeypatch, tmp_path):
     field = workloads.Field2d(0, tmp_path)
     u, b = field._background(32)
     trials = [workloads.band_limited(field.rng, 32, 3) for _ in range(20)]
+    widths = count_columns(monkeypatch)
     checks = workloads.field_battery(u, b, trials)
     assert len(checks) == 6 and all(passed for passed, claim in checks.values() if claim), checks
+    # the negativity check reads the Rayleigh quotients of the trials the
+    # self-adjointness pass applied L to: 20 columns per battery, not 40
+    assert sum(widths) == 20

@@ -134,6 +134,15 @@ def test_lincheck_command(tmp_path):
     assert manifest["results"]["negativity_max_rayleigh"] <= 1e-8
 
 
+def test_lincheck_applies_L_once_per_trial(tmp_path, monkeypatch):
+    from conftest import count_columns
+
+    widths = count_columns(monkeypatch)
+    cfg = {"grid": 16, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "perturbation": 0.005, "trials": 20}
+    assert main(["lincheck", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    assert sum(widths) == 20
+
+
 def test_limits_command(tmp_path):
     cfg = {
         "regime": "large_radius",

@@ -17,7 +17,7 @@ from dhym.linearized_ops import (
 )
 from dhym.spectral import _pcg, grid2, hessian2, inner, partial2
 
-from conftest import dense_operator
+from conftest import count_columns, dense_operator
 
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
@@ -512,3 +512,55 @@ class TestStackedTrials:
         ctx = flat_context(16)
         with pytest.raises(DimensionMismatch):
             negativity_check(ctx, [band_limited(16, seed=1), band_limited(32, seed=2)])
+
+
+class TestRayleighMemo:
+    """negativity_check reads the Rayleigh quotients the context already has."""
+
+    n = 32
+
+    def setup_method(self):
+        self.trials = [band_limited(self.n, seed=300 + i) for i in range(20)]
+
+    def context(self):
+        return make_consistent_context(perturbed_background(self.n), B_REF)
+
+    def test_hits_apply_no_columns_and_match_a_fresh_context(self, monkeypatch):
+        fresh = negativity_check(self.context(), self.trials)
+        ctx = self.context()
+        widths = count_columns(monkeypatch)
+        selfadjointness_defect(ctx, zip(self.trials[::2], self.trials[1::2]))
+        assert sum(widths) == 20
+        widths.clear()
+        assert negativity_check(ctx, self.trials) == fresh
+        assert widths == []
+        assert len(ctx._rayleigh) == 20
+        assert all(isinstance(q, float) for q in ctx._rayleigh.values())
+
+    def test_one_ulp_change_misses(self, monkeypatch):
+        ctx = self.context()
+        selfadjointness_defect(ctx, zip(self.trials[::2], self.trials[1::2]))
+        changed = self.trials[3].copy()
+        changed[5, 7] = np.nextafter(changed[5, 7], np.inf)
+        widths = count_columns(monkeypatch)
+        negativity_check(ctx, self.trials[:3] + [changed])
+        assert widths == [1]
+
+    def test_checks_run_on_hits(self, monkeypatch):
+        ctx = self.context()
+        constant = np.ones((self.n, self.n))
+        selfadjointness_defect(ctx, [(self.trials[0], constant)])  # caches both quotients
+        widths = count_columns(monkeypatch)
+        with pytest.raises(DimensionMismatch):
+            negativity_check(ctx, [self.trials[0].reshape(16, 64)])
+        with pytest.raises(InvalidConfig):
+            negativity_check(ctx, [self.trials[0], constant])
+        assert widths == []
+
+    def test_order_does_not_change_the_value(self):
+        ctx = self.context()
+        before = negativity_check(ctx, self.trials)
+        selfadjointness_defect(ctx, zip(self.trials[::2], self.trials[1::2]))
+        after_ctx = self.context()
+        selfadjointness_defect(after_ctx, zip(self.trials[::2], self.trials[1::2]))
+        assert negativity_check(after_ctx, self.trials) == before == negativity_check(ctx, self.trials)

@@ -172,6 +172,26 @@ def _record(rounds: list) -> dict:
     return {"sizes": sizes, "field2d_applications": rounds[0]["field2d_applications"]}
 
 
+def source_dirs(sources: list) -> dict:
+    """``{label: directory}`` from ``LABEL=DIR`` arguments; ``change=src`` if none."""
+    pairs = (s.split("=", 1) for s in sources or [f"change={ROOT / 'src'}"])
+    return {label: str(Path(src).resolve()) for label, src in pairs}
+
+
+def alternate(sources: dict, rounds: int, run) -> dict:
+    """``run(directory, i)`` for every label's directory in each round i,
+    the order of the labels reversed every other round; results by label."""
+    results = {label: [] for label in sources}
+    for i in range(rounds):
+        for label in list(sources)[:: 1 if i % 2 == 0 else -1]:
+            results[label].append(run(sources[label], i))
+    return results
+
+
+def machine() -> str:
+    return f"{platform.machine()}, {len(os.sched_getaffinity(0))} cores, numpy {np.__version__}"
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sources", nargs="*", metavar="LABEL=DIR", help="directories holding a dhym package")
@@ -180,17 +200,16 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.worker:
         return worker(args.worker, args.first)
-    pairs = (s.split("=", 1) for s in args.sources or [f"change={ROOT / 'src'}"])
-    sources = {label: str(Path(src).resolve()) for label, src in pairs}
-    rounds = {label: [] for label in sources}
-    for i in range(ROUNDS):
-        for label in list(sources)[:: 1 if i % 2 == 0 else -1]:
-            cmd = [sys.executable, __file__, "--worker", sources[label]] + ["--first"] * (i == 0)
-            out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
-            rounds[label].append(json.loads(out.splitlines()[-1]))
+
+    def run(src, i):
+        cmd = [sys.executable, __file__, "--worker", src] + ["--first"] * (i == 0)
+        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    rounds = alternate(source_dirs(args.sources), ROUNDS, run)
     doc = {
         "benchmark": "linearized_ops._solve_elliptic",
-        "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} cores, numpy {np.__version__}",
+        "machine": machine(),
         "rounds": ROUNDS,
         "records": {label: _record(r) for label, r in rounds.items()},
     }
