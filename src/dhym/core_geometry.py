@@ -43,12 +43,29 @@ __all__ = [
 
 
 def _as_sym(m, name: str) -> np.ndarray:
+    """``m`` as a float array of square matrices, symmetrized.
+
+    Accepted when every entry equals its transpose entry or, with every
+    entry finite, lies within 1e-12 max(1, max |m|) of it: equal
+    infinities pass, an infinity against anything else or a nan fails, and
+    an empty stack passes.  Entry by entry this is ``np.allclose(m, m^T,
+    rtol=0, atol=1e-12 max(1, max |m|))``, computed in one pass over the
+    gap and without its "atol is not valid" warning for infinite entries.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    if not np.allclose(m, np.swapaxes(m, -1, -2), rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.abs(m).max(initial=0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.abs(m - mt)  # nan where inf meets inf, or at a nan
+    if np.isfinite(scale):
+        symmetric = gap.max(initial=0.0) <= 1e-12 * max(1.0, scale)
+    else:  # an infinite entry, or a nan (scale is nan, and every test fails)
+        symmetric = scale == np.inf and bool(((m == mt) | np.isfinite(gap)).all())
+    if not symmetric:
         raise DimensionMismatch(f"{name} must be symmetric")
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + mt)
 
 
 def _inv_sqrt_spd(v: np.ndarray, name: str = "v") -> np.ndarray:
@@ -127,17 +144,39 @@ class SpectralData:
 def pencil_eigenvalues(v, f) -> np.ndarray:
     """Eigenvalues of v^{-1} F, ascending (the pencil det(F - lambda v) = 0).
 
-    Computed through the symmetric similarity v^{-1/2} F v^{-1/2}, so the
-    result is real by construction.  Works on single matrices or on stacked
-    matrix fields of shape (..., n, n).
+    Computed through the symmetric similarity S = R F R, R = v^{-1/2}, so
+    the result is real by construction.  Works on single matrices or on
+    stacked matrix fields of shape (..., n, n).
+
+    For n = 2 everything is closed form, with no LAPACK call:
+    R = adj(v + s I) / (s t) with s = sqrt(det v) and t = sqrt(tr v + 2 s)
+    (since (v + s I)^2 = t^2 v), and the eigenvalues of the symmetric 2x2 S
+    are (S00 + S11)/2 -+ hypot((S00 - S11)/2, S01).  The roots of the
+    quadratic det(F - lambda v) = 0 are not used: its discriminant cancels,
+    and near a double eigenvalue they keep only half the digits.  For other
+    n, R comes from ``eigh`` and S goes to ``eigvalsh``.
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
     if v.shape[-1] != f.shape[-1]:
         raise DimensionMismatch(f"dimension mismatch: v is {v.shape}, F is {f.shape}")
-    r = _inv_sqrt_spd(v)
-    sym = r @ f @ r
-    return np.linalg.eigvalsh(sym)
+    if v.shape[-1] != 2:
+        r = _inv_sqrt_spd(v)
+        return np.linalg.eigvalsh(r @ f @ r)
+    det, tr = _det2(v), v[..., 0, 0] + v[..., 1, 1]
+    if not ((det > 0.0).all() and (tr > 0.0).all()):
+        lowest = 0.5 * tr - np.hypot(0.5 * (v[..., 0, 0] - v[..., 1, 1]), v[..., 0, 1])
+        raise NonPositiveMetric(f"v has a nonpositive eigenvalue ({lowest.min():g})")
+    s = np.sqrt(det)
+    st = s * np.sqrt(tr + 2.0 * s)
+    r00, r01, r11 = (v[..., 1, 1] + s) / st, -v[..., 0, 1] / st, (v[..., 0, 0] + s) / st
+    f00, f01, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1]
+    # R F, then (R F) R; S is symmetric, so S10 is not formed
+    a00, a01 = r00 * f00 + r01 * f01, r00 * f01 + r01 * f11
+    a10, a11 = r01 * f00 + r11 * f01, r01 * f01 + r11 * f11
+    s00, s01, s11 = a00 * r00 + a01 * r01, a00 * r01 + a01 * r11, a10 * r01 + a11 * r11
+    mid, rad = 0.5 * (s00 + s11), np.hypot(0.5 * (s00 - s11), s01)
+    return np.stack((mid - rad, mid + rad), axis=-1)
 
 
 def phase_radius(lambdas) -> SpectralData:
@@ -207,7 +246,7 @@ def _check_spd2(v: np.ndarray) -> None:
         raise DimensionMismatch("surface operations expect 2x2 matrices")
     det = _det2(v)
     tr = v[..., 0, 0] + v[..., 1, 1]
-    if det.min() <= 0.0 or tr.min() <= 0.0:
+    if not ((det > 0.0).all() and (tr > 0.0).all()):  # an empty stack passes
         raise NonPositiveMetric("metric field is not positive definite everywhere")
 
 

@@ -92,7 +92,8 @@ class LinearizedContext:
     ``u_inv`` (N, N, 2, 2) is a view of the contiguous ``_u_inv_fields``
     (2, 2, N, N).  The elliptic solve's data is built here too: ``_dk``, the
     first-derivative multipliers 2 pi i k (Nyquist index dropped), and the
-    preconditioner's weight W and symbol S (``_precondition``).
+    preconditioner's weight W and symbol S (``_precondition``), with -2 pi i k
+    and (-1)^i for ``_operator``.
 
     So are the background-only fields of ``apply_L``, on first use: grad phi
     and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
@@ -115,6 +116,8 @@ class LinearizedContext:
     u_inv: np.ndarray = field(init=False)
     _u_inv_fields: np.ndarray = field(init=False, repr=False)
     _dk: np.ndarray = field(init=False, repr=False)
+    _neg_dk: np.ndarray = field(init=False, repr=False)
+    _alternating: np.ndarray = field(init=False, repr=False)
     _weight: np.ndarray = field(init=False, repr=False)
     _symbol: np.ndarray = field(init=False, repr=False)
     _rayleigh: dict = field(init=False, repr=False, default_factory=dict)
@@ -141,6 +144,8 @@ class LinearizedContext:
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
         n, k = self.n, np.arange(self.n // 2 + 1)
         self._dk = np.where(2 * k < n, 2j * np.pi * k, 0.0)
+        self._neg_dk = -self._dk
+        self._alternating = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^i
         # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1;
         # S is the symbol of mean(a^{ij}), W = (det u^{ij})^(-1/4) = det^(1/4)
         self._weight = det**0.25
@@ -176,37 +181,52 @@ class LinearizedContext:
         of f along each axis gives grad f and, from its Nyquist row or column,
         P f, which fills the Nyquist bins the divergence multipliers drop."""
         n, h = self.n, self.n // 2
-        dx, dy = self._dk[:, None], self._dk
         fx, fy = np.fft.rfft(f, axis=-2), np.fft.rfft(f, axis=-1)
         if n % 2 == 0:
             # P = Px + Py (1 - Px): with a = (-1)^i, n Px f = a x (a . f) and
             # n Py (1 - Px) f = (f . a - a (a . f . a) / n) x a
-            a = 1.0 - 2.0 * (np.arange(n) % 2)
+            a = self._alternating
             corner = (fx[..., h, :].real @ a) / n
             nyquist = penalty * fx[..., h, :], penalty * (fy[..., h] - corner[..., None] * a)
-        fx *= dx  # in place, to hold fewer N x N temporaries
-        fy *= dy
+        fx *= self._dk[:, None]  # in place, to hold fewer N x N temporaries
+        fy *= self._dk
         gx, gy = np.fft.irfft(fx, n=n, axis=-2), np.fft.irfft(fy, n=n, axis=-1)
         del fx, fy
         (uxx, uxy), (_, uyy) = self._u_inv_fields
-        sx = np.fft.rfft(uxx * gx + uxy * gy, axis=-2) * -dx
-        sy = np.fft.rfft(uxy * gx + uyy * gy, axis=-1) * -dy
+        sx = np.fft.rfft(uxx * gx + uxy * gy, axis=-2)
+        sx *= self._neg_dk[:, None]
+        sy = np.fft.rfft(uxy * gx + uyy * gy, axis=-1)
+        sy *= self._neg_dk
         if n % 2 == 0:
             sx[..., h, :], sy[..., h] = nyquist
-        return np.fft.irfft(sx, n=n, axis=-2) + np.fft.irfft(sy, n=n, axis=-1)
+        out = np.fft.irfft(sx, n=n, axis=-2)
+        out += np.fft.irfft(sy, n=n, axis=-1)
+        return out
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r = Pi W S^-1 (W r) of a field or a stack, Pi the removal of
         the mean (S^-1 zeroes the mean mode).  Symmetric positive definite on
-        mean-zero fields, since W > 0."""
-        z = self._weight * np.fft.irfft2(np.fft.rfft2(self._weight * r) / self._symbol, s=r.shape[-2:])
-        return z - z.mean(axis=(-2, -1), keepdims=True)
+        mean-zero fields, since W > 0.  The rfft2 pair is written as its
+        per-axis calls, in the order numpy's ``rfft2`` / ``irfft2`` make them."""
+        n = self.n
+        spec = np.fft.fft(np.fft.rfft(self._weight * r, axis=-1), axis=-2)
+        spec /= self._symbol
+        z = np.fft.irfft(np.fft.ifft(spec, axis=-2), n=n, axis=-1)
+        z *= self._weight
+        z -= _field_means(z)
+        return z
 
     def degree_defect(self) -> float:
         """Sup-deviation of u_ij B_ij + Delta(phi) from its mean; zero for a
         consistent background."""
         lhs = np.einsum("...ij,ij->...", self.u_hess, self.b_matrix) + self.laplacian(self.phi)
         return float(np.abs(lhs - lhs.mean()).max())
+
+
+def _field_means(f: np.ndarray) -> np.ndarray:
+    """The mean of each field of a stack (last two axes), kept as (..., 1, 1);
+    the sum and division of ``ndarray.mean``, so bit for bit its value."""
+    return np.add.reduce(f, axis=(-2, -1), keepdims=True) / (f.shape[-2] * f.shape[-1])
 
 
 def _nyquist_penalty(n: int) -> float:
@@ -255,12 +275,13 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     x, converged = _pcg(
         lambda p: ctx._operator(p, penalty),
         ctx._precondition,
-        -(stack - stack.mean(axis=(-2, -1), keepdims=True)),
+        -(stack - _field_means(stack)),
         SingularElliptic,
     )
     if not converged.all():
         raise SingularElliptic("elliptic solve failed to converge")
-    return (x - x.mean(axis=(-2, -1), keepdims=True)).reshape(rhs.shape)
+    x -= _field_means(x)
+    return x.reshape(rhs.shape)
 
 
 def _tangent(ctx: LinearizedContext, udot):

@@ -278,13 +278,11 @@ def inner(f: np.ndarray, g: np.ndarray) -> float:
     return float((f * g).mean())
 
 
-def _inner_cols(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``inner`` of each column (first axis) of two stacks."""
-    return (f * g).reshape(len(f), -1).mean(axis=1)
-
-
-def _sup_cols(f: np.ndarray) -> np.ndarray:
-    return np.abs(f).reshape(len(f), -1).max(axis=1)
+def _col_means(f: np.ndarray) -> np.ndarray:
+    """Mean of each column (first axis) of a stack, by the sum and division
+    ``ndarray.mean`` does, so bit for bit its value."""
+    cols = f.reshape(len(f), -1)
+    return np.add.reduce(cols, axis=1) / cols.shape[1]
 
 
 def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
@@ -301,36 +299,47 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
     converged a (K,) bool array; a column still active after ``_CG_MAXITER``
     steps keeps its last iterate.  A zero column gives zeros, and
     ``p . Ap <= 0`` in any column raises ``singular``.
+
+    The loop owns x, r, p and one scratch stack and updates them in place;
+    it never writes into ``rhs`` or into an array that ``operator`` or
+    ``precondition`` returned, so those may be read-only or shared.  Each
+    update does the arithmetic of x + a p, r - a Ap and z + b p, and the
+    column products are ``ndarray.mean``'s sums, so the iterates are those
+    of the same loop written with temporaries.
     """
     x_out = np.zeros_like(rhs)
-    scale = _sup_cols(rhs)
+    scale = np.abs(rhs).reshape(len(rhs), -1).max(axis=1)
     converged = scale == 0.0
     active = np.flatnonzero(~converged)
     if not active.size:
         return x_out, converged
     cols = (slice(None),) + (None,) * (rhs.ndim - 1)  # a (K,) vector against a stack
-    r = rhs[active]
+    r = rhs[active]  # a copy, as is every fancy-indexed stack below
     x = np.zeros_like(r)
-    p = z = precondition(r)
-    rz = _inner_cols(r, z)
+    work = np.empty_like(r)
+    z = precondition(r)
+    p = np.array(z)
+    rz = _col_means(np.multiply(r, z, out=work))
     for _ in range(_CG_MAXITER):
         ap = operator(p)
-        denom = _inner_cols(p, ap)
+        denom = _col_means(np.multiply(p, ap, out=work))
         if (denom <= 0.0).any():
             raise singular("operator lost definiteness in CG (p . Ap <= 0)")
         a = (rz / denom)[cols]
-        x += a * p
-        r -= a * ap
-        done = _sup_cols(r) <= _CG_RTOL * scale[active]
+        x += np.multiply(a, p, out=work)
+        r -= np.multiply(a, ap, out=work)
+        done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
         if done.any():
             x_out[active[done]] = x[done]
             converged[active[done]] = True
             keep = ~done
             active, x, r, p, rz = active[keep], x[keep], r[keep], p[keep], rz[keep]
+            work = work[: active.size]
             if not active.size:
                 return x_out, converged
         z = precondition(r)
-        rz, rz_old = _inner_cols(r, z), rz
-        p = z + (rz / rz_old)[cols] * p
+        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
+        p *= (rz / rz_old)[cols]
+        p += z
     x_out[active] = x
     return x_out, converged

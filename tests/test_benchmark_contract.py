@@ -66,3 +66,24 @@ def test_workload_ops_pass_their_claims(monkeypatch, tmp_path):
     # the negativity check reads the Rayleigh quotients of the trials the
     # self-adjointness pass applied L to: 20 columns per battery, not 40
     assert sum(widths) == 20
+
+
+def test_field_battery_makes_no_lapack_eigen_call(monkeypatch, tmp_path):
+    # the 2x2 pencil is closed form and the symmetry test is one pass, so
+    # the field-2d battery runs with eigh, eigvalsh and allclose unavailable
+    import numpy as np
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    field = workloads.Field2d(0, tmp_path)
+    u, b = field._background(32)
+    trials = [workloads.band_limited(field.rng, 32, 3) for _ in range(20)]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("called in a field-2d battery")
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np, "allclose")):
+        monkeypatch.setattr(module, name, unavailable)
+    checks = workloads.field_battery(u, b, trials)
+    assert len(checks) == 6 and all(passed for passed, claim in checks.values() if claim), checks

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from dhym import (
     surface_ma_check,
     torus_constant_phase,
 )
+from dhym.core_geometry import _as_sym
 from dhym.errors import (
     DimensionMismatch,
     NonPositiveMetric,
@@ -91,6 +94,151 @@ class TestPencilEigenvalues:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pencil_eigenvalues(np.eye(2), np.eye(3))
+
+
+def eigh_oracle(v, f):
+    """The LAPACK route: v^{-1/2} from ``eigh``, then ``eigvalsh``."""
+    w, q = np.linalg.eigh(v)
+    r = np.einsum("...ij,...j,...kj->...ik", q, 1.0 / np.sqrt(w), q)
+    return np.linalg.eigvalsh(r @ f @ r)
+
+
+def rotated_spd(rng, size, cond):
+    """2x2 SPD matrices with eigenvalues l and l * cond in random axes."""
+    th = rng.uniform(0.0, np.pi, size)
+    c, s = np.cos(th), np.sin(th)
+    q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    low = rng.uniform(0.2, 2.0, size)
+    return np.einsum("...ij,...j,...kj->...ik", q, np.stack([low, low * cond], -1), q)
+
+
+def sym_field(rng, size, bound=1.0):
+    m = rng.uniform(-bound, bound, size + (2, 2))
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+class TestClosedFormPencil:
+    """The n = 2 closed form against the eigh route, relative to max(1, |lambda|).
+
+    Each bound is 4x the largest error over five seeds of the case; the
+    error grows like eps * cond(v) for both routes (against 50-digit roots
+    at cond 1e8, 3.2e-9 for the closed form and 4.9e-9 for eigh)."""
+
+    @pytest.mark.parametrize(
+        "case, bound",
+        [
+            ("random", 6.4e-15),
+            ("cond1e2", 7.1e-14),
+            ("cond1e4", 6.5e-12),
+            ("cond1e6", 7.0e-10),
+            ("cond1e8", 6.2e-8),
+            ("near_double", 8.9e-15),
+            ("zero_F", 0.0),
+            ("diagonal_F", 6.5e-15),
+        ],
+    )
+    def test_against_eigh(self, case, bound):
+        rng = np.random.default_rng([0, 17])
+        size = (2000,)
+        if case == "random":
+            v, f = rotated_spd(rng, size, rng.uniform(1.0, 10.0, size)), sym_field(rng, size)
+        elif case.startswith("cond"):
+            v, f = rotated_spd(rng, size, float(case[4:])), sym_field(rng, size)
+        else:
+            v = rotated_spd(rng, size, rng.uniform(1.0, 10.0, size))
+            f = {
+                # F = c v + 1e-9 sym: the two eigenvalues are c to within 1e-9
+                "near_double": lambda: rng.uniform(-3.0, 3.0, size)[:, None, None] * v + 1e-9 * sym_field(rng, size),
+                "zero_F": lambda: np.zeros_like(v),
+                "diagonal_F": lambda: sym_field(rng, size) * np.eye(2),
+            }[case]()
+        lam, ref = pencil_eigenvalues(v, f), eigh_oracle(v, f)
+        assert lam.shape == ref.shape == (2000, 2)
+        assert (np.diff(lam, axis=-1) >= 0.0).all()
+        assert (np.abs(lam - ref) / np.maximum(1.0, np.abs(ref))).max() <= bound
+
+    def test_field_shape(self, rng):
+        v = rotated_spd(rng, (8, 8), rng.uniform(1.0, 10.0, (8, 8)))
+        f = sym_field(rng, (8, 8))
+        lam = pencil_eigenvalues(v, f)
+        assert lam.shape == (8, 8, 2)
+        assert np.abs(lam - eigh_oracle(v, f)).max() <= 1e-14 * max(1.0, np.abs(lam).max())
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.diag([1.0, -1.0]),  # det < 0
+            -np.eye(2),  # det > 0, tr < 0
+            np.ones((2, 2)),  # det = 0
+            np.stack([np.eye(2), np.eye(2), np.diag([2.0, -0.5])]),  # one bad point
+        ],
+    )
+    def test_rejects_non_spd_metric(self, v):
+        with pytest.raises(NonPositiveMetric, match=r"^v has a nonpositive eigenvalue \(-?[0-9.e+-]+\)$"):
+            pencil_eigenvalues(v, np.zeros_like(v))
+
+    def test_message_form_matches_general_route(self):
+        # the n = 3 route reports the lowest eigenvalue of v the same way
+        messages = []
+        for v in (np.diag([2.0, -0.5]), np.diag([2.0, -0.5, 1.0])):
+            with pytest.raises(NonPositiveMetric) as info:
+                pencil_eigenvalues(v, np.zeros_like(v))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "v has a nonpositive eigenvalue (-0.5)"
+
+    def test_empty_stacks(self):
+        empty = np.zeros((0, 2, 2))
+        assert pencil_eigenvalues(empty, empty).shape == (0, 2)
+        im, re = dhym_residual_surface(empty, empty, Phase(cos=1.0, sin=0.0))
+        assert im.shape == re.shape == (0,)
+
+
+def old_symmetry_rule(m) -> bool:
+    """The symmetry test of ``_as_sym`` before it was rewritten, warnings
+    silenced (it warns on infinite entries)."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        atol = 1e-12 * max(1.0, np.abs(m).max())
+        return bool(np.allclose(m, np.swapaxes(m, -1, -2), rtol=0.0, atol=atol))
+
+
+def _symmetry_case(shape, kind):
+    rng = np.random.default_rng([len(shape), shape[-1]])
+    m = rng.uniform(-3.0, 3.0, shape)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    at = (0,) * (len(shape) - 2) if len(shape) == 2 else (3, 5)
+    upper, lower = at + (0, shape[-1] - 1), at + (shape[-1] - 1, 0)
+    atol = 1e-12 * max(1.0, np.abs(m).max())
+    if kind.startswith("gap"):
+        m[upper] += float(kind[3:]) * atol
+    elif kind == "symmetric_inf":
+        m[upper] = m[lower] = np.inf
+        m[at + (0, 0)] = -np.inf
+    elif kind == "inf_vs_finite":
+        m[upper] = np.inf
+    elif kind == "nan":
+        m[at + (0, 0)] = np.nan
+    return m
+
+
+class TestSymmetryRule:
+    """``_as_sym`` accepts what the allclose rule accepted, without its warnings."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8, 2, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["exact", "gap0.5", "gap2", "symmetric_inf", "inf_vs_finite", "nan"])
+    def test_parity_with_allclose_rule(self, shape, kind):
+        m = _symmetry_case(shape, kind)
+        expected = {"exact": True, "gap0.5": True, "gap2": False, "symmetric_inf": True}.get(kind, False)
+        assert old_symmetry_rule(m) is expected
+        if expected:
+            out = _as_sym(m, "m")
+            assert np.array_equal(out, 0.5 * (m + np.swapaxes(m, -1, -2)))
+        else:
+            with pytest.raises(DimensionMismatch, match="m must be symmetric"):
+                _as_sym(m, "m")
+
+    def test_empty_stack(self):
+        assert _as_sym(np.zeros((0, 2, 2)), "m").shape == (0, 2, 2)
 
 
 class TestPhaseRadius:

@@ -282,6 +282,57 @@ class TestFusedOperator:
             assert counts[1] <= counts[0] - saved, counts
 
 
+def read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestPcgOwnership:
+    """``_pcg`` updates only the arrays it owns: a read-only rhs, and an
+    operator and a preconditioner that return read-only arrays, give the
+    same bits as writable ones."""
+
+    def test_elliptic_stack(self):
+        n = 32
+        ctx = make_consistent_context(hessian_scaled_background(n, 2, 0.3), B_REF)
+        penalty = linearized_ops._nyquist_penalty(n)
+        # columns of different sizes leave the active set at different steps
+        rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=60 + i)) * 10.0**-i for i in range(3)])
+        rhs -= rhs.mean(axis=(-2, -1), keepdims=True)
+        runs = [
+            _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, rhs.copy(), SingularElliptic),
+            _pcg(
+                lambda p: read_only(ctx._operator(p, penalty)),
+                lambda r: read_only(ctx._precondition(r)),
+                read_only(rhs),
+                SingularElliptic,
+            ),
+        ]
+        (x, converged), (x_ro, converged_ro) = runs
+        assert converged.all() and converged_ro.all()
+        assert np.array_equal(x, x_ro)
+
+    def test_newton_step(self):
+        # the ode_solver Newton step shares the loop and its contract
+        from dhym.ode_solver import LinearizedOde
+        from dhym.spectral import grid
+
+        x = grid(128)
+        jac = LinearizedOde(k1=0.7, inv2=(1.0 + 0.3 * np.cos(2 * np.pi * x)) ** -2.0)
+        diag = 0.25 * (2.0 * np.pi * np.arange(65)) ** 2 + jac.k1 * jac.inv2.mean()
+        diag[0] = np.inf
+        precondition = lambda r: np.fft.irfft(np.fft.rfft(r) / diag, n=128)
+        raw = np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x)
+        rhs = raw - raw.mean()  # as LinearizedOde.solve hands it to the loop
+        writable, _ = _pcg(jac.apply, precondition, rhs[None].copy(), SingularElliptic)
+        frozen, _ = _pcg(
+            lambda p: read_only(jac.apply(p)), lambda r: read_only(precondition(r)), read_only(rhs[None]), SingularElliptic
+        )
+        assert np.array_equal(writable, frozen)
+        assert np.array_equal(writable[0], jac.solve(raw))
+
+
 class TestApplyL:
     def test_zero(self):
         ctx = flat_context(32)
