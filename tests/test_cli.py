@@ -143,6 +143,35 @@ def test_lincheck_applies_L_once_per_trial(tmp_path, monkeypatch):
     assert sum(widths) == 20
 
 
+def full_grid_trials(n, count, seed, mode_limit):
+    """The lincheck trials as full-grid cosines and sines, in the draw order
+    of ``_band_limited_trials``."""
+    from dhym.spectral import grid2
+
+    rng = np.random.default_rng(seed)
+    x, y = grid2(n)
+    for _ in range(count):
+        f = np.zeros((n, n))
+        for kx in range(0, mode_limit + 1):
+            for ky in range(-mode_limit, mode_limit + 1):
+                if kx == 0 and ky <= 0:
+                    continue
+                f += rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y))
+                f += rng.normal() * np.sin(2 * np.pi * (kx * x + ky * y))
+        yield f
+
+
+@pytest.mark.parametrize("n", [16, 25, 32])
+@pytest.mark.parametrize("mode_limit", [1, 2, 3])
+def test_lincheck_trials_from_axis_tables(n, mode_limit):
+    from dhym.cli import _band_limited_trials
+
+    pairs = zip(full_grid_trials(n, 6, 40 + n, mode_limit), _band_limited_trials(n, 6, 40 + n, mode_limit), strict=True)
+    for ref, trial in pairs:
+        assert trial.shape == (n, n)
+        assert np.abs(trial - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_limits_command(tmp_path):
     cfg = {
         "regime": "large_radius",
