@@ -469,8 +469,9 @@ def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int):
         coeff[kx, col] = a - 1j * b
         # einsum, not a BLAS matmul: the product is small, and the first gemm
         # of a process touches its work buffers (0.3 MB of the peak RSS of
-        # `dhym lincheck` at N = 16)
-        yield np.einsum("il,lj->ij", np.einsum("ki,kl->il", table[m:], coeff), table).real
+        # `dhym lincheck` at N = 16).  The copy drops the complex product,
+        # which a view of its real part would keep alive with the trial.
+        yield np.einsum("il,lj->ij", np.einsum("ki,kl->il", table[m:], coeff), table).real.copy()
 
 
 def _cmd_lincheck(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):

@@ -206,8 +206,9 @@ class LinearizedContext:
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r = Pi W S^-1 (W r) of a field or a stack, Pi the removal of
         the mean (S^-1 zeroes the mean mode).  Symmetric positive definite on
-        mean-zero fields, since W > 0.  The rfft2 pair is written as its
-        per-axis calls, in the order numpy's ``rfft2`` / ``irfft2`` make them."""
+        mean-zero fields, since W > 0.  ``rfft2`` / ``irfft2`` are spelled as
+        the per-axis calls they make, in their order: the same bits without
+        the n-d wrappers' Python overhead."""
         n = self.n
         spec = np.fft.fft(np.fft.rfft(self._weight * r, axis=-1), axis=-2)
         spec /= self._symbol

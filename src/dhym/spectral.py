@@ -317,9 +317,8 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
     r = rhs[active]  # a copy, as is every fancy-indexed stack below
     x = np.zeros_like(r)
     work = np.empty_like(r)
-    z = precondition(r)
-    p = np.array(z)
-    rz = _col_means(np.multiply(r, z, out=work))
+    p = np.array(precondition(r))
+    rz = _col_means(np.multiply(r, p, out=work))
     for _ in range(_CG_MAXITER):
         ap = operator(p)
         denom = _col_means(np.multiply(p, ap, out=work))
@@ -341,5 +340,6 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
         rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
         p *= (rz / rz_old)[cols]
         p += z
+        del z, ap  # the operator's temporaries peak next; hold only x, r, p and work
     x_out[active] = x
     return x_out, converged
