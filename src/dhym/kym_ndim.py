@@ -93,14 +93,16 @@ def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
 
     u^{ij} is the inverse Hessian; all derivatives are spectral.  The result
     has zero mean (it agrees with the divergence form built on the cofactor
-    matrix, whose rows are divergence free).
+    matrix, whose rows are divergence free).  The derivatives act on
+    u^{ij} - delta^{ij}: a dense ``partial2`` does not send the constant
+    delta^{ij} to exactly zero, and the flat potential must give zero.
     """
     phi_field = _check_field2d(phi_field, "phi")
     uinv = _inverse22(_hessian_of_potential(phi_field))
     return (
-        partial2(uinv[..., 0, 0], 2, 0)
+        partial2(uinv[..., 0, 0] - 1.0, 2, 0)
         + 2.0 * partial2(uinv[..., 0, 1], 1, 1)
-        + partial2(uinv[..., 1, 1], 0, 2)
+        + partial2(uinv[..., 1, 1] - 1.0, 0, 2)
     )
 
 

@@ -90,10 +90,11 @@ class LinearizedContext:
     """Background data; Hessian and inverse-Hessian fields precomputed.
 
     ``u_inv`` (N, N, 2, 2) is a view of the contiguous ``_u_inv_fields``
-    (2, 2, N, N).  The elliptic solve's data is built here too: ``_dk``, the
-    first-derivative multipliers 2 pi i k (Nyquist index dropped), and the
-    preconditioner's weight W and symbol S (``_precondition``), with -2 pi i k
-    and (-1)^i for ``_operator``.
+    (2, 2, N, N), so each of its entry fields is contiguous.  The elliptic
+    solve's data is built here too: the preconditioner's weight W and symbol
+    S (``_precondition``), and (-1)^i for the Nyquist projector of
+    ``_operator``.  The operator itself is the ``partial2`` composition of
+    ``laplacian`` and keeps no multipliers of its own.
 
     So are the background-only fields of ``apply_L``, on first use: grad phi
     and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
@@ -115,8 +116,6 @@ class LinearizedContext:
     u_hess: np.ndarray = field(init=False)
     u_inv: np.ndarray = field(init=False)
     _u_inv_fields: np.ndarray = field(init=False, repr=False)
-    _dk: np.ndarray = field(init=False, repr=False)
-    _neg_dk: np.ndarray = field(init=False, repr=False)
     _alternating: np.ndarray = field(init=False, repr=False)
     _weight: np.ndarray = field(init=False, repr=False)
     _symbol: np.ndarray = field(init=False, repr=False)
@@ -142,9 +141,7 @@ class LinearizedContext:
         self.u_hess = hess
         self._u_inv_fields = np.moveaxis(_adj2(hess) / det[..., None, None], (-2, -1), (0, 1)).copy()
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
-        n, k = self.n, np.arange(self.n // 2 + 1)
-        self._dk = np.where(2 * k < n, 2j * np.pi * k, 0.0)
-        self._neg_dk = -self._dk
+        n = self.n
         self._alternating = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^i
         # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1;
         # S is the symbol of mean(a^{ij}), W = (det u^{ij})^(-1/4) = det^(1/4)
@@ -173,34 +170,26 @@ class LinearizedContext:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Divergence-form operator d_i(u^{ij} d_j f), of a field or a stack."""
-        return -self._operator(f, 0.0)
+        return _divergence(*_mv(self.u_inv, *_gradient(f)))
 
     def _operator(self, f: np.ndarray, penalty: float) -> np.ndarray:
-        """-(Delta + sigma P) f, sigma = -penalty, of a field or a stack; P
-        projects onto the modes with a Nyquist index in either axis.  One rfft
-        of f along each axis gives grad f and, from its Nyquist row or column,
-        P f, which fills the Nyquist bins the divergence multipliers drop."""
-        n, h = self.n, self.n // 2
-        fx, fy = np.fft.rfft(f, axis=-2), np.fft.rfft(f, axis=-1)
+        """-(Delta + sigma P) f, sigma = -penalty, of a field or a stack: the
+        negated ``laplacian`` plus penalty P f, P the projection onto the
+        modes with a Nyquist index in either axis.  P f = Px f + Py f -
+        Px f Py, formed from the products of f with a = (-1)^i."""
+        out = self.laplacian(f)
+        np.negative(out, out=out)
+        n = self.n
         if n % 2 == 0:
-            # P = Px + Py (1 - Px): with a = (-1)^i, n Px f = a x (a . f) and
-            # n Py (1 - Px) f = (f . a - a (a . f . a) / n) x a
+            # n Px f = a x (a . f) and n Py (1 - Px) f = (f . a - a (a . f . a) / n) x a,
+            # their sum one rank-2 product [a, cols] @ [rows; a]
             a = self._alternating
-            corner = (fx[..., h, :].real @ a) / n
-            nyquist = penalty * fx[..., h, :], penalty * (fy[..., h] - corner[..., None] * a)
-        fx *= self._dk[:, None]  # in place, to hold fewer N x N temporaries
-        fy *= self._dk
-        gx, gy = np.fft.irfft(fx, n=n, axis=-2), np.fft.irfft(fy, n=n, axis=-1)
-        del fx, fy
-        (uxx, uxy), (_, uyy) = self._u_inv_fields
-        sx = np.fft.rfft(uxx * gx + uxy * gy, axis=-2)
-        sx *= self._neg_dk[:, None]
-        sy = np.fft.rfft(uxy * gx + uyy * gy, axis=-1)
-        sy *= self._neg_dk
-        if n % 2 == 0:
-            sx[..., h, :], sy[..., h] = nyquist
-        out = np.fft.irfft(sx, n=n, axis=-2)
-        out += np.fft.irfft(sy, n=n, axis=-1)
+            rows = a @ f
+            cols = f @ a - ((rows @ a) / n)[..., None] * a
+            rows *= penalty / n
+            cols *= penalty / n
+            a = np.broadcast_to(a, rows.shape)
+            out += np.stack((a, cols), axis=-1) @ np.stack((rows, a), axis=-2)
         return out
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ All functions in the package work with smooth 1-periodic data sampled on the
 uniform grid ``x_k = k/N``.  Derivatives are computed in Fourier space, so
 smooth data is differentiated with spectral accuracy; this is what makes the
 1e-8 .. 1e-12 identity tolerances used throughout realistic at moderate grid
-sizes.
+sizes.  On small 2-d grids ``partial2`` applies the same derivative as a
+product with its dense matrix, which agrees with the FFT to roundoff.
 
 One rule, ``_chop``, decides which Fourier bins are roundoff on every
 stabilized path: the trailing tail whose envelope has fallen to 64 eps of the
@@ -15,6 +16,7 @@ largest bin (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,8 +105,8 @@ def spectral_derivative(
     factor = (2j * np.pi * k) ** order
     if order % 2 == 1 and n % 2 == 0:
         factor[-1] = 0.0
-    factor = factor.reshape((-1,) + (1,) * (samples.ndim - 1 - axis % samples.ndim))  # along axis
-    return np.fft.irfft(coeff * factor, n=n, axis=axis)
+    coeff *= factor.reshape((-1,) + (1,) * (samples.ndim - 1 - axis % samples.ndim))  # along axis
+    return np.fft.irfft(coeff, n=n, axis=axis)
 
 
 def second_antiderivative(samples: np.ndarray) -> np.ndarray:
@@ -239,17 +241,58 @@ def grid2(n: int):
     return np.meshgrid(x, x, indexing="ij")
 
 
+#: Largest grid size whose ``partial2`` derivatives are dense matrix products.
+#: Median ms of one ``apply_L`` of a stack of K = max(1, 2^13 / N^2) trials
+#: on a field-2d-like background, each axis by FFT or by dense product,
+#: alternated in one process (2-core x86-64 with AVX-512, OpenBLAS 0.3.31,
+#: one thread, numpy 2.4):
+#:
+#:     N     K   FFT    dense
+#:     32    8   12.6    6.4
+#:     64    2   13.0    8.1
+#:     128   1   19.6   15.5
+#:     256   1   79.4   86.3
+#:     512   1   536    623
+_DENSE_MAX_N = 128
+
+
+@lru_cache(maxsize=None)
+def _diff_matrix(n: int, order: int) -> np.ndarray:
+    """The n x n matrix D of ``spectral_derivative`` of ``order``: D @ f is
+    the derivative of the samples f along their first axis.
+
+    D is the FFT path applied to the identity, then made exactly
+    skew-symmetric (odd order) or exactly symmetric (even order), as the
+    exact matrix is (Trefethen, Spectral Methods in MATLAB, SIAM 2000,
+    ch. 3).  Read-only and cached per (n, order).  Its row sums are roundoff,
+    not zero, so D does not send a constant to exactly zero: differentiate
+    the deviation from a constant when the exact zero matters.
+    """
+    d = spectral_derivative(np.eye(n), order, axis=0)
+    d = 0.5 * (d - d.T) if order % 2 else 0.5 * (d + d.T)
+    d.setflags(write=False)
+    return d
+
+
 def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Mixed spectral partial derivative of a doubly periodic field.
 
     The field lies on the last two axes, shape (..., n, n); x is axis -2 and
-    y axis -1, and any leading axes are a stack of fields.
+    y axis -1, and any leading axes are a stack of fields.  Up to
+    ``_DENSE_MAX_N`` points per axis an axis is differentiated as a product
+    with the dense matrix of ``_diff_matrix``, D @ f along x and f @ D^T
+    along y: at these sizes one BLAS product costs less than the FFT pair it
+    replaces, and agrees with it to roundoff.  Larger axes take the FFT
+    (``spectral_derivative``).  On the dense path a constant field has a
+    roundoff derivative, not an exact zero.
     """
     out = np.asarray(field_samples, dtype=float)
     if dx:
-        out = spectral_derivative(out, order=dx, axis=-2)
+        n = out.shape[-2]
+        out = _diff_matrix(n, dx) @ out if n <= _DENSE_MAX_N else spectral_derivative(out, order=dx, axis=-2)
     if dy:
-        out = spectral_derivative(out, order=dy)
+        n = out.shape[-1]
+        out = out @ _diff_matrix(n, dy).T if n <= _DENSE_MAX_N else spectral_derivative(out, order=dy)
     return out
 
 

@@ -134,6 +134,15 @@ def test_lincheck_command(tmp_path):
     assert manifest["results"]["negativity_max_rayleigh"] <= 1e-8
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_flat_lincheck_degree_defect_is_exact(tmp_path, n):
+    # the flat background's bundle potential is zero, and the derivatives of
+    # a zero field are exact zeros on the dense path too
+    cfg = {"grid": n, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "trials": 2}
+    assert main(["lincheck", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["results"]["degree_defect"] == 0.0
+
+
 def test_lincheck_applies_L_once_per_trial(tmp_path, monkeypatch):
     from conftest import count_columns
 

@@ -35,6 +35,12 @@ class TestAbreuOperator:
     def test_flat(self):
         assert np.abs(abreu_operator(np.zeros((32, 32)))).max() == 0.0
 
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_flat_on_both_derivative_paths(self, n):
+        # dense products below the crossover, FFTs above: u^{ij} - delta^{ij}
+        # is differentiated, so the flat potential gives exact zeros on both
+        assert not abreu_operator(np.zeros((n, n))).any()
+
     def test_separable_matches_1d(self):
         n = 64
         x1 = grid(n)

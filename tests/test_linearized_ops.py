@@ -188,7 +188,7 @@ class TestEllipticSolve:
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_laplacian_applications_per_solve(self, n, monkeypatch):
-        # the CG applies the fused kernel -(Delta + sigma P), not laplacian
+        # the CG applies -(Delta + sigma P), ``_operator``
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         calls = []
         operator = LinearizedContext._operator
@@ -280,6 +280,67 @@ class TestFusedOperator:
                 assert converged.all()
                 counts.append(len(calls))
             assert counts[1] <= counts[0] - saved, counts
+
+
+FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def count_fft_calls(monkeypatch):
+    """Count the calls of the numpy.fft transforms; returns the list of the
+    names called and a flag list whose first entry switches counting."""
+    calls, counting = [], [True]
+    for name in FFT_FUNCTIONS:
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            if counting[0]:
+                calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls, counting
+
+
+class TestFftCounts:
+    """Up to ``_DENSE_MAX_N`` the CG operator and apply_L differentiate by
+    dense products; the preconditioner's four transforms are the only FFTs."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_operator_and_apply_L_make_no_fft_call(self, n, monkeypatch):
+        ctx = make_consistent_context(hessian_scaled_background(n, 3, 0.1), B_REF)
+        trials = np.array([band_limited(n, seed=70), band_limited(n, seed=71)])
+        calls, counting = count_fft_calls(monkeypatch)
+        precondition = LinearizedContext._precondition
+
+        def uncounted(self, r):
+            counting[0] = False
+            try:
+                return precondition(self, r)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(LinearizedContext, "_precondition", uncounted)
+        ctx._operator(trials, linearized_ops._nyquist_penalty(n))
+        assert calls == []
+        apply_L(ctx, trials)  # builds the cached coefficients too
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_four_fft_calls_per_cg_step(self, n, monkeypatch):
+        ctx = make_consistent_context(hessian_scaled_background(n, 4, 0.1), B_REF)
+        rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=72 + i)) for i in range(2)])
+        calls, _ = count_fft_calls(monkeypatch)
+        steps = []
+        operator = LinearizedContext._operator
+
+        def counted(self, f, penalty):
+            steps.append(1)
+            return operator(self, f, penalty)
+
+        monkeypatch.setattr(LinearizedContext, "_operator", counted)
+        linearized_ops._solve_elliptic(ctx, rhs)
+        assert len(steps) > 0
+        assert len(calls) == 4 * len(steps)
 
 
 def read_only(a):

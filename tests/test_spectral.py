@@ -5,7 +5,9 @@ import pytest
 
 from dhym.errors import InvalidConfig
 from dhym.spectral import (
+    _DENSE_MAX_N,
     PeriodicProfile,
+    _diff_matrix,
     _tail_chopped_second_derivative,
     grid,
     hessian2,
@@ -148,6 +150,57 @@ class TestFields2d:
         f = rng.standard_normal((32, 32))
         h = hessian2(f)
         assert (h[..., 0, 1] == h[..., 1, 0]).all()
+
+
+def fft_partial2(f, dx, dy):
+    """partial2 by the FFT along each axis: the oracle of the dense path."""
+    if dx:
+        f = spectral_derivative(f, dx, axis=-2)
+    if dy:
+        f = spectral_derivative(f, dy, axis=-1)
+    return f
+
+
+ORDERS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+# largest relative gap between the dense and the FFT derivative, measured
+# over 20 seeds of white-noise fields and stacks and the five orders
+DENSE_FLOOR = {16: 6.5e-16, 25: 9.5e-16, 32: 7.6e-16, 64: 1.3e-15, _DENSE_MAX_N: 2.0e-15}
+
+
+class TestDenseDerivatives:
+    @pytest.mark.parametrize("n", sorted(DENSE_FLOOR))
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_agrees_with_fft(self, n, shape):
+        f = np.random.default_rng(n).standard_normal(shape + (n, n))
+        for dx, dy in ORDERS:
+            ref = fft_partial2(f, dx, dy)
+            out = partial2(f, dx, dy)
+            assert out.shape == f.shape
+            assert np.abs(out - ref).max() <= 4.0 * DENSE_FLOOR[n] * np.abs(ref).max(), (dx, dy)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_fft_above_the_crossover(self, shape):
+        n = 2 * _DENSE_MAX_N
+        f = np.random.default_rng(n).standard_normal(shape + (n, n))
+        for dx, dy in ORDERS:
+            assert np.array_equal(partial2(f, dx, dy), fft_partial2(f, dx, dy))
+
+    @pytest.mark.parametrize("n", [16, 25, 32, 64, _DENSE_MAX_N])
+    def test_matrix_exactly_skew_or_symmetric(self, n):
+        for order in (1, 2, 3, 4):
+            d = _diff_matrix(n, order)
+            assert d.shape == (n, n)
+            if order % 2:
+                assert np.array_equal(d, -d.T)
+            else:
+                assert np.array_equal(d, d.T)
+
+    def test_cached_matrix_is_read_only(self):
+        d = _diff_matrix(32, 1)
+        assert d is _diff_matrix(32, 1)
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 0.0
 
 
 class TestPeriodicProfile:
