@@ -250,6 +250,14 @@ def _check_spd2(v: np.ndarray) -> None:
         raise NonPositiveMetric("metric field is not positive definite everywhere")
 
 
+def _check_points(m: np.ndarray, name: str) -> None:
+    """Refuse an empty stack in a verifier that reduces over the points:
+    a sup or an inf over no points has no value.  Pointwise functions
+    accept empty stacks."""
+    if m.size == 0:
+        raise DimensionMismatch(f"{name} is an empty stack: a verifier needs at least one point")
+
+
 def dhym_residual_surface(v, f, phase: Phase):
     """Im and Re parts of exp(-i theta_hat) det(v - iF), pointwise.
 
@@ -277,11 +285,13 @@ def surface_ma_check(v, f, phase: Phase) -> float:
 
     With chi = -sin * F + cos * v one has det chi - det v =
     sin * Im(e^{-i theta} det(v - iF)) pointwise, so the defect vanishes
-    together with the imaginary part.  Returns sup |det chi - det v|.
+    together with the imaginary part.  Returns sup |det chi - det v|; an
+    empty stack raises ``DimensionMismatch``.
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
     _check_spd2(v)
+    _check_points(v, "v")
     chi = -phase.sin * f + phase.cos * v
     return float(np.abs(_det2(chi) - _det2(v)).max())
 
@@ -304,7 +314,7 @@ class SurfaceAprioriReport:
 def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
     """Check the a priori bounds det F / det v < 1 and tr(v^{-1}F)/2 <
     |tan theta|/2 that any solution with F >= 0 must satisfy when
-    sin < 0 < cos."""
+    sin < 0 < cos.  An empty stack raises ``DimensionMismatch``."""
     if not (phase.sin < 0.0 < phase.cos):
         raise PhasePreconditionViolated(
             "the bounds require sin(theta_hat) < 0 < cos(theta_hat)"
@@ -312,6 +322,7 @@ def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
     _check_spd2(v)
+    _check_points(v, "v")
     det_ratio = _det2(f) / _det2(v)
     lam = pencil_eigenvalues(v, f)
     trace_ratio = 0.5 * lam.sum(axis=-1)

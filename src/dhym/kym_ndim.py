@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _det2, pencil_eigenvalues
+from .core_geometry import _adj2, _as_sym, _check_points, _det2, pencil_eigenvalues
 from .errors import DimensionMismatch, InvalidConfig, NonPositiveMetric, NotConvex
 from .spectral import hessian2, partial2
 
@@ -188,9 +188,12 @@ def apriori_verify(v_hess, f_field, mu: float, tol: float = 1e-10) -> AprioriRep
     With F >= 0 the pencil eigenvalues of (F, Hess v) are nonnegative and
     sum to mu pointwise, so each lies in [0, mu] and their squares sum below
     n mu^2.  Report-only: out-of-range samples are flagged, never raised.
+    An empty field raises ``DimensionMismatch``.
     """
     v = as_field2d(_as_sym(v_hess, "v"))
     f = as_field2d(_as_sym(f_field, "F"))
+    _check_points(v, "v")
+    _check_points(f, "F")
     lam = pencil_eigenvalues(v, f)
     det_f = _det2(f)
     tr_f = f[..., 0, 0] + f[..., 1, 1]
@@ -219,8 +222,10 @@ class DetBoundReport:
 
 
 def det_bound_verify(v_hess, bounds=(0.0, np.inf)) -> DetBoundReport:
-    """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field."""
+    """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field;
+    an empty field raises ``DimensionMismatch``."""
     v = as_field2d(_as_sym(v_hess, "v"))
+    _check_points(v, "v")
     det = _det2(v)
     return DetBoundReport(
         min_det=float(det.min()),

@@ -192,6 +192,17 @@ class TestClosedFormPencil:
         im, re = dhym_residual_surface(empty, empty, Phase(cos=1.0, sin=0.0))
         assert im.shape == re.shape == (0,)
 
+    # the reducing verifiers refuse an empty stack: a sup over no points has no value
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 0, 2, 2)])
+    def test_ma_check_refuses_empty_stack(self, shape):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            surface_ma_check(np.zeros(shape), np.zeros(shape), Phase(cos=0.8, sin=-0.6))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 0, 2, 2)])
+    def test_apriori_check_refuses_empty_stack(self, shape):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            surface_apriori_check(np.zeros(shape), np.zeros(shape), Phase(cos=0.8, sin=-0.6))
+
 
 def old_symmetry_rule(m) -> bool:
     """The symmetry test of ``_as_sym`` before it was rewritten, warnings

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dhym import ConstantCurvature2, Regime, lift_to_2d, solve
-from dhym.errors import NonPositiveMetric, NotConvex
+from dhym.errors import DimensionMismatch, NonPositiveMetric, NotConvex
 from dhym.kym_ndim import (
     KymData,
     abreu_operator,
@@ -213,6 +213,12 @@ class TestAprioriVerify:
         report = apriori_verify(v, f, mu=1.0)
         assert not report.in_range  # an eigenvalue exceeds the degree
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 0, 2, 2)])
+    def test_refuses_empty_field(self, shape):
+        # a sup over no points has no value
+        with pytest.raises(DimensionMismatch, match="empty"):
+            apriori_verify(np.zeros(shape), np.zeros(shape), mu=1.0)
+
 
 class TestDetBound:
     def test_flat(self):
@@ -234,6 +240,11 @@ class TestDetBound:
         v = np.broadcast_to(np.diag([3.0, 1.0]), (n, n, 2, 2)).copy()
         report = det_bound_verify(v, bounds=(0.5, 2.0))
         assert not report.passed
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 0, 2, 2)])
+    def test_refuses_empty_field(self, shape):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            det_bound_verify(np.zeros(shape))
 
 
 class TestFieldHelpers:
