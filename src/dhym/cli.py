@@ -467,10 +467,12 @@ def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int):
         a, b = rng.normal(size=(kx.size, 2)).T
         coeff = np.zeros((m + 1, 2 * m + 1), dtype=complex)
         coeff[kx, col] = a - 1j * b
-        # einsum, not a BLAS matmul: the product is small, and the first gemm
-        # of a process touches its work buffers (0.3 MB of the peak RSS of
-        # `dhym lincheck` at N = 16).  The copy drops the complex product,
-        # which a view of its real part would keep alive with the trial.
+        # einsum, not a BLAS matmul: the product is small and complex, and
+        # a complex gemm touches work buffers that the real products of
+        # `partial2` do not (peak RSS of `dhym lincheck` at N = 16, os.wait4
+        # over 5 runs: 37.1 MB with einsum, 37.6 MB with matmul).  The copy
+        # drops the complex product, which a view of its real part would
+        # keep alive with the trial.
         yield np.einsum("il,lj->ij", np.einsum("ki,kl->il", table[m:], coeff), table).real.copy()
 
 
