@@ -33,7 +33,7 @@ import numpy as np
 
 from .core_geometry import _adj2, _as_sym, _det2
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
-from .spectral import _pcg, hessian2, inner, partial2, resample2
+from .spectral import _CG_RTOL, _pcg, _prolong2, hessian2, inner, partial2, resample2
 
 __all__ = [
     "LinearizedContext",
@@ -94,7 +94,8 @@ class LinearizedContext:
     solve's data is built here too: the preconditioner's weight W and symbol
     S (``_precondition``), and (-1)^i for the Nyquist projector of
     ``_operator``.  The operator itself is the ``partial2`` composition of
-    ``laplacian`` and keeps no multipliers of its own.
+    ``laplacian`` and keeps no multipliers of its own.  The half-grid
+    context of the nested solve (``_half_grid``) is built on first use.
 
     So are the background-only fields of ``apply_L``, on first use: grad phi
     and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
@@ -151,6 +152,19 @@ class LinearizedContext:
     @property
     def n(self) -> int:
         return self.u_pert.shape[0]
+
+    @cached_property
+    def _half_grid(self) -> "LinearizedContext | None":
+        """The context of u_pert on every other grid point, with this B and
+        phi = 0 (the elliptic solve does not read phi), or None when its
+        Hessian is not positive definite: the coarse level of
+        ``_solve_elliptic``.  Built on first use; up to N = 2 ``_DENSE_MAX_N``
+        its Hessian takes dense products, no FFT."""
+        coarse = self.u_pert[::2, ::2]
+        try:
+            return LinearizedContext(coarse, self.b_matrix, np.zeros_like(coarse))
+        except InvalidConfig:
+            return None
 
     @cached_property
     def _grad_phi(self) -> tuple:
@@ -245,6 +259,45 @@ def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
     return sym
 
 
+#: Smallest grid on which ``_solve_elliptic`` starts its CG from the
+#: solution on the half grid.  At N = 32 the half grid resolves the
+#: field-2d right-hand sides to 2e-7 .. 1e-5 only, and allowing the start
+#: there made 40 N = 32 field-2d ops 6 % slower.
+_NESTED_MIN_N = 64
+
+
+def _cg(ctx: LinearizedContext, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    """The preconditioned CG of -(Delta + sigma P) x = b on the grid of
+    ``ctx``, b a stack of mean-free fields, from ``x0`` (zeros if None)."""
+    penalty = _nyquist_penalty(ctx.n)
+    x, converged = _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, b, SingularElliptic, x0)
+    if not converged.all():
+        raise SingularElliptic("elliptic solve failed to converge")
+    return x
+
+
+def _coarse_start(ctx: LinearizedContext, b: np.ndarray) -> np.ndarray | None:
+    """The half-grid solution of the injected stack b[..., ::2, ::2],
+    prolonged to the grid of ``ctx``: a start for the CG there.  None below
+    ``_NESTED_MIN_N``, for a zero stack, when the half-grid context is None,
+    or when a column of b is not resolved on the half grid, that is, when
+    sup |b - P b[::2, ::2]| > sqrt(_CG_RTOL) sup |b| (P the prolongation):
+    then the start would not be better than zeros."""
+    n = ctx.n
+    if n < _NESTED_MIN_N:
+        return None
+    scale = np.abs(b).max(axis=(-2, -1))
+    if not scale.any():
+        return None
+    injected = b[..., ::2, ::2]
+    if (np.abs(b - _prolong2(injected, n)).max(axis=(-2, -1)) > np.sqrt(_CG_RTOL) * scale).any():
+        return None
+    half = ctx._half_grid
+    if half is None:
+        return None
+    return _prolong2(_cg(half, injected - _field_means(injected)), n)
+
+
 def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     """Solve (Delta + sigma P) f = rhs for mean-zero f, sigma = -(pi N)^2.
 
@@ -253,23 +306,25 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     divergence form cannot resolve.  The mean of each rhs is removed first,
     since the range is mean free, and a zero rhs gives zeros.
     -(Delta + sigma P) is symmetric positive definite on mean-zero fields,
-    so CG applies, one fused kernel (``LinearizedContext._operator``) per
-    step.  The preconditioner scales out the pointwise factor
-    (det u^{ij})^(1/2) of u^{ij} and inverts the constant-coefficient
-    symbol of what remains (Concus & Golub, SIAM J. Numer. Anal. 10, 1973);
-    the steps it takes are set by the variation of u^{ij}, not by N (about
-    10 from N = 16 to N = 128 on the field-2d backgrounds).  Deterministic.
+    so CG applies, one ``LinearizedContext._operator`` per step.  The
+    preconditioner scales out the pointwise factor (det u^{ij})^(1/2) of
+    u^{ij} and inverts the constant-coefficient symbol of what remains
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973); the steps it takes are
+    set by the variation of u^{ij}, not by N (about 10 from N = 16 to
+    N = 128 on the field-2d backgrounds).
+
+    From N = ``_NESTED_MIN_N`` on, a stack whose every column is resolved
+    on the half grid is first solved there, by the same CG on the context
+    of u_pert[::2, ::2] (one level: that solve starts from zeros), and the
+    fine CG starts from its trigonometric interpolant (nested iteration:
+    Brandt, Math. Comp. 31, 1977).  On resolved data that start is within
+    a few times ``_CG_RTOL`` of the solution, so the fine CG takes one or
+    two steps, not ten; its stop rule is unchanged, so is the accuracy.
+    Other stacks (a delta, white noise) start from zeros.  Deterministic.
     """
     stack = rhs.reshape((-1,) + rhs.shape[-2:])
-    penalty = _nyquist_penalty(ctx.n)
-    x, converged = _pcg(
-        lambda p: ctx._operator(p, penalty),
-        ctx._precondition,
-        -(stack - _field_means(stack)),
-        SingularElliptic,
-    )
-    if not converged.all():
-        raise SingularElliptic("elliptic solve failed to converge")
+    b = -(stack - _field_means(stack))
+    x = _cg(ctx, b, _coarse_start(ctx, b))
     x -= _field_means(x)
     return x.reshape(rhs.shape)
 
@@ -365,9 +420,11 @@ def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
 
 #: Grid points per stacked application of L in the trial checks: trials go
 #: through ``apply_L`` in chunks of max(1, _CHUNK_POINTS // N^2), 8 at N = 32
-#: and 2 at N = 64.  Twice as many gave no more speed but 3 % more peak RSS
-#: on the N = 32 / 64 batteries.  From N = 128 on a chunk is one trial, so
-#: memory does not grow with the number of trials.
+#: and 2 at N = 64.  On 60 field-2d batteries (seed-1 pool, one process
+#: each, 2-core x86-64, one BLAS thread), twice as many took about 5 % less
+#: time and 1.1 MB (2.5 %) more peak RSS, half as many about 10 % more
+#: time.  From N = 128 on a chunk is one trial, so memory does not grow
+#: with the number of trials.
 _CHUNK_POINTS = 2**13
 
 

@@ -274,6 +274,19 @@ def _diff_matrix(n: int, order: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _diff_matrix_transposed(n: int, order: int) -> np.ndarray:
+    """D^T of ``_diff_matrix``, C-contiguous: D itself (even order) or -D
+    (odd order), both exact, since D is exactly symmetric or skew.  A
+    stack times a contiguous matrix costs 1.4-2.5x less than times the
+    transposed view D.T at N = 32 / 64.  Read-only and cached."""
+    d = _diff_matrix(n, order)
+    if order % 2:
+        d = -d
+        d.setflags(write=False)
+    return d
+
+
 def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Mixed spectral partial derivative of a doubly periodic field.
 
@@ -281,8 +294,9 @@ def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
     y axis -1, and any leading axes are a stack of fields.  Up to
     ``_DENSE_MAX_N`` points per axis an axis is differentiated as a product
     with the dense matrix of ``_diff_matrix``, D @ f along x and f @ D^T
-    along y: at these sizes one BLAS product costs less than the FFT pair it
-    replaces, and agrees with it to roundoff.  Larger axes take the FFT
+    along y (``_diff_matrix_transposed``): at these sizes one BLAS product
+    costs less than the FFT pair it replaces, and agrees with it to
+    roundoff.  Larger axes take the FFT
     (``spectral_derivative``).  On the dense path a constant field has a
     roundoff derivative, not an exact zero.
     """
@@ -292,7 +306,7 @@ def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
         out = _diff_matrix(n, dx) @ out if n <= _DENSE_MAX_N else spectral_derivative(out, order=dx, axis=-2)
     if dy:
         n = out.shape[-1]
-        out = out @ _diff_matrix(n, dy).T if n <= _DENSE_MAX_N else spectral_derivative(out, order=dy)
+        out = out @ _diff_matrix_transposed(n, dy) if n <= _DENSE_MAX_N else spectral_derivative(out, order=dy)
     return out
 
 
@@ -307,9 +321,42 @@ def hessian2(field_samples: np.ndarray) -> np.ndarray:
 
 
 def resample2(field_samples: np.ndarray, n_new: int) -> np.ndarray:
-    """Resample a doubly periodic field by Fourier padding in both axes."""
+    """Resample a doubly periodic field by Fourier padding in both axes.
+
+    The field lies on the last two axes; leading axes are a stack."""
     out = resample(np.asarray(field_samples, dtype=float), n_new)
-    return resample(out.T, n_new).T
+    return resample(out.swapaxes(-1, -2), n_new).swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=None)
+def _prolongation(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and P^T, C-contiguous and read-only: the n x n/2 matrix of
+    trigonometric interpolation from the grid of n/2 points onto that of n
+    points, the Nyquist mode split symmetrically as ``resample`` does.
+    Even rows are the identity; odd rows sample the periodic sinc
+    S(x) = sin(pi m x) cot(pi x) / m, m = n/2, at the midpoints (Trefethen,
+    Spectral Methods in MATLAB, SIAM 2000, ch. 3)."""
+    m = n // 2
+    offset = np.arange(m)[:, None] - np.arange(m)
+    p = np.zeros((n, m))
+    p[::2] = np.eye(m)
+    p[1::2] = (1.0 - 2.0 * (offset % 2)) / (m * np.tan(np.pi * (offset + 0.5) / m))
+    pt = p.T.copy()
+    p.setflags(write=False)
+    pt.setflags(write=False)
+    return p, pt
+
+
+def _prolong2(field_samples: np.ndarray, n_new: int) -> np.ndarray:
+    """Trigonometric interpolation of a (stack of) doubly periodic field(s)
+    from n_new/2 to n_new points per axis, the last two axes.  With
+    ``partial2``'s crossover: up to ``_DENSE_MAX_N`` points two products
+    with the dense matrix of ``_prolongation``, above it Fourier padding
+    (``resample2``); the two agree to roundoff."""
+    if n_new > _DENSE_MAX_N:
+        return resample2(field_samples, n_new)
+    p, pt = _prolongation(n_new)
+    return p @ field_samples @ pt
 
 
 _CG_RTOL = 1e-13  # sup-norm residual of a linear solve, relative to the rhs
@@ -328,7 +375,7 @@ def _col_means(f: np.ndarray) -> np.ndarray:
     return np.add.reduce(cols, axis=1) / cols.shape[1]
 
 
-def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
+def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0: np.ndarray | None = None):
     """CG for ``operator(x) = rhs`` on a stack of right-hand sides.
 
     ``rhs`` has shape (K, ...): K independent columns, each a field.
@@ -343,8 +390,14 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
     steps keeps its last iterate.  A zero column gives zeros, and
     ``p . Ap <= 0`` in any column raises ``singular``.
 
+    ``x0``, of the shape of ``rhs``, is the initial iterate (zeros if
+    None).  Its residual ``rhs - operator(x0)`` costs one operator
+    application and meets the stop rule before any step is taken, so an
+    exact ``x0`` is returned as it is; with ``x0=None`` no application is
+    made and the residual is ``rhs``.
+
     The loop owns x, r, p and one scratch stack and updates them in place;
-    it never writes into ``rhs`` or into an array that ``operator`` or
+    it never writes into ``rhs``, ``x0`` or an array that ``operator`` or
     ``precondition`` returned, so those may be read-only or shared.  Each
     update does the arithmetic of x + a p, r - a Ap and z + b p, and the
     column products are ``ndarray.mean``'s sums, so the iterates are those
@@ -358,11 +411,36 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
         return x_out, converged
     cols = (slice(None),) + (None,) * (rhs.ndim - 1)  # a (K,) vector against a stack
     r = rhs[active]  # a copy, as is every fancy-indexed stack below
-    x = np.zeros_like(r)
+    if x0 is None:
+        x = np.zeros_like(r)
+    else:
+        x = x0[active]
+        r -= operator(x)
     work = np.empty_like(r)
-    p = np.array(precondition(r))
-    rz = _col_means(np.multiply(r, p, out=work))
-    for _ in range(_CG_MAXITER):
+    p = rz = None
+    for step in range(_CG_MAXITER + 1):
+        if step or x0 is not None:
+            done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
+            if done.any():
+                x_out[active[done]] = x[done]
+                converged[active[done]] = True
+                keep = ~done
+                active, x, r = active[keep], x[keep], r[keep]
+                work = work[: active.size]
+                if p is not None:  # None only at the check of x0
+                    p, rz = p[keep], rz[keep]
+                if not active.size:
+                    return x_out, converged
+            if step == _CG_MAXITER:
+                break
+        z = precondition(r)
+        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
+        if p is None:
+            p = np.array(z)
+        else:
+            p *= (rz / rz_old)[cols]
+            p += z
+        del z
         ap = operator(p)
         denom = _col_means(np.multiply(p, ap, out=work))
         if (denom <= 0.0).any():
@@ -370,19 +448,6 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception]):
         a = (rz / denom)[cols]
         x += np.multiply(a, p, out=work)
         r -= np.multiply(a, ap, out=work)
-        done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
-        if done.any():
-            x_out[active[done]] = x[done]
-            converged[active[done]] = True
-            keep = ~done
-            active, x, r, p, rz = active[keep], x[keep], r[keep], p[keep], rz[keep]
-            work = work[: active.size]
-            if not active.size:
-                return x_out, converged
-        z = precondition(r)
-        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
-        p *= (rz / rz_old)[cols]
-        p += z
-        del z, ap  # the operator's temporaries peak next; hold only x, r, p and work
+        del ap  # the operator's temporaries peak next; hold only x, r, p and work
     x_out[active] = x
     return x_out, converged

@@ -15,7 +15,7 @@ from dhym.linearized_ops import (
     selfadjointness_refinement,
     solve_lincond,
 )
-from dhym.spectral import _pcg, grid2, hessian2, inner, partial2
+from dhym.spectral import _pcg, grid2, hessian2, inner, partial2, second_antiderivative
 
 from conftest import count_columns, dense_operator
 
@@ -327,20 +327,129 @@ class TestFftCounts:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_four_fft_calls_per_cg_step(self, n, monkeypatch):
+        # over both levels of the nested solve at N = 64: the residual of the
+        # fine start is an operator application with no preconditioning
         ctx = make_consistent_context(hessian_scaled_background(n, 4, 0.1), B_REF)
         rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=72 + i)) for i in range(2)])
         calls, _ = count_fft_calls(monkeypatch)
         steps = []
-        operator = LinearizedContext._operator
+        precondition = LinearizedContext._precondition
 
-        def counted(self, f, penalty):
-            steps.append(1)
-            return operator(self, f, penalty)
+        def counted(self, r):
+            steps.append(self.n)
+            return precondition(self, r)
 
-        monkeypatch.setattr(LinearizedContext, "_operator", counted)
+        monkeypatch.setattr(LinearizedContext, "_precondition", counted)
         linearized_ops._solve_elliptic(ctx, rhs)
-        assert len(steps) > 0
+        assert n in steps
         assert len(calls) == 4 * len(steps)
+
+
+class TestPcgStart:
+    """The initial iterate ``x0`` of ``_pcg``."""
+
+    def elliptic(self, n=32):
+        ctx = make_consistent_context(hessian_scaled_background(n, 5, 0.2), B_REF)
+        penalty = linearized_ops._nyquist_penalty(n)
+        rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=80)), delta(n), np.zeros((n, n))])
+        rhs -= rhs.mean(axis=(-2, -1), keepdims=True)
+        return lambda p: ctx._operator(p, penalty), ctx._precondition, rhs
+
+    def test_zero_start_is_no_start(self):
+        operator, precondition, rhs = self.elliptic()
+        x, converged = _pcg(operator, precondition, rhs, SingularElliptic)
+        x_zero, converged_zero = _pcg(operator, precondition, rhs, SingularElliptic, np.zeros_like(rhs))
+        assert converged.all()
+        assert np.array_equal(x, x_zero) and np.array_equal(converged, converged_zero)
+
+    def test_exact_start_takes_one_application(self):
+        d = 1.0 + np.arange(12.0).reshape(3, 4)
+        x0 = np.random.default_rng(3).standard_normal((2, 3, 4))
+        calls = []
+        x, converged = _pcg(lambda p: calls.append(1) or d * p, lambda r: r / d, d * x0, ValueError, x0)
+        assert converged.all() and len(calls) == 1
+        assert np.array_equal(x, x0)
+
+    def test_start_is_not_written(self):
+        operator, precondition, rhs = self.elliptic()
+        x0 = read_only(0.5 * _pcg(operator, precondition, rhs, SingularElliptic)[0])
+        kept = x0.copy()
+        x, converged = _pcg(operator, precondition, rhs, SingularElliptic, x0)
+        assert converged.all()
+        assert np.array_equal(x0, kept)
+        assert not np.array_equal(x, x0)
+
+
+def count_operator_columns(monkeypatch):
+    """Wrap ``LinearizedContext._operator`` so that it records the grid of
+    every column it is applied to; returns that list."""
+    grids, operator = [], LinearizedContext._operator
+
+    def counted(self, f, penalty):
+        grids.extend([self.n] * (len(f) if f.ndim == 3 else 1))
+        return operator(self, f, penalty)
+
+    monkeypatch.setattr(LinearizedContext, "_operator", counted)
+    return grids
+
+
+def coarse_indefinite_background(n):
+    """A u_pert whose Hessian is positive definite (u_xx >= -1/2) while the
+    half-grid Hessian of u_pert[::2, ::2] has u_xx down to -3.1 at N = 64:
+    u_xx = (n delta_0 - 1) / 2 in x, constant in y."""
+    spike = -np.ones(n)
+    spike[0] += n
+    return np.repeat(0.5 * second_antiderivative(spike)[:, None], n, axis=1)
+
+
+class TestNestedSolve:
+    """From N = ``_NESTED_MIN_N`` a resolved rhs is first solved on the half grid."""
+
+    def plain(self, ctx, rhs, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(linearized_ops, "_NESTED_MIN_N", 2 * ctx.n)
+            return linearized_ops._solve_elliptic(ctx, rhs)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_agrees_with_the_plain_solve(self, n, monkeypatch):
+        ctx = make_consistent_context(hessian_scaled_background(n, 6, 0.15), B_REF)
+        rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=90 + i)) for i in range(3)])
+        grids = count_operator_columns(monkeypatch)
+        nested = linearized_ops._solve_elliptic(ctx, rhs)
+        assert n // 2 in grids
+        ref = self.plain(ctx, rhs, monkeypatch)
+        assert np.abs(nested - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_few_fine_applications_on_resolved_data(self, monkeypatch):
+        n = 64
+        ctx = make_consistent_context(hessian_scaled_background(n, 7, 0.1), B_REF)
+        rhs = lincond_rhs(ctx, band_limited(n, seed=95))
+        grids = count_operator_columns(monkeypatch)
+        linearized_ops._solve_elliptic(ctx, rhs)
+        assert 0 < grids.count(n) <= 4
+        assert grids.count(n // 2) > 0
+
+    @pytest.mark.parametrize("kind", ["delta", "noise", "zero"])
+    def test_unresolved_rhs_makes_no_half_grid_call(self, kind, monkeypatch):
+        n = 64
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        rhs = {"delta": delta(n), "noise": white_noise(n, seed=96), "zero": np.zeros((n, n))}[kind]
+        grids = count_operator_columns(monkeypatch)
+        out = linearized_ops._solve_elliptic(ctx, rhs)
+        assert n // 2 not in grids and "_half_grid" not in ctx.__dict__
+        assert np.array_equal(out, self.plain(ctx, rhs, monkeypatch))
+
+    def test_indefinite_half_grid_falls_back(self, monkeypatch):
+        n = 64
+        u_pert = coarse_indefinite_background(n)
+        with pytest.raises(InvalidConfig):
+            LinearizedContext(u_pert[::2, ::2], B_REF, np.zeros((n // 2, n // 2)))
+        ctx = make_consistent_context(u_pert, B_REF)
+        rhs = band_limited(n, seed=97)  # resolved on the half grid
+        grids = count_operator_columns(monkeypatch)
+        out = linearized_ops._solve_elliptic(ctx, rhs)
+        assert ctx.__dict__["_half_grid"] is None and n // 2 not in grids
+        assert np.array_equal(out, self.plain(ctx, rhs, monkeypatch))
 
 
 def read_only(a):

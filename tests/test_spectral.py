@@ -8,6 +8,9 @@ from dhym.spectral import (
     _DENSE_MAX_N,
     PeriodicProfile,
     _diff_matrix,
+    _diff_matrix_transposed,
+    _prolong2,
+    _prolongation,
     _tail_chopped_second_derivative,
     grid,
     hessian2,
@@ -124,6 +127,40 @@ class TestInterpolation:
         assert np.abs(up - np.cos(2 * np.pi * (X + 2 * Y))).max() < 1e-13
 
 
+    def test_resample2_stack(self, rng):
+        # the last two axes are the field, leading axes a stack
+        stack = rng.standard_normal((3, 2, 16, 16))
+        for n_new in (8, 16, 32):
+            out = resample2(stack, n_new)
+            assert out.shape == (3, 2, n_new, n_new)
+            for idx in np.ndindex(stack.shape[:2]):
+                assert np.array_equal(out[idx], resample2(stack[idx], n_new))
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("n", [32, 64, _DENSE_MAX_N, 2 * _DENSE_MAX_N])
+    def test_band_limited_exact(self, n):
+        x, y = np.meshgrid(grid(n), grid(n), indexing="ij")
+        f = np.cos(2 * np.pi * (3 * x - 2 * y)) + 0.5 * np.sin(2 * np.pi * (x + 5 * y))
+        out = _prolong2(np.array([f[::2, ::2], 2.0 * f[::2, ::2]]), n)
+        assert np.abs(out - [f, 2.0 * f]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32, 64, _DENSE_MAX_N])
+    def test_dense_matrix_is_fourier_padding(self, n):
+        # the Nyquist mode of the half grid is split as ``resample`` splits it
+        f = np.random.default_rng(n).standard_normal((2, n // 2, n // 2))
+        ref = resample2(f, n)
+        assert np.abs(_prolong2(f, n) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_cached_matrices_are_read_only_and_contiguous(self):
+        p, pt = _prolongation(32)
+        assert _prolongation(32)[0] is p
+        assert p.shape == (32, 16) and np.array_equal(pt, p.T)
+        assert p.flags.c_contiguous and pt.flags.c_contiguous
+        assert not p.flags.writeable and not pt.flags.writeable
+        assert np.array_equal(p[::2], np.eye(16))
+
+
 class TestFields2d:
     def test_partial_orders(self):
         n = 32
@@ -194,6 +231,14 @@ class TestDenseDerivatives:
                 assert np.array_equal(d, -d.T)
             else:
                 assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_transposed_matrix_is_exact_and_contiguous(self, n):
+        for order in (1, 2):
+            t = _diff_matrix_transposed(n, order)
+            assert np.array_equal(t, _diff_matrix(n, order).T)
+            assert t.flags.c_contiguous and not t.flags.writeable
+            assert t is _diff_matrix_transposed(n, order)
 
     def test_cached_matrix_is_read_only(self):
         d = _diff_matrix(32, 1)

@@ -11,7 +11,7 @@ processes, ``ROUNDS`` rounds that alternate which version goes first, so
 that a slow spell of a shared machine falls on both.  The result is written
 to ``BENCH_elliptic.json`` at the repository root, one record per label.
 
-Per grid size N = 16 / 32 / 64 / 128, the solve gets stacks of
+Per grid size N = 16 / 32 / 64 / 128 / 256, the solve gets stacks of
 K = max(1, 2^13 / N^2) right-hand sides, as the field-2d battery chunks its
 trials.  Each size uses six seeded field-2d-like backgrounds: a
 band-limited (k <= 1) metric potential with sup |Hess u_pert| in
@@ -20,14 +20,16 @@ band-limited (k <= 3) directions.  A record holds, per size:
 
 * ``wall_s``: quartiles of the wall time of one ``_solve_elliptic`` call,
   five timed calls per background and round after an untimed one;
-* ``operator_applications``: mean CG operator applications per call;
+* ``operator_applications``: mean CG operator applications per call on
+  the grid of N (``fine``) and, where the solve starts from the solution
+  on the half grid, on that grid (``half``);
 * ``residual_sup_rel``: the largest true relative residual
   ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over the right-hand sides,
   recomputed here with FFT derivatives and an ``fft2`` Nyquist projector,
   not read from the CG recursion nor from the operator under test.
 
 ``field2d_applications`` is the mean number of CG operator applications per
-``_solve_elliptic`` call over the first 16 backgrounds of the seed-1 pool of
+``_solve_elliptic`` call, ``fine`` and ``half`` as above, over the first 16 backgrounds of the seed-1 pool of
 the field-2d benchmark workload, with the battery run as
 ``perfbench/workloads.py::field_battery`` runs it.
 
@@ -52,7 +54,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (16, 32, 64, 128)
+SIZES = (16, 32, 64, 128, 256)
 STACK_POINTS = 2**13
 BACKGROUNDS = 6  # per grid size
 REPS = 5  # timed solves per background and round
@@ -62,17 +64,19 @@ B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
 def _count_applications(lo):
     """Wrap the ``_pcg`` that ``linearized_ops`` calls so that it counts the
-    operator applications; returns the list the counts go to."""
+    operator applications; returns the list the counts go to, one
+    ``[grid size, applications]`` per CG.  Any further arguments of ``_pcg``
+    are passed through, so the wrapper fits every version of the code."""
     pcg, counts = lo._pcg, []
 
-    def counted(operator, precondition, rhs, singular):
-        counts.append(0)
+    def counted(operator, precondition, rhs, *args, **kwargs):
+        counts.append([rhs.shape[-1], 0])
 
         def apply(p):
-            counts[-1] += 1
+            counts[-1][1] += 1
             return operator(p)
 
-        return pcg(apply, precondition, rhs, singular)
+        return pcg(apply, precondition, rhs, *args, **kwargs)
 
     lo._pcg = counted
     return counts
@@ -93,6 +97,14 @@ def _fft_laplacian(u_inv, f):
     flux_x = u_inv[..., 0, 0] * gx + u_inv[..., 0, 1] * gy
     flux_y = u_inv[..., 1, 0] * gx + u_inv[..., 1, 1] * gy
     return d(flux_x, -2) + d(flux_y, -1)
+
+
+def _per_solve(counts, n, solves) -> dict:
+    """Mean applications per solve on the grid of n and on its half grid."""
+    return {
+        "fine": sum(c for m, c in counts if m == n) / solves,
+        "half": sum(c for m, c in counts if m == n // 2) / solves,
+    }
 
 
 def _relative_residual(ctx, x, rhs, sigma) -> float:
@@ -127,7 +139,7 @@ def bench_size(lo, workloads, counts, n) -> dict:
         rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
         counts.clear()
         x = lo._solve_elliptic(ctx, rhs)  # warms the context, counts, checks
-        applications.append(counts[0])
+        applications.append(_per_solve(counts, n, 1))
         residual = max(residual, _relative_residual(ctx, x, rhs, sigma))
         for _ in range(REPS):
             t0 = time.perf_counter()
@@ -154,7 +166,7 @@ def field2d_applications(lo, workloads, counts, backgrounds=16) -> dict:
             solves.clear()
             for u, b in grounds[:backgrounds]:
                 workloads.field_battery(u, b, trials)
-            out[str(n)] = sum(counts) / len(solves)
+            out[str(n)] = _per_solve(counts, n, len(solves))
     finally:
         lo._solve_elliptic = solve
     return out
@@ -183,7 +195,9 @@ def _record(rounds: list) -> dict:
             "stack": rows[0]["stack"],
             "samples": len(times),
             "wall_s": {"p25": q1, "p50": q2, "p75": q3},
-            "operator_applications": float(np.mean(rows[0]["applications"])),
+            "operator_applications": {
+                level: float(np.mean([a[level] for a in rows[0]["applications"]])) for level in ("fine", "half")
+            },
             "residual_sup_rel": max(row["residual"] for row in rows),
         })
     return {"sizes": sizes, "field2d_applications": rounds[0]["field2d_applications"]}
@@ -235,9 +249,11 @@ def main(argv=None) -> None:
         print(label, "field-2d applications per solve:", record["field2d_applications"])
         for row in record["sizes"]:
             ms = {q: 1e3 * t for q, t in row["wall_s"].items()}
+            apps = row["operator_applications"]
             print(
                 f"  N={row['n']:4d} K={row['stack']:2d}  {ms['p50']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
-                f"  {row['operator_applications']:5.2f} applications  residual {row['residual_sup_rel']:.1e}"
+                f"  {apps['fine']:5.2f} + {apps['half']:5.2f} half-grid applications"
+                f"  residual {row['residual_sup_rel']:.1e}"
             )
 
 
