@@ -33,7 +33,7 @@ import numpy as np
 
 from .core_geometry import _adj2, _as_sym, _det2
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
-from .spectral import _CG_RTOL, _pcg, _prolong2, hessian2, inner, partial2, resample2
+from .spectral import _pcg, _prolong2, hessian2, inner, partial2, resample2
 
 __all__ = [
     "LinearizedContext",
@@ -265,6 +265,17 @@ def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
 #: there made 40 N = 32 field-2d ops 6 % slower.
 _NESTED_MIN_N = 64
 
+#: Largest resolution defect sup |b - P b[::2, ::2]| / sup |b| of a
+#: right-hand side b (P the prolongation) for which ``_solve_elliptic``
+#: starts from the half grid, near the measured break-even.  Field-2d-like
+#: stacks plus a tail of modes aliased on the half grid, six backgrounds,
+#: median ms of the nested against the plain solve (fine CG steps), one BLAS
+#: thread, 2-core x86-64.  At N = 64: defect 4e-13 3.8 / 5.3 (2.0 / 9.7),
+#: 2e-10 3.9 / 4.4 (4.0), 2e-9 4.4 / 4.5 (4.7), 2e-8 4.5 / 4.4 (5.3), 2e-7
+#: 5.0 / 4.3 (6.2).  At N = 128 the start pays up to a defect of about 2e-6.
+#: The field-2d data read at most 2.5e-12.
+_RESOLVED_RTOL = 1e-9
+
 
 def _cg(ctx: LinearizedContext, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     """The preconditioned CG of -(Delta + sigma P) x = b on the grid of
@@ -278,19 +289,21 @@ def _cg(ctx: LinearizedContext, b: np.ndarray, x0: np.ndarray | None = None) -> 
 
 def _coarse_start(ctx: LinearizedContext, b: np.ndarray) -> np.ndarray | None:
     """The half-grid solution of the injected stack b[..., ::2, ::2],
-    prolonged to the grid of ``ctx``: a start for the CG there.  None below
-    ``_NESTED_MIN_N``, for a zero stack, when the half-grid context is None,
-    or when a column of b is not resolved on the half grid, that is, when
-    sup |b - P b[::2, ::2]| > sqrt(_CG_RTOL) sup |b| (P the prolongation):
-    then the start would not be better than zeros."""
+    prolonged to the grid of ``ctx`` by trigonometric interpolation
+    (``_prolong2``): a start for the CG there.  None below
+    ``_NESTED_MIN_N``, on an odd grid (its every other point is not a
+    uniform grid), for a zero stack, when the half-grid context is None, or
+    when a column of b is not resolved on the half grid, that is, when
+    sup |b - P b[::2, ::2]| > ``_RESOLVED_RTOL`` sup |b| (P the
+    prolongation): then the start costs more than it saves."""
     n = ctx.n
-    if n < _NESTED_MIN_N:
+    if n < _NESTED_MIN_N or n % 2:
         return None
     scale = np.abs(b).max(axis=(-2, -1))
     if not scale.any():
         return None
     injected = b[..., ::2, ::2]
-    if (np.abs(b - _prolong2(injected, n)).max(axis=(-2, -1)) > np.sqrt(_CG_RTOL) * scale).any():
+    if (np.abs(b - _prolong2(injected, n)).max(axis=(-2, -1)) > _RESOLVED_RTOL * scale).any():
         return None
     half = ctx._half_grid
     if half is None:
@@ -313,14 +326,15 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     set by the variation of u^{ij}, not by N (about 10 from N = 16 to
     N = 128 on the field-2d backgrounds).
 
-    From N = ``_NESTED_MIN_N`` on, a stack whose every column is resolved
-    on the half grid is first solved there, by the same CG on the context
-    of u_pert[::2, ::2] (one level: that solve starts from zeros), and the
-    fine CG starts from its trigonometric interpolant (nested iteration:
-    Brandt, Math. Comp. 31, 1977).  On resolved data that start is within
-    a few times ``_CG_RTOL`` of the solution, so the fine CG takes one or
-    two steps, not ten; its stop rule is unchanged, so is the accuracy.
-    Other stacks (a delta, white noise) start from zeros.  Deterministic.
+    On an even grid from N = ``_NESTED_MIN_N`` on, a stack whose every
+    column is resolved on the half grid (to ``_RESOLVED_RTOL``) is first
+    solved there, by the same CG on the context of u_pert[::2, ::2] (one
+    level: that solve starts from zeros), and the fine CG starts from its
+    trigonometric interpolant (nested iteration: Brandt, Math. Comp. 31,
+    1977).  On the field-2d data that start is within a few times the CG
+    tolerance of the solution, so the fine CG takes one or two steps, not
+    ten; its stop rule is unchanged, so is the accuracy.  Other stacks (a
+    delta, white noise) start from zeros.  Deterministic.
     """
     stack = rhs.reshape((-1,) + rhs.shape[-2:])
     b = -(stack - _field_means(stack))

@@ -331,28 +331,26 @@ def resample2(field_samples: np.ndarray, n_new: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _prolongation(n: int) -> tuple[np.ndarray, np.ndarray]:
     """P and P^T, C-contiguous and read-only: the n x n/2 matrix of
-    trigonometric interpolation from the grid of n/2 points onto that of n
-    points, the Nyquist mode split symmetrically as ``resample`` does.
-    Even rows are the identity; odd rows sample the periodic sinc
-    S(x) = sin(pi m x) cot(pi x) / m, m = n/2, at the midpoints (Trefethen,
-    Spectral Methods in MATLAB, SIAM 2000, ch. 3)."""
-    m = n // 2
-    offset = np.arange(m)[:, None] - np.arange(m)
-    p = np.zeros((n, m))
-    p[::2] = np.eye(m)
-    p[1::2] = (1.0 - 2.0 * (offset % 2)) / (m * np.tan(np.pi * (offset + 0.5) / m))
-    pt = p.T.copy()
+    ``resample`` from n/2 points to n (trigonometric interpolation, the
+    Nyquist mode of an even n/2 split symmetrically), built as ``resample``
+    of the identity, so it is that map for any n/2.  Cached per n."""
+    pt = resample(np.eye(n // 2), n)
+    p = pt.T.copy()
     p.setflags(write=False)
     pt.setflags(write=False)
     return p, pt
 
 
 def _prolong2(field_samples: np.ndarray, n_new: int) -> np.ndarray:
-    """Trigonometric interpolation of a (stack of) doubly periodic field(s)
-    from n_new/2 to n_new points per axis, the last two axes.  With
-    ``partial2``'s crossover: up to ``_DENSE_MAX_N`` points two products
-    with the dense matrix of ``_prolongation``, above it Fourier padding
-    (``resample2``); the two agree to roundoff."""
+    """``resample2`` from n_new/2 points per axis to n_new, the last two
+    axes: up to ``_DENSE_MAX_N`` as the products P f P^T with the matrices
+    of ``_prolongation``, which agree with it to roundoff and make no FFT,
+    above it ``resample2`` itself; the crossover of ``partial2`` bounds the
+    cache.  One BLAS thread, 2-core x86-64: a call on a stack of
+    max(1, 2^13 / n_new^2) fields takes 18 us dense against 97 us at
+    n_new = 64 (64 / 320 at 128), and over 400 field-2d ops (seed-1 pool,
+    22 calls per N = 64 op) ``resample2`` in its place made the N = 64 ops
+    4-6 % and all ops 3-4 % slower, alternated in one process."""
     if n_new > _DENSE_MAX_N:
         return resample2(field_samples, n_new)
     p, pt = _prolongation(n_new)
@@ -373,6 +371,21 @@ def _col_means(f: np.ndarray) -> np.ndarray:
     ``ndarray.mean`` does, so bit for bit its value."""
     cols = f.reshape(len(f), -1)
     return np.add.reduce(cols, axis=1) / cols.shape[1]
+
+
+def _retire(scale, x_out, converged, active, x, r, work, *stacks):
+    """The stop rule of ``_pcg``: each active column whose residual r has a
+    sup norm of at most ``_CG_RTOL`` times that of its rhs (``scale``) is
+    stored from x into x_out, flagged converged and dropped.  Returns
+    active, x, r, work and ``stacks`` without the dropped columns, as they
+    are when none is dropped; work becomes a view."""
+    done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
+    if not done.any():
+        return (active, x, r, work) + stacks
+    x_out[active[done]] = x[done]
+    converged[active[done]] = True
+    keep = ~done
+    return (active[keep], x[keep], r[keep], work[: keep.sum()]) + tuple(s[keep] for s in stacks)
 
 
 def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0: np.ndarray | None = None):
@@ -411,36 +424,18 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
         return x_out, converged
     cols = (slice(None),) + (None,) * (rhs.ndim - 1)  # a (K,) vector against a stack
     r = rhs[active]  # a copy, as is every fancy-indexed stack below
+    work = np.empty_like(r)
     if x0 is None:
         x = np.zeros_like(r)
     else:
         x = x0[active]
         r -= operator(x)
-    work = np.empty_like(r)
-    p = rz = None
-    for step in range(_CG_MAXITER + 1):
-        if step or x0 is not None:
-            done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
-            if done.any():
-                x_out[active[done]] = x[done]
-                converged[active[done]] = True
-                keep = ~done
-                active, x, r = active[keep], x[keep], r[keep]
-                work = work[: active.size]
-                if p is not None:  # None only at the check of x0
-                    p, rz = p[keep], rz[keep]
-                if not active.size:
-                    return x_out, converged
-            if step == _CG_MAXITER:
-                break
-        z = precondition(r)
-        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
-        if p is None:
-            p = np.array(z)
-        else:
-            p *= (rz / rz_old)[cols]
-            p += z
-        del z
+        active, x, r, work = _retire(scale, x_out, converged, active, x, r, work)
+        if not active.size:
+            return x_out, converged
+    p = np.array(precondition(r))
+    rz = _col_means(np.multiply(r, p, out=work))
+    for _ in range(_CG_MAXITER):
         ap = operator(p)
         denom = _col_means(np.multiply(p, ap, out=work))
         if (denom <= 0.0).any():
@@ -448,6 +443,13 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
         a = (rz / denom)[cols]
         x += np.multiply(a, p, out=work)
         r -= np.multiply(a, ap, out=work)
-        del ap  # the operator's temporaries peak next; hold only x, r, p and work
+        active, x, r, work, p, rz = _retire(scale, x_out, converged, active, x, r, work, p, rz)
+        if not active.size:
+            return x_out, converged
+        z = precondition(r)
+        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
+        p *= (rz / rz_old)[cols]
+        p += z
+        del z, ap  # the operator's temporaries peak next; hold only x, r, p and work
     x_out[active] = x
     return x_out, converged

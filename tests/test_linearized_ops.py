@@ -410,8 +410,9 @@ class TestNestedSolve:
             m.setattr(linearized_ops, "_NESTED_MIN_N", 2 * ctx.n)
             return linearized_ops._solve_elliptic(ctx, rhs)
 
-    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("n", [64, 66, 128])
     def test_agrees_with_the_plain_solve(self, n, monkeypatch):
+        # the half grid of N = 66 is odd
         ctx = make_consistent_context(hessian_scaled_background(n, 6, 0.15), B_REF)
         rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=90 + i)) for i in range(3)])
         grids = count_operator_columns(monkeypatch)
@@ -419,6 +420,16 @@ class TestNestedSolve:
         assert n // 2 in grids
         ref = self.plain(ctx, rhs, monkeypatch)
         assert np.abs(nested - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_odd_grid_makes_no_half_grid_call(self, monkeypatch):
+        # every other point of an odd grid is not a uniform grid
+        n = 65
+        ctx = make_consistent_context(hessian_scaled_background(n, 6, 0.15), B_REF)
+        rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=90 + i)) for i in range(2)])
+        grids = count_operator_columns(monkeypatch)
+        out = linearized_ops._solve_elliptic(ctx, rhs)
+        assert set(grids) == {n} and "_half_grid" not in ctx.__dict__
+        assert np.array_equal(out, self.plain(ctx, rhs, monkeypatch))
 
     def test_few_fine_applications_on_resolved_data(self, monkeypatch):
         n = 64
@@ -428,6 +439,18 @@ class TestNestedSolve:
         linearized_ops._solve_elliptic(ctx, rhs)
         assert 0 < grids.count(n) <= 4
         assert grids.count(n // 2) > 0
+
+    @pytest.mark.parametrize("tail, nested", [(1e-11, True), (1e-7, False)])
+    def test_resolution_threshold(self, tail, nested, monkeypatch):
+        # a mode aliased on the half grid sets the resolution defect, about 2 tail
+        n = 64
+        ctx = make_consistent_context(hessian_scaled_background(n, 7, 0.1), B_REF)
+        x, y = grid2(n)
+        rhs = lincond_rhs(ctx, band_limited(n, seed=95))
+        rhs += tail * np.abs(rhs).max() * np.cos(2 * np.pi * (n // 2 - 3) * (x + y))
+        grids = count_operator_columns(monkeypatch)
+        linearized_ops._solve_elliptic(ctx, rhs)
+        assert (n // 2 in grids) == nested
 
     @pytest.mark.parametrize("kind", ["delta", "noise", "zero"])
     def test_unresolved_rhs_makes_no_half_grid_call(self, kind, monkeypatch):

@@ -138,16 +138,16 @@ class TestInterpolation:
 
 
 class TestProlongation:
-    @pytest.mark.parametrize("n", [32, 64, _DENSE_MAX_N, 2 * _DENSE_MAX_N])
+    @pytest.mark.parametrize("n", [32, 66, _DENSE_MAX_N, 2 * _DENSE_MAX_N])
     def test_band_limited_exact(self, n):
+        # the half grid of N = 66 is odd, with no Nyquist mode
         x, y = np.meshgrid(grid(n), grid(n), indexing="ij")
         f = np.cos(2 * np.pi * (3 * x - 2 * y)) + 0.5 * np.sin(2 * np.pi * (x + 5 * y))
         out = _prolong2(np.array([f[::2, ::2], 2.0 * f[::2, ::2]]), n)
         assert np.abs(out - [f, 2.0 * f]).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [16, 32, 64, _DENSE_MAX_N])
+    @pytest.mark.parametrize("n", [16, 34, 64, 66, _DENSE_MAX_N])
     def test_dense_matrix_is_fourier_padding(self, n):
-        # the Nyquist mode of the half grid is split as ``resample`` splits it
         f = np.random.default_rng(n).standard_normal((2, n // 2, n // 2))
         ref = resample2(f, n)
         assert np.abs(_prolong2(f, n) - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -158,7 +158,6 @@ class TestProlongation:
         assert p.shape == (32, 16) and np.array_equal(pt, p.T)
         assert p.flags.c_contiguous and pt.flags.c_contiguous
         assert not p.flags.writeable and not pt.flags.writeable
-        assert np.array_equal(p[::2], np.eye(16))
 
 
 class TestFields2d:
