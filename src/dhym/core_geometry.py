@@ -163,12 +163,8 @@ def pencil_eigenvalues(v, f) -> np.ndarray:
     if v.shape[-1] != 2:
         r = _inv_sqrt_spd(v)
         return np.linalg.eigvalsh(r @ f @ r)
-    det, tr = _det2(v), v[..., 0, 0] + v[..., 1, 1]
-    if not ((det > 0.0).all() and (tr > 0.0).all()):
-        lowest = 0.5 * tr - np.hypot(0.5 * (v[..., 0, 0] - v[..., 1, 1]), v[..., 0, 1])
-        raise NonPositiveMetric(f"v has a nonpositive eigenvalue ({lowest.min():g})")
-    s = np.sqrt(det)
-    st = s * np.sqrt(tr + 2.0 * s)
+    s = np.sqrt(_spd2_det(v, "v"))
+    st = s * np.sqrt(v[..., 0, 0] + v[..., 1, 1] + 2.0 * s)
     r00, r01, r11 = (v[..., 1, 1] + s) / st, -v[..., 0, 1] / st, (v[..., 0, 0] + s) / st
     f00, f01, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1]
     # R F, then (R F) R; S is symmetric, so S10 is not formed
@@ -241,13 +237,17 @@ def _mixed2(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_spd2(v: np.ndarray) -> None:
-    if v.shape[-2:] != (2, 2):
+def _spd2_det(m: np.ndarray, name: str, error=NonPositiveMetric) -> np.ndarray:
+    """det of the 2x2 matrix field ``m``, which must be positive definite
+    at every point: det > 0 and tr > 0, else ``error`` names the lowest
+    eigenvalue.  An empty stack passes."""
+    if m.shape[-2:] != (2, 2):
         raise DimensionMismatch("surface operations expect 2x2 matrices")
-    det = _det2(v)
-    tr = v[..., 0, 0] + v[..., 1, 1]
-    if not ((det > 0.0).all() and (tr > 0.0).all()):  # an empty stack passes
-        raise NonPositiveMetric("metric field is not positive definite everywhere")
+    det, tr = _det2(m), m[..., 0, 0] + m[..., 1, 1]
+    if not ((det > 0.0).all() and (tr > 0.0).all()):
+        lowest = 0.5 * tr - np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
+        raise error(f"{name} has a nonpositive eigenvalue ({lowest.min():g})")
+    return det
 
 
 def _check_points(m: np.ndarray, name: str) -> None:
@@ -271,8 +271,7 @@ def dhym_residual_surface(v, f, phase: Phase):
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
-    _check_spd2(v)
-    dv = _det2(v)
+    dv = _spd2_det(v, "v")
     df = _det2(f)
     mixed = _mixed2(v, f)
     im = -phase.sin * (dv - df) - phase.cos * mixed
@@ -290,10 +289,10 @@ def surface_ma_check(v, f, phase: Phase) -> float:
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
-    _check_spd2(v)
+    det_v = _spd2_det(v, "v")
     _check_points(v, "v")
     chi = -phase.sin * f + phase.cos * v
-    return float(np.abs(_det2(chi) - _det2(v)).max())
+    return float(np.abs(_det2(chi) - det_v).max())
 
 
 @dataclass(frozen=True)
@@ -321,9 +320,9 @@ def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
         )
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
-    _check_spd2(v)
+    det_v = _spd2_det(v, "v")
     _check_points(v, "v")
-    det_ratio = _det2(f) / _det2(v)
+    det_ratio = _det2(f) / det_v
     lam = pencil_eigenvalues(v, f)
     trace_ratio = 0.5 * lam.sum(axis=-1)
     bound = 0.5 * abs(phase.sin / phase.cos)

@@ -43,8 +43,9 @@ class PhasePreconditionViolated(DhymError):
 
 
 class NotConvex(DhymError):
-    """An input potential lies outside the admissibility cone 1 + phi'' > 0;
-    the solver keeps its own iterates inside."""
+    """An input potential lies outside the admissibility cone: 1 + phi'' > 0
+    in one dimension, I + Hess phi positive definite in two.  The solver
+    keeps its own iterates inside."""
 
     exit_code = 2
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _check_points, _det2, pencil_eigenvalues
-from .errors import DimensionMismatch, InvalidConfig, NonPositiveMetric, NotConvex
+from .core_geometry import _adj2, _as_sym, _check_points, _det2, _spd2_det, pencil_eigenvalues
+from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
 __all__ = [
@@ -81,13 +81,6 @@ def _hessian_of_potential(phi_field: np.ndarray) -> np.ndarray:
     return np.eye(2) + hessian2(phi_field)
 
 
-def _inverse22(m: np.ndarray) -> np.ndarray:
-    det = _det2(m)
-    if det.min() <= 0.0:
-        raise NotConvex("Hessian is not positive definite everywhere")
-    return _adj2(m) / det[..., None, None]
-
-
 def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
     """The fourth-order operator sum_ij d_i d_j (u^{ij}) of u = |x|^2/2 + phi.
 
@@ -98,7 +91,8 @@ def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
     delta^{ij} to exactly zero, and the flat potential must give zero.
     """
     phi_field = _check_field2d(phi_field, "phi")
-    uinv = _inverse22(_hessian_of_potential(phi_field))
+    hess = _hessian_of_potential(phi_field)
+    uinv = _adj2(hess) / _spd2_det(hess, "I + Hess phi", NotConvex)[..., None, None]
     return (
         partial2(uinv[..., 0, 0] - 1.0, 2, 0)
         + 2.0 * partial2(uinv[..., 0, 1], 1, 1)
@@ -112,9 +106,7 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
     to discretization accuracy."""
     phi_field = _check_field2d(phi_field, "phi")
     hess = _hessian_of_potential(phi_field)
-    det = _det2(hess)
-    if det.min() <= 0.0:
-        raise NotConvex("Hessian is not positive definite everywhere")
+    det = _spd2_det(hess, "I + Hess phi", NotConvex)
     cof = _adj2(hess)
     w_hess = hessian2(1.0 / det)
     return np.einsum("...ij,...ij->...", cof, w_hess)
@@ -125,10 +117,8 @@ def _metric_fields(v_hess, f_field, f_datum):
     v = as_field2d(_as_sym(v_hess, "v"))
     f = as_field2d(_as_sym(f_field, "F"))
     datum = _scalar_field2d(f_datum, v.shape[0])
-    det = _det2(v)
-    if det.min() <= 0.0 or (v[..., 0, 0] + v[..., 1, 1]).min() <= 0.0:
-        raise NonPositiveMetric("metric Hessian field is not positive definite")
-    vinv = _inverse22(v)
+    det = _spd2_det(v, "v")
+    vinv = _adj2(v) / det[..., None, None]
     return v, f, datum, det, vinv, np.einsum("...ij,...ij->...", vinv, hessian2(np.log(det)))
 
 

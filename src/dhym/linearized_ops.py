@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _det2
+from .core_geometry import _adj2, _as_sym, _spd2_det
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
 from .spectral import _pcg, _prolong2, hessian2, inner, partial2, resample2
 
@@ -100,8 +100,9 @@ class LinearizedContext:
     So are the background-only fields of ``apply_L``, on first use: grad phi
     and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
     dw^T B + B u B^T (against udot) and (dw + u B^T)^T (against the
-    Jacobian of the transport difference).  They are cached, so phi must
-    not change once the context is in use.
+    Jacobian of the transport difference).  They are cached, so phi is set
+    once, before any of them is built: ``make_consistent_context`` sets it
+    on the context its degree solve ran on (the solve reads no phi).
 
     ``_rayleigh`` maps each trial the trial checks have applied L to, by a
     16-byte blake2b digest of its shape and float64 samples, to its Rayleigh
@@ -135,10 +136,7 @@ class LinearizedContext:
         if not np.isfinite(b_squared).all():
             raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
         hess = np.eye(2) + hessian2(self.u_pert)
-        det = _det2(hess)
-        tr = hess[..., 0, 0] + hess[..., 1, 1]
-        if det.min() <= 0.0 or tr.min() <= 0.0:
-            raise InvalidConfig("background Hessian is not positive definite")
+        det = _spd2_det(hess, "I + Hess u_pert", InvalidConfig)
         self.u_hess = hess
         self._u_inv_fields = np.moveaxis(_adj2(hess) / det[..., None, None], (-2, -1), (0, 1)).copy()
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
@@ -158,8 +156,10 @@ class LinearizedContext:
         """The context of u_pert on every other grid point, with this B and
         phi = 0 (the elliptic solve does not read phi), or None when its
         Hessian is not positive definite: the coarse level of
-        ``_solve_elliptic``.  Built on first use; up to N = 2 ``_DENSE_MAX_N``
-        its Hessian takes dense products, no FFT."""
+        ``_solve_elliptic``.  Built on first use, so the context of
+        ``make_consistent_context`` reuses the one its degree solve built;
+        up to N = 2 ``_DENSE_MAX_N`` its Hessian takes dense products, no
+        FFT."""
         coarse = self.u_pert[::2, ::2]
         try:
             return LinearizedContext(coarse, self.b_matrix, np.zeros_like(coarse))
@@ -423,13 +423,15 @@ def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
 
     Given the metric perturbation and B, solves Delta phi = tr(B) - u_ij B_ij
     for the mean-zero bundle potential (tr B is the unique compatible degree,
-    because the periodic Hessian integrates to zero).
+    because the periodic Hessian integrates to zero).  The solve reads no
+    phi, so it runs on the context with phi = 0, and phi is then set on
+    that same context: one build of its fields and of its half grid.
     """
     ctx = LinearizedContext(u_pert=u_pert, b_matrix=b_matrix, phi=np.zeros_like(u_pert))
     mu = float(np.trace(ctx.b_matrix))
     rhs = mu - np.einsum("...ij,ij->...", ctx.u_hess, ctx.b_matrix)
-    phi = _solve_elliptic(ctx, rhs)
-    return LinearizedContext(u_pert=ctx.u_pert, b_matrix=ctx.b_matrix, phi=phi)
+    ctx.phi = _solve_elliptic(ctx, rhs)
+    return ctx
 
 
 #: Grid points per stacked application of L in the trial checks: trials go

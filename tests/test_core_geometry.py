@@ -23,8 +23,27 @@ from dhym.errors import (
     NonPositiveMetric,
     PhasePreconditionViolated,
 )
+from dhym.kym_ndim import KymData, j_equation_residual, residual_complex
 
 from conftest import random_spd, random_sym
+
+
+def reduced_field(m):
+    """A matrix or a stack of them as the 1-d reduced field (K, 2, 2) of ``kym_ndim``."""
+    return np.reshape(m, (-1, 2, 2))
+
+
+#: The functions that refuse a metric v which is not positive definite,
+#: each called as site(v, F).
+METRIC_SITES = {
+    "pencil_eigenvalues": pencil_eigenvalues,
+    "dhym_residual_surface": lambda v, f: dhym_residual_surface(v, f, Phase(cos=1.0, sin=0.0)),
+    "surface_ma_check": lambda v, f: surface_ma_check(v, f, Phase(cos=0.8, sin=-0.6)),
+    "residual_complex": lambda v, f: residual_complex(
+        reduced_field(v), reduced_field(f), KymData(alpha=1.0, b_matrix=np.eye(2)), 0.0
+    ),
+    "j_equation_residual": lambda v, f: j_equation_residual(reduced_field(v), reduced_field(f), 1.0, 1.0, 0.0),
+}
 
 
 def bisection_pencil_roots(v, f, n_probe=4001, tol=1e-13):
@@ -165,17 +184,25 @@ class TestClosedFormPencil:
         assert np.abs(lam - eigh_oracle(v, f)).max() <= 1e-14 * max(1.0, np.abs(lam).max())
 
     @pytest.mark.parametrize(
-        "v",
+        "site, v",
         [
-            np.diag([1.0, -1.0]),  # det < 0
-            -np.eye(2),  # det > 0, tr < 0
-            np.ones((2, 2)),  # det = 0
-            np.stack([np.eye(2), np.eye(2), np.diag([2.0, -0.5])]),  # one bad point
+            # the pencil_eigenvalues cases keep their ids v0 .. v3
+            pytest.param(site, v, id=f"v{i}" if site == "pencil_eigenvalues" else f"v{i}-{site}")
+            for site in METRIC_SITES
+            for i, v in enumerate(
+                [
+                    np.diag([1.0, -1.0]),  # det < 0
+                    -np.eye(2),  # det > 0, tr < 0
+                    np.ones((2, 2)),  # det = 0
+                    np.stack([np.eye(2), np.eye(2), np.diag([2.0, -0.5])]),  # one bad point
+                ]
+            )
         ],
     )
-    def test_rejects_non_spd_metric(self, v):
+    def test_rejects_non_spd_metric(self, site, v):
+        # every site that needs a positive definite 2x2 v refuses in one form
         with pytest.raises(NonPositiveMetric, match=r"^v has a nonpositive eigenvalue \(-?[0-9.e+-]+\)$"):
-            pencil_eigenvalues(v, np.zeros_like(v))
+            METRIC_SITES[site](v, np.zeros_like(v))
 
     def test_message_form_matches_general_route(self):
         # the n = 3 route reports the lowest eigenvalue of v the same way

@@ -76,6 +76,15 @@ class TestAbreuOperator:
         with pytest.raises(NotConvex):
             abreu_operator(phi)
 
+    @pytest.mark.parametrize("operator", [abreu_operator, abreu_operator_divergence_form])
+    def test_rejects_negative_definite_points(self, operator):
+        # I + Hess phi = -I at every other point: det 1 > 0, but tr -2 < 0
+        n = 32
+        x, y = grid2(n)
+        phi = 2.0 / (np.pi * n) ** 2 * np.cos(np.pi * n * x) * np.cos(np.pi * n * y)
+        with pytest.raises(NotConvex, match=r"nonpositive eigenvalue \(-1\)"):
+            operator(phi)
+
 
 class TestResidualComplex:
     def test_flat_solution(self):

@@ -454,8 +454,10 @@ class TestNestedSolve:
 
     @pytest.mark.parametrize("kind", ["delta", "noise", "zero"])
     def test_unresolved_rhs_makes_no_half_grid_call(self, kind, monkeypatch):
+        # a fresh context: the consistent one holds the half grid of its degree solve
         n = 64
-        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        consistent = make_consistent_context(perturbed_background(n), B_REF)
+        ctx = LinearizedContext(consistent.u_pert, consistent.b_matrix, consistent.phi)
         rhs = {"delta": delta(n), "noise": white_noise(n, seed=96), "zero": np.zeros((n, n))}[kind]
         grids = count_operator_columns(monkeypatch)
         out = linearized_ops._solve_elliptic(ctx, rhs)
@@ -666,6 +668,29 @@ class TestContext:
             LinearizedContext(
                 u_pert=0.05 * np.cos(2 * np.pi * x), b_matrix=B_REF, phi=np.zeros((32, 32))
             )
+
+    def test_one_build_per_consistent_background(self, monkeypatch):
+        # the degree solve and apply_L share one fine and one half-grid context
+        grids, post_init = [], LinearizedContext.__post_init__
+
+        def counted(self):
+            grids.append(np.shape(self.u_pert)[0])
+            post_init(self)
+
+        monkeypatch.setattr(LinearizedContext, "__post_init__", counted)
+        n = 64
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        apply_L(ctx, band_limited(n, seed=230))
+        assert grids == [n, n // 2]
+
+    @pytest.mark.parametrize("n", [32, 64, 65])
+    def test_consistent_context_equals_a_fresh_one(self, n):
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        fresh = LinearizedContext(ctx.u_pert, ctx.b_matrix, ctx.phi)
+        for name in ("u_hess", "_u_inv_fields", "_weight", "_symbol"):
+            assert np.array_equal(getattr(ctx, name), getattr(fresh, name)), name
+        stack = np.array([band_limited(n, seed=231 + i) for i in range(2)])
+        assert np.array_equal(apply_L(ctx, stack), apply_L(fresh, stack))
 
 
 class TestStackedTrials:
