@@ -38,7 +38,6 @@ from .core_geometry import (
 from .errors import DhymError, InvalidConfig
 from .legendre import legendre_forward
 from .linearized_ops import (
-    LinearizedContext,
     apply_L,
     flat_symbol,
     make_consistent_context,
@@ -488,9 +487,9 @@ def _cmd_lincheck(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool)
     x, y = grid2(n)
     if amp > 0.0:
         u_pert = amp * (np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.sin(2 * np.pi * (x + y)))
-        ctx = make_consistent_context(u_pert, b)
     else:
-        ctx = LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b, phi=np.zeros((n, n)))
+        u_pert = np.zeros((n, n))
+    ctx = make_consistent_context(u_pert, b)
     with manifest.stage("symbol"):
         modes = [(kx, ky) for kx in range(0, 4) for ky in range(-3, 4) if (kx, ky) > (0, 0)]
         sym_err = 0.0

@@ -9,7 +9,10 @@ the underlying classes, and the residuals/bound checks of the surface
 equations.
 
 Matrix fields are plain numpy arrays of shape ``(..., n, n)``; all operations
-broadcast over the leading axes.
+broadcast over the leading axes.  A pair (v, F) must be two fields of one
+shape (``_check_pair``).  The 2x2 pencil eigenvalues have a closed form,
+``_pencil2``: ``pencil_eigenvalues`` checks its pair and calls it, and the
+verifiers that have already checked theirs call it directly.
 """
 
 from __future__ import annotations
@@ -120,11 +123,6 @@ class Phase:
             raise DegeneratePhase("phase is not on the unit circle")
 
     @property
-    def conj(self) -> complex:
-        """exp(-i theta_hat)."""
-        return complex(self.cos, -self.sin)
-
-    @property
     def angle(self) -> float:
         return float(np.arctan2(self.sin, self.cos))
 
@@ -153,17 +151,24 @@ def pencil_eigenvalues(v, f) -> np.ndarray:
     (since (v + s I)^2 = t^2 v), and the eigenvalues of the symmetric 2x2 S
     are (S00 + S11)/2 -+ hypot((S00 - S11)/2, S01).  The roots of the
     quadratic det(F - lambda v) = 0 are not used: its discriminant cancels,
-    and near a double eigenvalue they keep only half the digits.  For other
-    n, R comes from ``eigh`` and S goes to ``eigvalsh``.
+    and near a double eigenvalue they keep only half the digits.  This is
+    ``_pencil2``.  For other n, R comes from ``eigh`` and S goes to
+    ``eigvalsh``.
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
-    if v.shape[-1] != f.shape[-1]:
-        raise DimensionMismatch(f"dimension mismatch: v is {v.shape}, F is {f.shape}")
+    _check_pair(v, f)
     if v.shape[-1] != 2:
         r = _inv_sqrt_spd(v)
         return np.linalg.eigvalsh(r @ f @ r)
-    s = np.sqrt(_spd2_det(v, "v"))
+    return _pencil2(v, f, _spd2_det(v, "v"))
+
+
+def _pencil2(v: np.ndarray, f: np.ndarray, det_v: np.ndarray) -> np.ndarray:
+    """The closed form of ``pencil_eigenvalues`` for symmetric 2x2 fields v
+    and F of one shape, v positive definite with determinant ``det_v``:
+    the callers that have already checked the pair do not check it again."""
+    s = np.sqrt(det_v)
     st = s * np.sqrt(v[..., 0, 0] + v[..., 1, 1] + 2.0 * s)
     r00, r01, r11 = (v[..., 1, 1] + s) / st, -v[..., 0, 1] / st, (v[..., 0, 0] + s) / st
     f00, f01, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1]
@@ -250,6 +255,13 @@ def _spd2_det(m: np.ndarray, name: str, error=NonPositiveMetric) -> np.ndarray:
     return det
 
 
+def _check_pair(v: np.ndarray, f: np.ndarray) -> None:
+    """Refuse a metric v and a curvature F that are not fields of one
+    shape: the same points and the same matrix size."""
+    if v.shape != f.shape:
+        raise DimensionMismatch(f"dimension mismatch: v is {v.shape}, F is {f.shape}")
+
+
 def _check_points(m: np.ndarray, name: str) -> None:
     """Refuse an empty stack in a verifier that reduces over the points:
     a sup or an inf over no points has no value.  Pointwise functions
@@ -271,6 +283,7 @@ def dhym_residual_surface(v, f, phase: Phase):
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
+    _check_pair(v, f)
     dv = _spd2_det(v, "v")
     df = _det2(f)
     mixed = _mixed2(v, f)
@@ -289,6 +302,7 @@ def surface_ma_check(v, f, phase: Phase) -> float:
     """
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
+    _check_pair(v, f)
     det_v = _spd2_det(v, "v")
     _check_points(v, "v")
     chi = -phase.sin * f + phase.cos * v
@@ -320,11 +334,11 @@ def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
         )
     v = _as_sym(v, "v")
     f = _as_sym(f, "F")
+    _check_pair(v, f)
     det_v = _spd2_det(v, "v")
     _check_points(v, "v")
     det_ratio = _det2(f) / det_v
-    lam = pencil_eigenvalues(v, f)
-    trace_ratio = 0.5 * lam.sum(axis=-1)
+    trace_ratio = 0.5 * _pencil2(v, f, det_v).sum(axis=-1)
     bound = 0.5 * abs(phase.sin / phase.cos)
     f_nonneg = bool((_det2(f) >= -1e-12).all() and (f[..., 0, 0] + f[..., 1, 1] >= -1e-12).all())
     return SurfaceAprioriReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _check_points, _det2, _spd2_det, pencil_eigenvalues
+from .core_geometry import _adj2, _as_sym, _check_pair, _check_points, _det2, _pencil2, _spd2_det
 from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
@@ -39,14 +39,13 @@ def _check_field2d(f: np.ndarray, name: str) -> np.ndarray:
     return f
 
 
-def as_field2d(m: np.ndarray, n: int | None = None) -> np.ndarray:
+def as_field2d(m: np.ndarray) -> np.ndarray:
     """Broadcast a 1-d reduced matrix field (N, 2, 2) to the square torus grid."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 4:
         return m
     if m.ndim == 3 and m.shape[-2:] == (2, 2):
-        reps = m.shape[0] if n is None else n
-        return np.repeat(m[:, None], reps, axis=1)
+        return np.repeat(m[:, None], m.shape[0], axis=1)
     raise DimensionMismatch(f"cannot interpret shape {m.shape} as a matrix field")
 
 
@@ -116,6 +115,7 @@ def _metric_fields(v_hess, f_field, f_datum):
     """(v, F, datum, det v, v^{-1}, v^{ij} [log det v]_ij) of a surface residual."""
     v = as_field2d(_as_sym(v_hess, "v"))
     f = as_field2d(_as_sym(f_field, "F"))
+    _check_pair(v, f)
     datum = _scalar_field2d(f_datum, v.shape[0])
     det = _spd2_det(v, "v")
     vinv = _adj2(v) / det[..., None, None]
@@ -182,9 +182,9 @@ def apriori_verify(v_hess, f_field, mu: float, tol: float = 1e-10) -> AprioriRep
     """
     v = as_field2d(_as_sym(v_hess, "v"))
     f = as_field2d(_as_sym(f_field, "F"))
+    _check_pair(v, f)
     _check_points(v, "v")
-    _check_points(f, "F")
-    lam = pencil_eigenvalues(v, f)
+    lam = _pencil2(v, f, _spd2_det(v, "v"))
     det_f = _det2(f)
     tr_f = f[..., 0, 0] + f[..., 1, 1]
     nonneg = bool((det_f >= -1e-12).all() and (tr_f >= -1e-12).all())

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -472,12 +472,6 @@ def _applied(ctx: LinearizedContext, trials):
             yield trial, image, quotient
 
 
-def _flatten_pairs(pairs):
-    for xi, gamma in pairs:
-        yield xi
-        yield gamma
-
-
 def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
     """Relative defect |<xi, L gamma> - <gamma, L xi>| for each trial pair.
 
@@ -488,7 +482,7 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
     each trial stays, in the context's memo, for ``negativity_check``.
     """
     defects = []
-    images = _applied(ctx, _flatten_pairs(trial_pairs))
+    images = _applied(ctx, chain.from_iterable(trial_pairs))
     for (xi, lx, _), (gamma, lg, _) in zip(images, images):
         raw = abs(inner(xi, lg) - inner(gamma, lx))
         scale = (

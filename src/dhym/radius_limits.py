@@ -31,15 +31,6 @@ __all__ = [
 ]
 
 
-def _elementary_symmetric(eigs: np.ndarray) -> np.ndarray:
-    """e_0 .. e_n of the eigenvalues, by the coefficient recursion."""
-    e = np.zeros(eigs.shape[0] + 1)
-    e[0] = 1.0
-    for lam in eigs:
-        e[1:] = e[1:] + lam * e[:-1].copy()
-    return e
-
-
 @dataclass(frozen=True)
 class CohomologyData:
     """Symmetric-function data of a constant representative F0.
@@ -56,13 +47,9 @@ class CohomologyData:
     @classmethod
     def from_matrix(cls, f0) -> "CohomologyData":
         f0 = _as_sym(f0, "F0")
-        eigs = np.linalg.eigvalsh(f0)
-        e = _elementary_symmetric(eigs)
-        # cross-check against the characteristic polynomial coefficients
-        char = np.poly(eigs)  # lambda^n - e1 lambda^(n-1) + ...
-        alt = np.array([(-1.0) ** k * char[k] for k in range(len(char))])
-        if not np.allclose(e, alt, rtol=0.0, atol=1e-12 * max(1.0, np.abs(e).max())):
-            raise InvalidConfig("elementary symmetric values are inconsistent")
+        # prod (x + lambda_i) = sum_k e_k x^(n-k); np.poly(-eigs) multiplies
+        # in the factors one at a time, the recursion e_k += lambda e_(k-1)
+        e = np.poly(-np.linalg.eigvalsh(f0))
         return cls(n=f0.shape[0], f0=f0, e=e)
 
     @property

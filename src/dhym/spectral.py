@@ -5,7 +5,8 @@ uniform grid ``x_k = k/N``.  Derivatives are computed in Fourier space, so
 smooth data is differentiated with spectral accuracy; this is what makes the
 1e-8 .. 1e-12 identity tolerances used throughout realistic at moderate grid
 sizes.  On small 2-d grids ``partial2`` applies the same derivative as a
-product with its dense matrix, which agrees with the FFT to roundoff.
+product with its dense matrix D along x and with D^T along y, the cached
+pair (D, D^T) of ``_diff_matrix``, which agrees with the FFT to roundoff.
 
 One rule, ``_chop``, decides which Fourier bins are roundoff on every
 stabilized path: the trailing tail whose envelope has fallen to 64 eps of the
@@ -224,10 +225,6 @@ class PeriodicProfile:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def x(self) -> np.ndarray:
-        return grid(self.n)
-
     def mean(self) -> float:
         return float(self.samples.mean())
 
@@ -257,34 +254,26 @@ _DENSE_MAX_N = 128
 
 
 @lru_cache(maxsize=None)
-def _diff_matrix(n: int, order: int) -> np.ndarray:
-    """The n x n matrix D of ``spectral_derivative`` of ``order``: D @ f is
-    the derivative of the samples f along their first axis.
+def _diff_matrix(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """D and D^T, C-contiguous and read-only: D is the n x n matrix of
+    ``spectral_derivative`` of ``order``, so D @ f is the derivative of the
+    samples f along their first axis.  Cached per (n, order).
 
     D is the FFT path applied to the identity, then made exactly
     skew-symmetric (odd order) or exactly symmetric (even order), as the
     exact matrix is (Trefethen, Spectral Methods in MATLAB, SIAM 2000,
-    ch. 3).  Read-only and cached per (n, order).  Its row sums are roundoff,
+    ch. 3).  So D^T is exactly -D or D.  It is stored contiguous because a
+    stack times a contiguous matrix costs 1.4-2.5x less than times the
+    transposed view D.T at N = 32 / 64.  The row sums of D are roundoff,
     not zero, so D does not send a constant to exactly zero: differentiate
     the deviation from a constant when the exact zero matters.
     """
     d = spectral_derivative(np.eye(n), order, axis=0)
     d = 0.5 * (d - d.T) if order % 2 else 0.5 * (d + d.T)
+    dt = -d if order % 2 else d
     d.setflags(write=False)
-    return d
-
-
-@lru_cache(maxsize=None)
-def _diff_matrix_transposed(n: int, order: int) -> np.ndarray:
-    """D^T of ``_diff_matrix``, C-contiguous: D itself (even order) or -D
-    (odd order), both exact, since D is exactly symmetric or skew.  A
-    stack times a contiguous matrix costs 1.4-2.5x less than times the
-    transposed view D.T at N = 32 / 64.  Read-only and cached."""
-    d = _diff_matrix(n, order)
-    if order % 2:
-        d = -d
-        d.setflags(write=False)
-    return d
+    dt.setflags(write=False)
+    return d, dt
 
 
 def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -293,20 +282,19 @@ def partial2(field_samples: np.ndarray, dx: int, dy: int) -> np.ndarray:
     The field lies on the last two axes, shape (..., n, n); x is axis -2 and
     y axis -1, and any leading axes are a stack of fields.  Up to
     ``_DENSE_MAX_N`` points per axis an axis is differentiated as a product
-    with the dense matrix of ``_diff_matrix``, D @ f along x and f @ D^T
-    along y (``_diff_matrix_transposed``): at these sizes one BLAS product
-    costs less than the FFT pair it replaces, and agrees with it to
-    roundoff.  Larger axes take the FFT
-    (``spectral_derivative``).  On the dense path a constant field has a
-    roundoff derivative, not an exact zero.
+    with a dense matrix of the pair (D, D^T) of ``_diff_matrix``, D @ f
+    along x and f @ D^T along y: at these sizes one BLAS product costs less
+    than the FFT pair it replaces, and agrees with it to roundoff.  Larger
+    axes take the FFT (``spectral_derivative``).  On the dense path a
+    constant field has a roundoff derivative, not an exact zero.
     """
     out = np.asarray(field_samples, dtype=float)
     if dx:
         n = out.shape[-2]
-        out = _diff_matrix(n, dx) @ out if n <= _DENSE_MAX_N else spectral_derivative(out, order=dx, axis=-2)
+        out = _diff_matrix(n, dx)[0] @ out if n <= _DENSE_MAX_N else spectral_derivative(out, order=dx, axis=-2)
     if dy:
         n = out.shape[-1]
-        out = out @ _diff_matrix_transposed(n, dy) if n <= _DENSE_MAX_N else spectral_derivative(out, order=dy)
+        out = out @ _diff_matrix(n, dy)[1] if n <= _DENSE_MAX_N else spectral_derivative(out, order=dy)
     return out
 
 

@@ -17,13 +17,14 @@ from dhym import (
     surface_ma_check,
     torus_constant_phase,
 )
+from dhym import core_geometry, kym_ndim
 from dhym.core_geometry import _as_sym
 from dhym.errors import (
     DimensionMismatch,
     NonPositiveMetric,
     PhasePreconditionViolated,
 )
-from dhym.kym_ndim import KymData, j_equation_residual, residual_complex
+from dhym.kym_ndim import KymData, apriori_verify, j_equation_residual, residual_complex
 
 from conftest import random_spd, random_sym
 
@@ -43,6 +44,29 @@ METRIC_SITES = {
         reduced_field(v), reduced_field(f), KymData(alpha=1.0, b_matrix=np.eye(2)), 0.0
     ),
     "j_equation_residual": lambda v, f: j_equation_residual(reduced_field(v), reduced_field(f), 1.0, 1.0, 0.0),
+}
+
+#: The functions that take a pair (v, F) of matrix fields, each called as
+#: site(v, F); the ``kym_ndim`` ones take the fields as given, 1-d reduced
+#: (K, 2, 2) or (N, N, 2, 2).
+PAIR_SITES = dict(
+    METRIC_SITES,
+    surface_apriori_check=lambda v, f: surface_apriori_check(v, f, Phase(cos=0.8, sin=-0.6)),
+    residual_complex=lambda v, f: residual_complex(v, f, KymData(alpha=1.0, b_matrix=np.eye(2)), 0.0),
+    j_equation_residual=lambda v, f: j_equation_residual(v, f, 1.0, 1.0, 0.0),
+    apriori_verify=lambda v, f: apriori_verify(v, f, mu=1.0),
+)
+
+
+def identity_field(shape, n=2):
+    return np.broadcast_to(np.eye(n), shape + (n, n)).copy()
+
+
+#: Pairs (v, F) that are not fields of one shape.
+MISMATCHED_PAIRS = {
+    "points": (identity_field((4,)), identity_field((3,))),
+    "grid": (identity_field((16, 16)), identity_field((32, 32))),
+    "matrix_size": (identity_field((4, 4)), identity_field((4, 4), n=3)),
 }
 
 
@@ -203,6 +227,14 @@ class TestClosedFormPencil:
         # every site that needs a positive definite 2x2 v refuses in one form
         with pytest.raises(NonPositiveMetric, match=r"^v has a nonpositive eigenvalue \(-?[0-9.e+-]+\)$"):
             METRIC_SITES[site](v, np.zeros_like(v))
+
+    @pytest.mark.parametrize("pair", MISMATCHED_PAIRS)
+    @pytest.mark.parametrize("site", PAIR_SITES)
+    def test_rejects_mismatched_pair(self, site, pair):
+        # every site refuses v and F on different points or of different sizes in one form
+        v, f = MISMATCHED_PAIRS[pair]
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: v is \("):
+            PAIR_SITES[site](v, f)
 
     def test_message_form_matches_general_route(self):
         # the n = 3 route reports the lowest eigenvalue of v the same way
@@ -463,6 +495,28 @@ class TestAprioriCheck:
         report = surface_apriori_check(v, f, self.PHASE)
         assert not report.det_ratio_ok.all()
         assert not report.passed
+
+    @pytest.mark.parametrize("site", ["surface_apriori_check", "apriori_verify"])
+    def test_pair_is_checked_once(self, site, monkeypatch):
+        # the pencil reads the pair its caller checked: each field is
+        # symmetrized once and det v is computed once
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        real = {name: getattr(core_geometry, name) for name in ("_as_sym", "_spd2_det")}
+        for module in (core_geometry, kym_ndim):
+            for name, function in real.items():
+                monkeypatch.setattr(module, name, counting(name, function))
+        v = identity_field((16, 16))
+        f = np.broadcast_to(np.diag([0.2, 0.1]), (16, 16, 2, 2)).copy()
+        PAIR_SITES[site](v, f)
+        assert sorted(calls) == ["_as_sym", "_as_sym", "_spd2_det"]
 
     def test_phase_precondition(self):
         v = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dhym
 from dhym import (
     CohomologyData,
     ConstantCurvature2,
@@ -17,7 +24,29 @@ from dhym.radius_limits import fit_loglog_slope
 from conftest import cosine_problem, random_sym
 
 
+def elementary_symmetric_oracle(eigs: np.ndarray) -> np.ndarray:
+    """e_0 .. e_n of the eigenvalues, by the coefficient recursion
+    e_k += lambda e_(k-1)."""
+    e = np.zeros(eigs.shape[0] + 1)
+    e[0] = 1.0
+    for lam in eigs:
+        e[1:] = e[1:] + lam * e[:-1].copy()
+    return e
+
+
 class TestExactZ:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_symmetric_functions_equal_the_recursion(self, n):
+        # bitwise, signed zeros, overflow and underflow included
+        rng = np.random.default_rng(n)
+        classes = [random_sym(rng, n, bound=scale) for scale in 10.0 ** np.arange(-300, 301, 25) for _ in range(8)]
+        classes += [np.diag(rng.choice([-2.0, -0.0, 0.0, 1.0], n)) for _ in range(20)]
+        for f0 in classes:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                e = CohomologyData.from_matrix(f0).e
+                ref = elementary_symmetric_oracle(np.linalg.eigvalsh(f0))
+            assert e.tobytes() == ref.tobytes(), f0
+
     def test_trivial(self):
         data = CohomologyData.from_matrix(np.zeros((3, 3)))
         assert exact_z(2.0, data) == 8.0 + 0j
@@ -203,3 +232,22 @@ class TestLimitConvergence:
         base = cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0))
         with pytest.raises(InvalidConfig):
             scaled_coupled_problem(base, 4.0)
+
+
+@pytest.mark.parametrize(
+    "f0",
+    [
+        [[1e300, 0, 0], [0, -1e300, 0], [0, 0, 1e300]],  # e_2 and e_3 overflow to -inf
+        [[1e308, 1e308], [1e308, 1e308]],  # F0 + F0^T overflows, so e_1 and e_2 are nan
+    ],
+)
+def test_expand_refuses_overflowing_class(tmp_path, f0):
+    # a subprocess: the overflow warns, and in-process RuntimeWarnings are errors here
+    src = str(Path(dhym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"f0_matrix": f0}))
+    argv = [sys.executable, "-m", "dhym.cli", "expand", "--config", str(cfg), "--out", str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "the phase expansion overflows" in out.stderr

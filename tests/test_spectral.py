@@ -8,7 +8,6 @@ from dhym.spectral import (
     _DENSE_MAX_N,
     PeriodicProfile,
     _diff_matrix,
-    _diff_matrix_transposed,
     _prolong2,
     _prolongation,
     _tail_chopped_second_derivative,
@@ -224,7 +223,7 @@ class TestDenseDerivatives:
     @pytest.mark.parametrize("n", [16, 25, 32, 64, _DENSE_MAX_N])
     def test_matrix_exactly_skew_or_symmetric(self, n):
         for order in (1, 2, 3, 4):
-            d = _diff_matrix(n, order)
+            d, _ = _diff_matrix(n, order)
             assert d.shape == (n, n)
             if order % 2:
                 assert np.array_equal(d, -d.T)
@@ -234,14 +233,14 @@ class TestDenseDerivatives:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_transposed_matrix_is_exact_and_contiguous(self, n):
         for order in (1, 2):
-            t = _diff_matrix_transposed(n, order)
-            assert np.array_equal(t, _diff_matrix(n, order).T)
+            d, t = _diff_matrix(n, order)
+            assert np.array_equal(t, d.T)
             assert t.flags.c_contiguous and not t.flags.writeable
-            assert t is _diff_matrix_transposed(n, order)
+            assert t is _diff_matrix(n, order)[1]
 
     def test_cached_matrix_is_read_only(self):
-        d = _diff_matrix(32, 1)
-        assert d is _diff_matrix(32, 1)
+        d, _ = _diff_matrix(32, 1)
+        assert d is _diff_matrix(32, 1)[0]
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 0.0
