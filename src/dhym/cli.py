@@ -12,8 +12,10 @@ One subcommand per capability::
 
 Configs are strict JSON (unknown keys rejected).  Numeric CSV output uses 17
 significant digits with LF line endings, so identical configs reproduce
-byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
-3 obstruction, 4 non-convergence, 5 internal invariant failure.
+byte-identical files.  Manifests are strict JSON, with null for a value
+that was not fitted or not checked.  Exit codes: 0 success, 2 invalid
+configuration, 3 obstruction, 4 non-convergence, 5 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from . import __version__
 from .core_geometry import (
     ConstantCurvature2,
-    average_radius,
     phase_positivity_constant,
     torus_constant_phase,
 )
@@ -180,10 +181,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(_fmt(c[i]) for c in columns))
-    path.write_text("\n".join(rows) + "\n", newline="\n")
+    with path.open("w", newline="\n") as fh:  # LF line endings on every platform
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
+def _or_null(x: float) -> float | None:
+    """``x``, or None (JSON null) where nan stands for a value not fitted."""
+    return None if np.isnan(x) else x
 
 
 def _read_csv(path: Path, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -324,7 +328,8 @@ class _Manifest:
 
     def write(self, outdir: Path) -> None:
         self.data["timings"]["total"] = time.perf_counter() - self._t0
-        (outdir / "manifest.json").write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        # strict JSON: a nan or inf left in a report is an internal error, not a file
+        (outdir / "manifest.json").write_text(json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -396,7 +401,6 @@ def _cmd_phase(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
         "magnitude": phase.magnitude,
         "angle": phase.angle,
         "positivity_constant": phase_positivity_constant(f0),
-        "average_radius": average_radius(2, f0.matrix),
         "det": f0.det,
         "tr": f0.tr,
     }
@@ -413,14 +417,14 @@ def _cmd_expand(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     t_large = cfg.get("t_large", [10.0, 20.0, 40.0, 80.0, 160.0])
     with manifest.stage("large_radius"):
         rep = large_radius_phase_check(data, t_large)
-    results["large_radius"] = {"slope": rep.slope, "c": rep.c}
+    results["large_radius"] = {"slope": _or_null(rep.slope), "c": rep.c}
     header += ["t_large", "err_large"]
     columns += [rep.t_values, rep.errors]
     if data.e[-1] != 0.0:
         t_small = cfg.get("t_small", [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160])
         with manifest.stage("small_radius"):
             rep_s = small_radius_phase_check(data, t_small)
-        results["small_radius"] = {"slope": rep_s.slope, "c": rep_s.c}
+        results["small_radius"] = {"slope": _or_null(rep_s.slope), "c": rep_s.c}
         if len(rep_s.t_values) == len(rep.t_values):
             header += ["t_small", "err_small"]
             columns += [rep_s.t_values, rep_s.errors]
@@ -490,10 +494,11 @@ def _cmd_lincheck(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool)
     else:
         u_pert = np.zeros((n, n))
     ctx = make_consistent_context(u_pert, b)
-    with manifest.stage("symbol"):
-        modes = [(kx, ky) for kx in range(0, 4) for ky in range(-3, 4) if (kx, ky) > (0, 0)]
-        sym_err = 0.0
-        if amp == 0.0:
+    sym_err = None  # the symbol is known only on the flat background
+    if amp == 0.0:
+        with manifest.stage("symbol"):
+            modes = [(kx, ky) for kx in range(0, 4) for ky in range(-3, 4) if (kx, ky) > (0, 0)]
+            sym_err = 0.0
             for kx, ky in modes:
                 gamma = np.cos(2 * np.pi * (kx * x + ky * y))
                 sym = flat_symbol(np.array([kx, ky]), b)
@@ -517,8 +522,7 @@ def _cmd_limits(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     with manifest.stage("study"):
         report = limit_convergence_study(problem, sorted(cfg["t_list"]))
     manifest.data["results"] = {
-        # an exact study has no order (nan), and JSON has no nan
-        "order": None if report.exact else report.order,
+        "order": _or_null(report.order),  # an exact study has no order
         "exact": report.exact,
         "errors": [float(e) for e in report.errors],
         "limit_sup": report.limit_sup,

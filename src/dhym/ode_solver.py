@@ -372,7 +372,6 @@ def reconstruct_bundle_potential(psi: PeriodicProfile, problem: ODEProblem) -> P
 
 @dataclass(frozen=True)
 class MaxPrincipleReport:
-    location: float
     lhs: float
     sup_datum: float
     margin: float
@@ -391,13 +390,10 @@ def max_principle_verify(bundle: SolutionBundle, problem: ODEProblem) -> MaxPrin
     """
     k1, k0 = problem.coefficients()
     w = 1.0 + spectral_derivative(bundle.phi.samples, 2, stabilized=True)
-    i = int(np.argmax(w))
-    lhs = k1 * w[i] - k0
+    lhs = k1 * w.max() - k0
     a_proj, _ = project_datum(problem.datum_a, problem)
     sup_a = float(np.abs(a_proj.samples).max())
-    return MaxPrincipleReport(
-        location=i / bundle.n, lhs=float(lhs), sup_datum=sup_a, margin=float(sup_a - lhs)
-    )
+    return MaxPrincipleReport(lhs=float(lhs), sup_datum=sup_a, margin=float(sup_a - lhs))
 
 
 def lift_to_2d(bundle: SolutionBundle, problem: ODEProblem):

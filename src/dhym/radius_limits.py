@@ -41,7 +41,6 @@ class CohomologyData:
     """
 
     n: int
-    f0: np.ndarray
     e: np.ndarray
 
     @classmethod
@@ -50,7 +49,7 @@ class CohomologyData:
         # prod (x + lambda_i) = sum_k e_k x^(n-k); np.poly(-eigs) multiplies
         # in the factors one at a time, the recursion e_k += lambda e_(k-1)
         e = np.poly(-np.linalg.eigvalsh(f0))
-        return cls(n=f0.shape[0], f0=f0, e=e)
+        return cls(n=f0.shape[0], e=e)
 
     @property
     def c_large(self) -> float:
@@ -97,11 +96,17 @@ class PhaseExpansionReport:
     c: float
 
 
-def _expansion_report(t: np.ndarray, errors: np.ndarray, c: float, flat_slope: float) -> PhaseExpansionReport:
-    # a class or radius too large for floating point leaves inf or nan errors
+def _expansion_report(data: CohomologyData, t: np.ndarray, c: float, truncation) -> PhaseExpansionReport:
+    """Errors |exp(-i theta(t)) - truncation(t)| along ``t`` and their
+    log-log slope, nan when some error is exactly 0 and no slope can be
+    fitted."""
+    # a class or radius too large for floating point leaves inf or nan
+    # errors, which are refused here rather than warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.array([abs(_phase_at(tv, data) - truncation(tv)) for tv in t])
     if not np.isfinite(errors).all():
         raise InvalidConfig("the phase expansion overflows for this class and these radii")
-    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else flat_slope
+    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else float("nan")
     return PhaseExpansionReport(t_values=t, errors=errors, slope=slope, c=c)
 
 
@@ -116,10 +121,7 @@ def large_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionRepo
         raise InvalidConfig("need >= 4 radius values spanning close to a decade")
     c = data.c_large
     # c * c, not c**2: a float power raises on overflow where a product gives inf
-    errors = np.array(
-        [abs(_phase_at(tv, data) - ((1.0 - c * c / (2.0 * tv**2)) + 1j * c / tv)) for tv in t]
-    )
-    return _expansion_report(t, errors, c, float("-inf"))
+    return _expansion_report(data, t, c, lambda tv: (1.0 - c * c / (2.0 * tv**2)) + 1j * c / tv)
 
 
 def small_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionReport:
@@ -131,8 +133,7 @@ def small_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionRepo
     c = data.c_small  # raises DegenerateTopPower when e_n = 0
     t = np.asarray(sorted(t_list, reverse=True), dtype=float)
     lead = (1j) ** data.n * np.sign(data.e[-1])
-    errors = np.array([abs(_phase_at(tv, data) - lead * (1.0 - 1j * c * tv)) for tv in t])
-    return _expansion_report(t, errors, c, float("inf"))
+    return _expansion_report(data, t, c, lambda tv: lead * (1.0 - 1j * c * tv))
 
 
 def scaled_coupled_problem(base: ODEProblem, t: float) -> ODEProblem:

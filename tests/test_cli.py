@@ -10,7 +10,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import dhym
-from dhym.cli import SCHEMAS, _validate, main
+from dhym.cli import SCHEMAS, _validate, _write_csv, main
+from dhym.core_geometry import ConstantCurvature2, average_radius, torus_constant_phase
 from dhym.errors import InvalidConfig
 
 SOLVE_CFG = {
@@ -535,3 +536,74 @@ def test_integral_float_config(tmp_path, command, cfg, floats, csv):
         assert main([command, "--config", path, "--out", str(tmp_path / name)]) == 0
         outputs.append((tmp_path / name / csv).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# -- reports: strict JSON, and only values that were measured ----------------
+
+
+def reject_constant(token):
+    raise ValueError(f"manifest holds the non-JSON constant {token}")
+
+
+def run_strict(tmp_path, command, cfg) -> dict:
+    """Run ``command`` on ``cfg`` in ``tmp_path``; its manifest, parsed as strict JSON."""
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject_constant)
+
+
+def test_manifests_are_strict_json(tmp_path):
+    # solve runs first and writes the solution.csv that residual reads
+    for command, cfg in FULL_CFGS.items():
+        run_strict(tmp_path, command, cfg)
+    # the zero class: the large-radius errors are exact zeros, so no slope is fitted
+    results = run_strict(tmp_path, "expand", {"f0_matrix": [[0, 0], [0, 0]]})["results"]
+    assert results == {"large_radius": {"slope": None, "c": 0.0}}
+
+
+def test_lincheck_symbol_error_only_where_checked(tmp_path):
+    # the flat symbol is known only on the flat background; a perturbed one
+    # reports null and no timing for a check that never ran
+    cfg = {"grid": 16, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "trials": 2}
+    flat = run_strict(tmp_path, "lincheck", cfg)
+    assert 0.0 <= flat["results"]["flat_symbol_rel_err"] <= 1e-9
+    assert "symbol" in flat["timings"]
+    perturbed = run_strict(tmp_path, "lincheck", dict(cfg, perturbation=0.004))
+    assert perturbed["results"]["flat_symbol_rel_err"] is None
+    assert "symbol" not in perturbed["timings"]
+
+
+def test_phase_reports_one_class_modulus(tmp_path):
+    # on T^2, |det(I - i F0)| is the closed-form magnitude of the class phase
+    results = run_strict(tmp_path, "phase", FULL_CFGS["phase"])["results"]
+    assert "average_radius" not in results
+    f0 = ConstantCurvature2(*FULL_CFGS["phase"]["f0"])
+    assert abs(results["magnitude"] - average_radius(2, f0.matrix)) <= 1e-12 * results["magnitude"]
+    rng = np.random.default_rng(23)
+    for abc, scale in zip(rng.uniform(-1.0, 1.0, (2000, 3)), 10.0 ** rng.uniform(-3.0, 3.0, 2000)):
+        f0 = ConstantCurvature2(*(scale * abc))
+        magnitude = torus_constant_phase(f0).magnitude
+        assert abs(magnitude - average_radius(2, f0.matrix)) <= 1e-12 * magnitude
+
+
+def loop_csv(path, header, columns):
+    """The row-by-row CSV writer that ``np.savetxt`` replaced, as the oracle."""
+    rows = [",".join(header)]
+    for i in range(len(columns[0])):
+        rows.append(",".join(format(float(c[i]), ".17g") for c in columns))
+    path.write_text("\n".join(rows) + "\n", newline="\n")
+
+
+@pytest.mark.parametrize("rows", [1, 500])
+def test_csv_writer_matches_the_loop(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.0, -1e300])
+    columns = [np.arange(rows, dtype=float)]
+    for _ in range(4):
+        column = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 300, rows)
+        column[rng.integers(0, rows, 3)] = rng.choice(specials, 3)
+        columns.append(column)
+    header = ["i", "a", "b", "c", "d"]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    loop_csv(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+

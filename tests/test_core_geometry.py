@@ -310,6 +310,11 @@ class TestSymmetryRule:
     def test_empty_stack(self):
         assert _as_sym(np.zeros((0, 2, 2)), "m").shape == (0, 2, 2)
 
+    def test_large_entries_stay_finite(self):
+        # m + m^T overflows above about 8.99e307; the halves 0.5 m + 0.5 m^T do not
+        m = np.array([[1.7e308, 1.0], [1.0, 1.7e308]])
+        assert np.array_equal(_as_sym(m, "F0"), m)
+
 
 class TestPhaseRadius:
     def test_zero(self):

@@ -95,7 +95,7 @@ class TestLargeRadiusExpansion:
         data = CohomologyData.from_matrix(np.zeros((2, 2)))
         report = large_radius_phase_check(data, [10, 20, 40, 80])
         assert np.abs(report.errors).max() == 0.0
-        assert report.slope == float("-inf")
+        assert np.isnan(report.slope)  # no slope can be fitted to exact zeros
 
     def test_threefold_slope(self):
         data = CohomologyData.from_matrix(np.diag([1.0, 2.0, 3.0]))
@@ -251,3 +251,24 @@ def test_expand_refuses_overflowing_class(tmp_path, f0):
     out = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert out.returncode == 2, out.stderr
     assert "the phase expansion overflows" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "f0",
+    [[[1e300, 0, 0], [0, -1e300, 0], [0, 0, 1e300]], [[1e308, 1e308], [1e308, 1e308]]],
+    ids=["e_n-overflows", "sum-overflows"],
+)
+def test_expand_overflow_prints_one_error_line(tmp_path, capsys, f0):
+    # in-process a numpy RuntimeWarning is an error here (exit 5), and in a
+    # subprocess it would print in front of the CLI's own message
+    from dhym.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"f0_matrix": f0}))
+    assert main(["expand", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    in_process = capsys.readouterr().err
+    src = str(Path(dhym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "dhym.cli", "expand", "--config", str(cfg), "--out", str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.stderr == in_process == "error: the phase expansion overflows for this class and these radii\n"

@@ -244,7 +244,7 @@ def main(argv=None) -> None:
         "rounds": ROUNDS,
         "records": {label: _record(r) for label, r in rounds.items()},
     }
-    (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     for label, record in doc["records"].items():
         print(label, "field-2d applications per solve:", record["field2d_applications"])
         for row in record["sizes"]:

@@ -131,7 +131,7 @@ def main(argv=None) -> None:
         columns = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
         records[label] = _record(runs[label], columns)
     doc = {"benchmark": "dhym lincheck", "machine": machine(), "rounds": ROUNDS, "records": records}
-    (ROOT / "BENCH_lincheck.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (ROOT / "BENCH_lincheck.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     for label, record in records.items():
         print(label)
         for name, row in record.items():
