@@ -422,12 +422,13 @@ def _cmd_expand(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool):
     columns += [rep.t_values, rep.errors]
     if data.e[-1] != 0.0:
         t_small = cfg.get("t_small", [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160])
+        if len(t_small) != len(t_large):  # the two share the rows of expansion.csv
+            raise InvalidConfig(f"t_small has {len(t_small)} radii and t_large {len(t_large)}: they must match")
         with manifest.stage("small_radius"):
             rep_s = small_radius_phase_check(data, t_small)
         results["small_radius"] = {"slope": _or_null(rep_s.slope), "c": rep_s.c}
-        if len(rep_s.t_values) == len(rep.t_values):
-            header += ["t_small", "err_small"]
-            columns += [rep_s.t_values, rep_s.errors]
+        header += ["t_small", "err_small"]
+        columns += [rep_s.t_values, rep_s.errors]
     manifest.data["results"] = results
     return "expansion.csv", header, columns
 

@@ -1,9 +1,10 @@
 """Discrete linearized operator of the coupled large-radius system on T^2.
 
-The background is a symplectic potential u = |x|^2/2 + u_pert and a bundle
-potential phi entering the curvature decomposition F = B + Hess(phi), with B
-a constant symmetric matrix.  Tangent directions are Hessians of scalar
-periodic potentials, so the operator L maps scalars to scalars.
+The background is a symplectic potential u = |x|^2/2 + u_pert and a
+constant symmetric matrix B.  The bundle potential phi of the curvature
+decomposition F = B + Hess(phi) is derived from them: it solves the degree
+equation Delta phi + u_ij B_ij = tr B.  Tangent directions are Hessians of
+scalar periodic potentials, so the operator L maps scalars to scalars.
 
 L splits as L0 + L1 where L1 carries the solution phi-dot of the linearized
 degree equation
@@ -12,10 +13,10 @@ degree equation
     Delta = d_i u^{ij} d_j,  mean(phi-dot) = 0.
 
 L is formally self-adjoint for the flat Lebesgue product and nonpositive on
-mean-zero fields, *provided the background satisfies the degree equation*
-Delta phi + u_ij B_ij = const (the integration by parts uses it); use
-``make_consistent_context`` to build such backgrounds.  At the flat
-background the operator is diagonal in Fourier modes with symbol
+mean-zero fields because the background satisfies the degree equation (the
+integration by parts uses it); ``LinearizedContext`` solves for phi, so
+every context does.  At the flat background the operator is diagonal in
+Fourier modes with symbol
 
     -(2 pi)^4 |k|^4 - 2 (2 pi)^2 k.B^2 k + 2 (2 pi)^2 (k.B k)^2 / |k|^2,
 
@@ -97,24 +98,26 @@ class LinearizedContext:
     ``laplacian`` and keeps no multipliers of its own.  The half-grid
     context of the nested solve (``_half_grid``) is built on first use.
 
-    So are the background-only fields of ``apply_L``, on first use: grad phi
-    and, with dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
+    The bundle potential ``phi`` is derived, not passed: the mean-zero
+    solution of the degree equation Delta phi = tr(B) - u_ij B_ij on this
+    context's own fields (tr B is the unique compatible degree, because the
+    periodic Hessian integrates to zero), solved on first read.  So every
+    context is consistent, and one that only runs elliptic solves (the half
+    grid) never solves for phi.  The background-only fields of ``apply_L``
+    are built from it on first use too: grad phi and, with
+    dw = D(u^{-1} grad phi) (dw_jk = d_j w_k), the contractions
     dw^T B + B u B^T (against udot) and (dw + u B^T)^T (against the
-    Jacobian of the transport difference).  They are cached, so phi is set
-    once, before any of them is built: ``make_consistent_context`` sets it
-    on the context its degree solve ran on (the solve reads no phi).
+    Jacobian of the transport difference).
 
     ``_rayleigh`` maps each trial the trial checks have applied L to, by a
     16-byte blake2b digest of its shape and float64 samples, to its Rayleigh
     quotient <gamma, L gamma>/<gamma, gamma>, so ``negativity_check`` does
     not apply L again to a trial ``selfadjointness_defect`` already did.  It
-    holds scalars, never images.  Like the coefficients, the quotients
-    belong to this phi: with another they would be stale.
+    holds scalars, never images.
     """
 
     u_pert: np.ndarray
     b_matrix: np.ndarray
-    phi: np.ndarray
     u_hess: np.ndarray = field(init=False)
     u_inv: np.ndarray = field(init=False)
     _u_inv_fields: np.ndarray = field(init=False, repr=False)
@@ -125,10 +128,9 @@ class LinearizedContext:
 
     def __post_init__(self):
         self.u_pert = np.asarray(self.u_pert, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
         self.b_matrix = _as_sym(self.b_matrix, "B")
-        if self.u_pert.shape != self.phi.shape or self.u_pert.ndim != 2:
-            raise DimensionMismatch("background fields must share an N x N grid")
+        if self.u_pert.ndim != 2 or self.u_pert.shape[0] != self.u_pert.shape[1]:
+            raise DimensionMismatch(f"u_pert must be an N x N field, not {self.u_pert.shape}")
         if self.u_pert.shape[0] < 16:
             raise InvalidConfig("background grid too coarse (N >= 16)")
         with np.errstate(over="ignore"):
@@ -152,17 +154,21 @@ class LinearizedContext:
         return self.u_pert.shape[0]
 
     @cached_property
+    def phi(self) -> np.ndarray:
+        """The mean-zero bundle potential of this background."""
+        rhs = float(np.trace(self.b_matrix)) - np.einsum("...ij,ij->...", self.u_hess, self.b_matrix)
+        return _solve_elliptic(self, rhs)
+
+    @cached_property
     def _half_grid(self) -> "LinearizedContext | None":
-        """The context of u_pert on every other grid point, with this B and
-        phi = 0 (the elliptic solve does not read phi), or None when its
-        Hessian is not positive definite: the coarse level of
-        ``_solve_elliptic``.  Built on first use, so the context of
-        ``make_consistent_context`` reuses the one its degree solve built;
-        up to N = 2 ``_DENSE_MAX_N`` its Hessian takes dense products, no
+        """The context of u_pert on every other grid point, with this B, or
+        None when its Hessian is not positive definite: the coarse level of
+        ``_solve_elliptic``, which never reads its phi.  Built on first use,
+        so ``apply_L`` reuses the one the degree solve of ``phi`` built; up
+        to N = 2 ``_DENSE_MAX_N`` its Hessian takes dense products, no
         FFT."""
-        coarse = self.u_pert[::2, ::2]
         try:
-            return LinearizedContext(coarse, self.b_matrix, np.zeros_like(coarse))
+            return LinearizedContext(self.u_pert[::2, ::2], self.b_matrix)
         except InvalidConfig:
             return None
 
@@ -221,8 +227,8 @@ class LinearizedContext:
         return z
 
     def degree_defect(self) -> float:
-        """Sup-deviation of u_ij B_ij + Delta(phi) from its mean; zero for a
-        consistent background."""
+        """Sup-deviation of u_ij B_ij + Delta(phi) from its mean: the
+        accuracy to which phi solves the degree equation."""
         lhs = np.einsum("...ij,ij->...", self.u_hess, self.b_matrix) + self.laplacian(self.phi)
         return float(np.abs(lhs - lhs.mean()).max())
 
@@ -419,18 +425,11 @@ def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
 
 
 def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
-    """Build a background satisfying the degree equation.
-
-    Given the metric perturbation and B, solves Delta phi = tr(B) - u_ij B_ij
-    for the mean-zero bundle potential (tr B is the unique compatible degree,
-    because the periodic Hessian integrates to zero).  The solve reads no
-    phi, so it runs on the context with phi = 0, and phi is then set on
-    that same context: one build of its fields and of its half grid.
-    """
-    ctx = LinearizedContext(u_pert=u_pert, b_matrix=b_matrix, phi=np.zeros_like(u_pert))
-    mu = float(np.trace(ctx.b_matrix))
-    rhs = mu - np.einsum("...ij,ij->...", ctx.u_hess, ctx.b_matrix)
-    ctx.phi = _solve_elliptic(ctx, rhs)
+    """The context of the metric perturbation and B, with its bundle
+    potential phi already solved for, so that the errors of the degree solve
+    are raised here and its time is spent here."""
+    ctx = LinearizedContext(u_pert, b_matrix)
+    ctx.phi  # the degree solve, on first read
     return ctx
 
 
@@ -493,24 +492,20 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
     return defects
 
 
-def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes):
-    """Defects of the same background/trials across grids, plus a fitted order.
+def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes) -> list[float]:
+    """The max defect of the same background and trials on each grid, in
+    increasing grid order.
 
     The coarse fields must be band-limited; they are transplanted to each
-    grid by Fourier padding and the bundle potential is re-solved per grid,
+    grid by Fourier padding and the bundle potential is solved per grid,
     so every context is consistent at its own resolution.
     """
-    grid_sizes = sorted(grid_sizes)
     max_defects = []
-    for n in grid_sizes:
+    for n in sorted(grid_sizes):
         ctx = make_consistent_context(resample2(u_pert, n), b_matrix)
         pairs = [(resample2(a, n), resample2(b, n)) for a, b in trial_pairs]
         max_defects.append(max(selfadjointness_defect(ctx, pairs)))
-    order = float("nan")
-    if len(grid_sizes) >= 2 and min(max_defects) > 0.0:
-        logs = np.log(max_defects)
-        order = float(-np.polyfit(np.log(grid_sizes), logs, 1)[0])
-    return max_defects, order
+    return max_defects
 
 
 def _checked_trial(gamma) -> np.ndarray:

@@ -274,7 +274,7 @@ def test_criterion_10_linearized_operator():
     n = 32
     b = np.array([[2.0, 0.7], [0.7, 1.0]])
     x, y = grid2(n)
-    flat = LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b, phi=np.zeros((n, n)))
+    flat = LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b)
     sym_err = 0.0
     for kx in range(0, 4):
         for ky in range(-3, 4):
@@ -305,7 +305,7 @@ def test_criterion_10_linearized_operator():
 
     coarse_pairs = [(trial(7, size=16, kmax=2), trial(8, size=16, kmax=2))]
     u16 = 0.004 * (np.cos(2 * np.pi * grid2(16)[0]) * np.cos(2 * np.pi * grid2(16)[1]))
-    defects, _ = selfadjointness_refinement(u16, b, coarse_pairs, [16, 24, 32])
+    defects = selfadjointness_refinement(u16, b, coarse_pairs, [16, 24, 32])
     # the discrete assembly is self-adjoint to roundoff at every grid, so
     # "decreasing" is checked as staying within the roundoff envelope
     refinement_ok = defects[-1] <= max(defects[0], 1e-12)

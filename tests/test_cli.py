@@ -118,6 +118,33 @@ def test_expand_command(tmp_path):
     assert (np.diff(table["err_large"]) < 0).all()
 
 
+def test_expand_writes_both_limits(tmp_path):
+    cfg = {"f0_matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "t_large": [10, 20, 40, 80],
+           "t_small": [0.1, 0.05, 0.025, 0.0125]}
+    assert main(["expand", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    table = np.genfromtxt(tmp_path / "expansion.csv", delimiter=",", names=True)
+    assert table.dtype.names == ("t_large", "err_large", "t_small", "err_small") and len(table) == 4
+
+
+def test_expand_refuses_unequal_radius_lists(tmp_path, capsys):
+    # four small radii against the five default large ones: no row can hold both
+    cfg = {"f0_matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "t_small": [0.1, 0.05, 0.025, 0.0125]}
+    assert main(["expand", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 2
+    assert "t_small has 4 radii and t_large 5" in capsys.readouterr().err
+    assert not (tmp_path / "expansion.csv").exists()
+
+
+def test_tol_override(tmp_path):
+    path = write_cfg(tmp_path, "c.json", SOLVE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path), "--tol", "1e-6"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["results"]["effective_tolerance"] == 1e-6
+    for tol in ("0", "-1"):  # the schema's exclusive minimum holds for the override too
+        assert main(["solve", "--config", path, "--out", str(tmp_path / tol), "--tol", tol]) == 2
+    phase = write_cfg(tmp_path, "p.json", {"f0": [0.0, 1.0, 0.0]})  # phase has no tolerances
+    assert main(["phase", "--config", phase, "--out", str(tmp_path / "phase"), "--tol", "1e-6"]) == 2
+
+
 def test_legendre_command(tmp_path):
     path = write_cfg(tmp_path, "c.json", {"profile": {"kind": "fourier", "cos": [0.01]}, "grid": 256})
     assert main(["legendre", "--config", path, "--out", str(tmp_path)]) == 0

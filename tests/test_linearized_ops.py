@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym import linearized_ops
+from dhym import linearized_ops, spectral
 from dhym.errors import DimensionMismatch, InvalidConfig, SingularElliptic
 from dhym.linearized_ops import (
     LinearizedContext,
@@ -23,7 +23,7 @@ B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
 
 def flat_context(n, b=B_REF):
-    return LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b, phi=np.zeros((n, n)))
+    return LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b)
 
 
 def perturbed_background(n, amplitude=0.004):
@@ -380,6 +380,25 @@ class TestPcgStart:
         assert not np.array_equal(x, x0)
 
 
+class TestCgCap:
+    """``_pcg`` and ``_cg`` at the iteration cap ``spectral._CG_MAXITER``."""
+
+    def test_capped_pcg_returns_its_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CG_MAXITER", 1)
+        d = 1.0 + np.arange(12.0).reshape(3, 4)
+        rhs = np.random.default_rng(5).standard_normal((2, 3, 4))
+        x, converged = _pcg(lambda p: d * p, lambda r: r.copy(), rhs, ValueError)
+        assert not converged.any()
+        # one CG step from zero with no preconditioning: x = (r.r / r.Ar) r
+        step = (rhs * rhs).sum(axis=(1, 2)) / (rhs * d * rhs).sum(axis=(1, 2))
+        assert np.allclose(x, step[:, None, None] * rhs, rtol=1e-14, atol=0.0)
+
+    def test_capped_degree_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CG_MAXITER", 1)
+        with pytest.raises(SingularElliptic, match="failed to converge"):
+            make_consistent_context(perturbed_background(32), B_REF)
+
+
 def count_operator_columns(monkeypatch):
     """Wrap ``LinearizedContext._operator`` so that it records the grid of
     every column it is applied to; returns that list."""
@@ -457,7 +476,7 @@ class TestNestedSolve:
         # a fresh context: the consistent one holds the half grid of its degree solve
         n = 64
         consistent = make_consistent_context(perturbed_background(n), B_REF)
-        ctx = LinearizedContext(consistent.u_pert, consistent.b_matrix, consistent.phi)
+        ctx = LinearizedContext(consistent.u_pert, consistent.b_matrix)
         rhs = {"delta": delta(n), "noise": white_noise(n, seed=96), "zero": np.zeros((n, n))}[kind]
         grids = count_operator_columns(monkeypatch)
         out = linearized_ops._solve_elliptic(ctx, rhs)
@@ -468,7 +487,7 @@ class TestNestedSolve:
         n = 64
         u_pert = coarse_indefinite_background(n)
         with pytest.raises(InvalidConfig):
-            LinearizedContext(u_pert[::2, ::2], B_REF, np.zeros((n // 2, n // 2)))
+            LinearizedContext(u_pert[::2, ::2], B_REF)
         ctx = make_consistent_context(u_pert, B_REF)
         rhs = band_limited(n, seed=97)  # resolved on the half grid
         grids = count_operator_columns(monkeypatch)
@@ -599,7 +618,7 @@ class TestSelfAdjointness:
         # the discrete assembly is exactly self-adjoint at consistent
         # backgrounds, so refinement keeps the defect at roundoff level
         pairs = [(band_limited(16, seed=1, kmax=2), band_limited(16, seed=2, kmax=2))]
-        defects, _ = selfadjointness_refinement(
+        defects = selfadjointness_refinement(
             perturbed_background(16, amplitude=0.006), B_REF, pairs, [16, 24, 32]
         )
         assert max(defects) < 1e-12
@@ -610,11 +629,8 @@ class TestSelfAdjointness:
         # bundle potential must show a macroscopic defect
         n = 24
         x, y = grid2(n)
-        ctx = LinearizedContext(
-            u_pert=perturbed_background(n),
-            b_matrix=B_REF,
-            phi=0.01 * np.cos(2 * np.pi * (x + 2 * y)),
-        )
+        ctx = LinearizedContext(u_pert=perturbed_background(n), b_matrix=B_REF)
+        ctx.phi = 0.01 * np.cos(2 * np.pi * (x + 2 * y))  # a fake, set before its first read
         pairs = [(band_limited(n, seed=3, kmax=2), band_limited(n, seed=4, kmax=2))]
         assert max(selfadjointness_defect(ctx, pairs)) > 1e-8
 
@@ -665,9 +681,14 @@ class TestContext:
     def test_rejects_nonconvex_background(self):
         x, y = grid2(32)
         with pytest.raises(InvalidConfig):
-            LinearizedContext(
-                u_pert=0.05 * np.cos(2 * np.pi * x), b_matrix=B_REF, phi=np.zeros((32, 32))
-            )
+            LinearizedContext(u_pert=0.05 * np.cos(2 * np.pi * x), b_matrix=B_REF)
+
+    @pytest.mark.parametrize("shape", [(32, 48), (64, 96), (32,), (2, 32, 32)])
+    def test_rejects_non_square_background(self, shape):
+        # a perturbation that varies along the last axis, so no zero field slips through
+        u_pert = 0.004 * np.cos(2 * np.pi * np.arange(shape[-1]) / shape[-1]) * np.ones(shape)
+        with pytest.raises(DimensionMismatch, match="N x N"):
+            make_consistent_context(u_pert, B_REF)
 
     def test_one_build_per_consistent_background(self, monkeypatch):
         # the degree solve and apply_L share one fine and one half-grid context
@@ -686,7 +707,7 @@ class TestContext:
     @pytest.mark.parametrize("n", [32, 64, 65])
     def test_consistent_context_equals_a_fresh_one(self, n):
         ctx = make_consistent_context(perturbed_background(n), B_REF)
-        fresh = LinearizedContext(ctx.u_pert, ctx.b_matrix, ctx.phi)
+        fresh = LinearizedContext(ctx.u_pert, ctx.b_matrix)
         for name in ("u_hess", "_u_inv_fields", "_weight", "_symbol"):
             assert np.array_equal(getattr(ctx, name), getattr(fresh, name)), name
         stack = np.array([band_limited(n, seed=231 + i) for i in range(2)])
@@ -748,9 +769,8 @@ class TestStackedTrials:
         # background gives defects far above roundoff, which pin the pairing
         n = 24
         x, y = grid2(n)
-        ctx = LinearizedContext(
-            u_pert=perturbed_background(n), b_matrix=B_REF, phi=0.01 * np.cos(2 * np.pi * (x + 2 * y))
-        )
+        ctx = LinearizedContext(u_pert=perturbed_background(n), b_matrix=B_REF)
+        ctx.phi = 0.01 * np.cos(2 * np.pi * (x + 2 * y))  # a fake, set before its first read
         monkeypatch.setattr(linearized_ops, "_CHUNK_POINTS", 3 * n * n)
         trials = [band_limited(n, seed=240 + i, kmax=2) for i in range(10)]
         images = [apply_L(ctx, t) for t in trials]

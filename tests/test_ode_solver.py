@@ -21,7 +21,7 @@ from dhym import (
 )
 from dhym.core_geometry import Phase, torus_constant_phase
 from dhym.errors import NotConverged, NotConvex, SmallRadiusObstruction
-from dhym import ode_solver
+from dhym import ode_solver, spectral
 from dhym.ode_solver import LinearizedOde, curvature_residual
 from dhym.spectral import grid, second_antiderivative, spectral_derivative
 
@@ -412,6 +412,27 @@ class TestSolve:
         assert err.floor == ode_solver._TOL_FACTOR * np.finfo(float).eps * err.scale
         assert err.exit_code == 4
         assert "floor 2" in str(err) and "t =" not in str(err)
+
+    def test_newton_converges_with_capped_cg(self, monkeypatch):
+        # one CG step per Newton step is an inexact Newton step: more steps, same tolerance
+        datum = PeriodicProfile.from_fourier(64, cos=[2.0], sin=[0.5])
+        problem = ODEProblem(regime=Regime.DHYM, alpha=1.0, f0=ConstantCurvature2(0.0, 1.0, 0.3), datum_a=datum)
+        exact_steps = solve(problem).continuation_trace[0][1]
+        monkeypatch.setattr(spectral, "_CG_MAXITER", 1)
+        bundle = solve(problem)
+        assert bundle.continuation_trace[0][1] > exact_steps  # measured: 6 against 3
+        assert bundle.residual_sup <= ode_solver.effective_tolerance(problem, bundle.residual_scale)
+
+    def test_line_search_halves_the_step(self, monkeypatch):
+        # a large datum at strong coupling: some full Newton step does not cut ||F||
+        candidates, normalized = [], ode_solver._normalized
+        monkeypatch.setattr(ode_solver, "_normalized", lambda rho: candidates.append(1) or normalized(rho))
+        datum = PeriodicProfile.from_fourier(64, cos=[1000.0])
+        problem = ODEProblem(regime=Regime.DHYM, alpha=30.0, f0=ConstantCurvature2(0.5, 3.0, 0.4), datum_a=datum)
+        bundle = solve(problem)
+        steps = bundle.continuation_trace[0][1]
+        assert len(candidates) > steps  # measured: 11 candidates for 9 steps
+        assert bundle.residual_sup <= ode_solver.effective_tolerance(problem, bundle.residual_scale)
 
     def test_antipodal_phase_rejected(self):
         # the phase is the class phase of f0, derived; no other phase (such as
