@@ -2,9 +2,10 @@
 
 2-d periodic scalar fields are plain (N, N) arrays on the uniform grid of
 [0,1)^2; matrix fields carry trailing (2, 2) axes.  Only residual evaluation
-and verification happen here -- there is no 2-d solver.  One-dimensional
-reduced fields (constant in the second coordinate) may be passed as (N, 2, 2)
-arrays and are broadcast internally.
+and verification happen here -- there is no 2-d solver.  A field constant in
+the second coordinate, such as the lift of a 1-d reduced solution, has a
+length-1 second axis, (N, 1) or (N, 1, 2, 2); its y-derivatives are exact
+zeros.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "AprioriReport",
     "det_bound_verify",
     "DetBoundReport",
-    "as_field2d",
 ]
 
 
@@ -36,23 +36,6 @@ def _check_field2d(f: np.ndarray, name: str) -> np.ndarray:
         raise InvalidConfig(f"{name} must be finite")
     if f.ndim < 2 or f.shape[0] != f.shape[1] or f.shape[0] < 16:
         raise DimensionMismatch(f"{name} must be an N x N field with N >= 16")
-    return f
-
-
-def as_field2d(m: np.ndarray) -> np.ndarray:
-    """Broadcast a 1-d reduced matrix field (N, 2, 2) to the square torus grid."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 4:
-        return m
-    if m.ndim == 3 and m.shape[-2:] == (2, 2):
-        return np.repeat(m[:, None], m.shape[0], axis=1)
-    raise DimensionMismatch(f"cannot interpret shape {m.shape} as a matrix field")
-
-
-def _scalar_field2d(f: np.ndarray, n: int) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        return np.repeat(f[:, None], n, axis=1)
     return f
 
 
@@ -112,11 +95,19 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
 
 
 def _metric_fields(v_hess, f_field, f_datum):
-    """(v, F, datum, det v, v^{-1}, v^{ij} [log det v]_ij) of a surface residual."""
-    v = as_field2d(_as_sym(v_hess, "v"))
-    f = as_field2d(_as_sym(f_field, "F"))
+    """(v, F, datum, det v, v^{-1}, v^{ij} [log det v]_ij) of a surface residual.
+
+    v and F are (N, M, 2, 2) fields; the datum is a constant or one value
+    per point, read as an (N, M) field."""
+    v = _as_sym(v_hess, "v")
+    f = _as_sym(f_field, "F")
     _check_pair(v, f)
-    datum = _scalar_field2d(f_datum, v.shape[0])
+    if v.ndim != 4:
+        raise DimensionMismatch(f"surface residuals take (N, M, 2, 2) fields, got shape {v.shape}")
+    datum = np.asarray(f_datum, dtype=float)
+    if datum.ndim and datum.size != v.shape[0] * v.shape[1]:
+        raise DimensionMismatch(f"datum of shape {datum.shape} does not match the {v.shape[:2]} grid")
+    datum = datum.reshape(v.shape[:2]) if datum.ndim else datum
     det = _spd2_det(v, "v")
     vinv = _adj2(v) / det[..., None, None]
     return v, f, datum, det, vinv, np.einsum("...ij,...ij->...", vinv, hessian2(np.log(det)))
@@ -180,8 +171,8 @@ def apriori_verify(v_hess, f_field, mu: float, tol: float = 1e-10) -> AprioriRep
     n mu^2.  Report-only: out-of-range samples are flagged, never raised.
     An empty field raises ``DimensionMismatch``.
     """
-    v = as_field2d(_as_sym(v_hess, "v"))
-    f = as_field2d(_as_sym(f_field, "F"))
+    v = _as_sym(v_hess, "v")
+    f = _as_sym(f_field, "F")
     _check_pair(v, f)
     _check_points(v, "v")
     lam = _pencil2(v, f, _spd2_det(v, "v"))
@@ -214,7 +205,7 @@ class DetBoundReport:
 def det_bound_verify(v_hess, bounds=(0.0, np.inf)) -> DetBoundReport:
     """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field;
     an empty field raises ``DimensionMismatch``."""
-    v = as_field2d(_as_sym(v_hess, "v"))
+    v = _as_sym(v_hess, "v")
     _check_points(v, "v")
     det = _det2(v)
     return DetBoundReport(

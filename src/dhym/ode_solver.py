@@ -397,23 +397,25 @@ def max_principle_verify(bundle: SolutionBundle, problem: ODEProblem) -> MaxPrin
 
 
 def lift_to_2d(bundle: SolutionBundle, problem: ODEProblem):
-    """Matrix fields (v, F) on the y_1 grid reconstructed from the bundle:
+    """Matrix fields (v, F) of the torus reconstructed from the bundle:
 
         v = diag(1 + psi''(y1), 1),
         F = [[a + phi_F''(y1), b], [b, c]].
 
-    Ready for the surface residuals and the n-dimensional verifiers.
+    Both are 2-d fields of shape (N, 1, 2, 2): y_1 runs along the first
+    axis, and the second axis has length 1, as the fields are constant in
+    y_2.  Ready for the surface residuals and the verifiers of ``kym_ndim``.
     """
     n = bundle.n
     psi_dd = spectral_derivative(bundle.psi.samples, 2, stabilized=True)
     phif_dd = spectral_derivative(bundle.phi_f.samples, 2, stabilized=True)
-    v = np.zeros((n, 2, 2))
-    v[:, 0, 0] = 1.0 + psi_dd
-    v[:, 1, 1] = 1.0
-    f = np.zeros((n, 2, 2))
-    f[:, 0, 0] = problem.f0.a + phif_dd
-    f[:, 0, 1] = f[:, 1, 0] = problem.f0.b
-    f[:, 1, 1] = problem.f0.c
+    v = np.zeros((n, 1, 2, 2))
+    v[:, 0, 0, 0] = 1.0 + psi_dd
+    v[..., 1, 1] = 1.0
+    f = np.zeros((n, 1, 2, 2))
+    f[:, 0, 0, 0] = problem.f0.a + phif_dd
+    f[..., 0, 1] = f[..., 1, 0] = problem.f0.b
+    f[..., 1, 1] = problem.f0.c
     return v, f
 
 

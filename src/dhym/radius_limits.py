@@ -88,6 +88,12 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def _order(t: np.ndarray, errors: np.ndarray) -> float:
+    """Log-log slope of ``errors`` along ``t``; nan when some error is
+    exactly 0, where the logarithm and so the slope has no value."""
+    return fit_loglog_slope(t, errors) if (errors > 0.0).all() else float("nan")
+
+
 @dataclass(frozen=True)
 class PhaseExpansionReport:
     t_values: np.ndarray
@@ -106,8 +112,7 @@ def _expansion_report(data: CohomologyData, t: np.ndarray, c: float, truncation)
         errors = np.array([abs(_phase_at(tv, data) - truncation(tv)) for tv in t])
     if not np.isfinite(errors).all():
         raise InvalidConfig("the phase expansion overflows for this class and these radii")
-    slope = fit_loglog_slope(t, errors) if (errors > 0.0).all() else float("nan")
-    return PhaseExpansionReport(t_values=t, errors=errors, slope=slope, c=c)
+    return PhaseExpansionReport(t_values=t, errors=errors, slope=_order(t, errors), c=c)
 
 
 def large_radius_phase_check(data: CohomologyData, t_list) -> PhaseExpansionReport:
@@ -171,6 +176,7 @@ class LimitConvergenceReport:
 
     ``exact`` is true when every difference is at roundoff (the two ODEs are
     the same equation); ``order`` is then nan, since no order can be fitted.
+    It is nan as well when some difference is exactly 0.
     """
 
     t_values: np.ndarray
@@ -214,7 +220,7 @@ def limit_convergence_study(base: ODEProblem, t_list) -> LimitConvergenceReport:
         bounds.append(_EXACT_EPS * max(limit_bundle.residual_scale, bundle.residual_scale))
     errors = np.asarray(errors)
     exact = bool((errors <= np.asarray(bounds)).all())
-    order = float("nan") if exact else fit_loglog_slope(t, errors)
+    order = float("nan") if exact else _order(t, errors)
     return LimitConvergenceReport(
         t_values=t,
         errors=errors,

@@ -287,6 +287,26 @@ def test_legendre_profile_outside_cone_exits_2(tmp_path):
     assert main(["legendre", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, cfg, text",
+    [
+        ("residual", dict(SOLVE_CFG, grid=32, solution="s.csv"), "solution CSV has 64 rows, config grid is 32"),
+        ("residual", {"regime": "dhym", "f0": [0.0, 1.0, 0.0], "alpha": 1.0, "solution": "s.csv"},
+         "the residual command needs the original datum"),
+        ("solve", dict(SOLVE_CFG, grid=64, datum={"kind": "samples", "file": "d.csv"}),
+         "datum file has 32 samples, expected 64"),
+    ],
+    ids=["residual-grid-mismatch", "residual-no-datum", "samples-count"],
+)
+def test_config_against_files_exits_2(tmp_path, capsys, command, cfg, text):
+    # a 64-row solution CSV and a 32-sample datum file
+    np.savetxt(tmp_path / "s.csv", np.zeros((64, 2)), delimiter=",", header="phi_dd,residual", comments="")
+    np.savetxt(tmp_path / "d.csv", np.full(32, -2.0), delimiter=",")
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert text in capsys.readouterr().err
+
+
 def test_residual_curvature_outside_cone_exits_2(tmp_path):
     n = 64
     np.savetxt(tmp_path / "bad.csv", np.column_stack([np.full(n, -2.0), np.zeros(n)]),
@@ -479,13 +499,15 @@ def test_mutated_configs_exit_cleanly(tmp_path):
                   '"cos": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.1], "constant": -2}, "grid": 16}'),
         ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, "datum": {"kind": "fourier", '
                   '"cos": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0.1], "constant": -2}, "grid": 16}'),
+        ("solve", '{"regime": "dhym", "f0": [0, 1, 0], "alpha": 1, '
+                  '"datum": {"kind": "samples", "file": "missing.csv"}, "grid": 64}'),  # no datum file
     ],
     ids=["not-square", "zero-radius", "expansion-overflow", "phase-overflow", "nan", "one-trial",
          "symbol-overflow", "negative-seed", "aliased-trials", "large-radius-overflow",
          "small-radius-overflow", "small-radius-underflow", "huge-grid", "repeated-radii",
          "solve-datum-overflow", "limits-datum-overflow", "solve-pow2-grid", "residual-pow2-grid",
          "legendre-pow2-grid", "limits-pow2-grid", "aliased-mode-16", "aliased-mode-16-constant",
-         "aliased-mode-10"],
+         "aliased-mode-10", "samples-file-missing"],
 )
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     path = tmp_path / "c.json"

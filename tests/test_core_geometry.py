@@ -20,6 +20,7 @@ from dhym import (
 from dhym import core_geometry, kym_ndim
 from dhym.core_geometry import _as_sym
 from dhym.errors import (
+    DegeneratePhase,
     DimensionMismatch,
     NonPositiveMetric,
     PhasePreconditionViolated,
@@ -30,8 +31,8 @@ from conftest import random_spd, random_sym
 
 
 def reduced_field(m):
-    """A matrix or a stack of them as the 1-d reduced field (K, 2, 2) of ``kym_ndim``."""
-    return np.reshape(m, (-1, 2, 2))
+    """A matrix or a stack of them as a field (K, 1, 2, 2) of ``kym_ndim``, constant in y."""
+    return np.reshape(m, (-1, 1, 2, 2))
 
 
 #: The functions that refuse a metric v which is not positive definite,
@@ -47,8 +48,8 @@ METRIC_SITES = {
 }
 
 #: The functions that take a pair (v, F) of matrix fields, each called as
-#: site(v, F); the ``kym_ndim`` ones take the fields as given, 1-d reduced
-#: (K, 2, 2) or (N, N, 2, 2).
+#: site(v, F); the ``kym_ndim`` ones take the fields as given, (N, M, 2, 2)
+#: for the residuals and any stack for ``apriori_verify``.
 PAIR_SITES = dict(
     METRIC_SITES,
     surface_apriori_check=lambda v, f: surface_apriori_check(v, f, Phase(cos=0.8, sin=-0.6)),
@@ -68,6 +69,23 @@ MISMATCHED_PAIRS = {
     "grid": (identity_field((16, 16)), identity_field((32, 32))),
     "matrix_size": (identity_field((4, 4)), identity_field((4, 4), n=3)),
 }
+
+
+#: Refusals of malformed input outside the pair sites: (call, error, message).
+INPUT_REFUSALS = {
+    "phase-off-circle": (lambda: Phase(1.0, 1.0), DegeneratePhase, "unit circle"),
+    "curvature-3x3": (lambda: ConstantCurvature2.from_matrix(np.eye(3)), DimensionMismatch, "must be 2x2"),
+    "as_sym-2x3": (lambda: _as_sym(np.zeros((2, 3)), "m"), DimensionMismatch, r"m must be square, got shape \(2, 3\)"),
+    "spd2_det-3x3": (lambda: core_geometry._spd2_det(np.eye(3), "v"), DimensionMismatch, "expect 2x2 matrices"),
+    "average_radius-2x2-for-n-3": (lambda: average_radius(3, np.eye(2)), DimensionMismatch, "expected a 3x3 matrix"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_REFUSALS)
+def test_input_refusals(case):
+    call, error, match = INPUT_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 def bisection_pencil_roots(v, f, n_probe=4001, tol=1e-13):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from dhym import ConstantCurvature2, Regime, lift_to_2d, solve
-from dhym.errors import DimensionMismatch, NonPositiveMetric, NotConvex
+from dhym.errors import DimensionMismatch, InvalidConfig, NonPositiveMetric, NotConvex
 from dhym.kym_ndim import (
     KymData,
     abreu_operator,
     abreu_operator_divergence_form,
     apriori_verify,
-    as_field2d,
     det_bound_verify,
     j_equation_residual,
     residual_complex,
 )
-from dhym.spectral import grid, grid2, hessian2, spectral_derivative
+from dhym.ode_solver import complex_datum
+from dhym.spectral import _DENSE_MAX_N, grid, grid2, hessian2, spectral_derivative
 
 from conftest import cosine_problem
 
@@ -256,14 +256,93 @@ class TestDetBound:
             det_bound_verify(np.zeros(shape))
 
 
-class TestFieldHelpers:
-    def test_broadcast_1d(self):
-        m = np.zeros((32, 2, 2))
-        m[:, 0, 0] = np.linspace(1, 2, 32)
-        full = as_field2d(m)
-        assert full.shape == (32, 32, 2, 2)
-        assert (full[:, 5] == m).all()
+def repeated(m):
+    """The test-only oracle: a field with a length-1 second axis, copied
+    along that axis onto the square grid."""
+    return np.repeat(m, m.shape[0], axis=1)
 
+
+def identity_field(shape):
+    return np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
+
+
+#: The limit residuals, each called as site(v, F, datum).
+RESIDUALS = {
+    "residual_complex": lambda v, f, datum: residual_complex(v, f, KymData(alpha=1.0, b_matrix=np.eye(2)), datum),
+    "j_equation_residual": lambda v, f, datum: j_equation_residual(v, f, 1.0, 1.0, datum),
+}
+
+#: Refusals of this module: (call, error, message).
+REFUSALS = {
+    "abreu-nan": (lambda: abreu_operator(np.full((16, 16), np.nan)), InvalidConfig, "phi must be finite"),
+    "abreu-not-square": (lambda: abreu_operator(np.zeros((16, 8))), DimensionMismatch, "N x N field"),
+    "j-singular-curvature": (
+        lambda: j_equation_residual(identity_field((16, 1)), np.zeros((16, 1, 2, 2)), 1.0, 1.0, 0.0),
+        InvalidConfig,
+        "curvature field is singular",
+    ),
+    **{
+        f"{site}-{case}": (
+            lambda call=call, fields=fields, datum=datum: call(fields, fields, datum),
+            DimensionMismatch,
+            match,
+        )
+        for site, call in RESIDUALS.items()
+        for case, fields, datum, match in [
+            ("rank-3", identity_field((16,)), 0.0, r"\(N, M, 2, 2\) fields"),
+            ("datum-8-on-16x16", identity_field((16, 16)), np.zeros(8), r"does not match the \(16, 16\) grid"),
+            ("datum-16x16-on-16x1", identity_field((16, 1)), np.zeros((16, 16)), "does not match"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
+class TestYIndependentLayout:
+    """A field constant in y has a length-1 second axis, checked against the
+    same field repeated onto the square grid."""
+
+    @pytest.mark.parametrize("n", [64, 256])  # dense partial2, then FFT
+    def test_hessian_of_a_column(self, n):
+        x1 = grid(n)[:, None]
+        col = 0.01 * np.cos(2 * np.pi * x1) + 0.003 * np.sin(6 * np.pi * x1)
+        h = hessian2(col)
+        assert h.shape == (n, 1, 2, 2)
+        assert not h[..., 0, 1].any() and not h[..., 1, 0].any() and not h[..., 1, 1].any()
+        full = hessian2(repeated(col))[:, :1, 0, 0]
+        if n > _DENSE_MAX_N:
+            assert np.array_equal(h[..., 0, 0], full)
+        else:
+            assert np.abs(h[..., 0, 0] - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("n, tol", [(64, 1e-13), (256, 0.0)])
+    @pytest.mark.parametrize("regime", [Regime.LARGE_RADIUS, Regime.SMALL_RADIUS])
+    def test_lifted_residuals_match_repeated_fields(self, regime, n, tol):
+        # bit for bit on the FFT path; at N = 64 the dense y-derivative of
+        # the repeated constant rows is roundoff, not zero
+        f0 = ConstantCurvature2(0.5, 0.3, 0.4) if regime is Regime.LARGE_RADIUS else ConstantCurvature2(2.0, 0.5, 1.0)
+        problem = cosine_problem(regime, f0, n=n, amplitude=0.05)
+        bundle = solve(problem)
+        v, f = lift_to_2d(bundle, problem)
+        datum = complex_datum(bundle, problem).samples
+        if regime is Regime.LARGE_RADIUS:
+            data = KymData.from_constant_curvature(f0.matrix, problem.alpha)
+            site = lambda v, f, datum: residual_complex(v, f, data, datum)
+        else:
+            site = lambda v, f, datum: j_equation_residual(v, f, f0.tr / f0.det, problem.alpha, datum)
+        assert v.shape == f.shape == (n, 1, 2, 2)
+        for r, r_full in zip(site(v, f, datum), site(repeated(v), repeated(f), repeated(datum[:, None]))):
+            assert r.shape == (n, 1)
+            assert np.abs(r - r_full[:, :1]).max() <= tol
+
+
+class TestFieldHelpers:
     def test_kym_data_degree_consistency(self):
         b = np.array([[0.5, 0.3], [0.3, 0.4]])
         data = KymData(alpha=1.0, b_matrix=b)

@@ -381,7 +381,13 @@ class TestPcgStart:
 
 
 class TestCgCap:
-    """``_pcg`` and ``_cg`` at the iteration cap ``spectral._CG_MAXITER``."""
+    """``_pcg`` and ``_cg`` at the iteration cap ``spectral._CG_MAXITER``,
+    and ``_pcg`` on an operator that is not positive definite."""
+
+    def test_negative_operator_raises(self):
+        # on -I the first p . Ap is negative
+        with pytest.raises(SingularElliptic, match="lost definiteness"):
+            _pcg(lambda p: -p, lambda r: r.copy(), np.ones((1, 16, 16)), SingularElliptic)
 
     def test_capped_pcg_returns_its_last_iterate(self, monkeypatch):
         monkeypatch.setattr(spectral, "_CG_MAXITER", 1)
@@ -597,6 +603,15 @@ class TestApplyL:
             assert kbk**2 <= (k @ k) * kb2k + 1e-12
             assert flat_symbol(k, b) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "k, b, match",
+        [((0, 0), B_REF, "nonzero modes"), ((1, 0), np.diag([1e154, 1.0]), "overflows")],
+        ids=["zero-mode", "overflow"],
+    )
+    def test_symbol_refusals(self, k, b, match):
+        with pytest.raises(InvalidConfig, match=match):
+            flat_symbol(np.array(k), b)
+
 
 class TestSelfAdjointness:
     def test_flat(self):
@@ -682,6 +697,10 @@ class TestContext:
         x, y = grid2(32)
         with pytest.raises(InvalidConfig):
             LinearizedContext(u_pert=0.05 * np.cos(2 * np.pi * x), b_matrix=B_REF)
+
+    def test_rejects_coarse_background(self):
+        with pytest.raises(InvalidConfig, match="too coarse"):
+            LinearizedContext(u_pert=np.zeros((8, 8)), b_matrix=B_REF)
 
     @pytest.mark.parametrize("shape", [(32, 48), (64, 96), (32,), (2, 32, 32)])
     def test_rejects_non_square_background(self, shape):

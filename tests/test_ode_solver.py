@@ -20,7 +20,7 @@ from dhym import (
     surface_ma_check,
 )
 from dhym.core_geometry import Phase, torus_constant_phase
-from dhym.errors import NotConverged, NotConvex, SmallRadiusObstruction
+from dhym.errors import InvalidConfig, NotConverged, NotConvex, SmallRadiusObstruction
 from dhym import ode_solver, spectral
 from dhym.ode_solver import LinearizedOde, curvature_residual
 from dhym.spectral import grid, second_antiderivative, spectral_derivative
@@ -455,6 +455,11 @@ class TestSolve:
         problem = flat_problem(Regime.SMALL_RADIUS, ConstantCurvature2(1.0, 0.5, -1.0))
         with pytest.raises(SmallRadiusObstruction):
             solve(problem)
+
+    @pytest.mark.parametrize("regime,f0", REGIME_CASES)
+    def test_negative_coupling_rejected(self, regime, f0):
+        with pytest.raises(InvalidConfig, match="coupling constant must be nonnegative"):
+            flat_problem(regime, f0, alpha=-1.0)
 
     def test_small_radius_degenerate_class(self):
         with pytest.raises(SmallRadiusObstruction):

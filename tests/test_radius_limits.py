@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dhym import (
 )
 from dhym.errors import DegenerateTopPower, InvalidConfig
 from dhym.radius_limits import fit_loglog_slope
+from dhym.spectral import PeriodicProfile
 
 from conftest import cosine_problem, random_sym
 
@@ -232,6 +234,36 @@ class TestLimitConvergence:
         base = cosine_problem(Regime.DHYM, ConstantCurvature2(0.0, 1.0, 0.0))
         with pytest.raises(InvalidConfig):
             scaled_coupled_problem(base, 4.0)
+
+    def test_one_zero_difference_has_no_order(self, tmp_path, monkeypatch):
+        # differences [0, 1e-6, 1.1e-7] from the limit: not exact, and log 0
+        # leaves no slope, so the order is nan, written as null
+        from dhym import radius_limits
+        from dhym.cli import main
+
+        n = 32
+        wave = np.cos(2 * np.pi * np.arange(n) / n)
+        differences = {8.0: 1e-6, 16.0: 1.1e-7}  # the limit and t = 4 solve to phi = 0
+
+        def fake_solve(problem):
+            # the scaled problem at radius t has alpha = 4 t^2 (base alpha 1)
+            t = np.sqrt(problem.alpha / 4.0) if problem.regime is Regime.DHYM else 0.0
+            return SimpleNamespace(phi=PeriodicProfile(differences.get(t, 0.0) * wave), residual_scale=1.0)
+
+        monkeypatch.setattr(radius_limits, "solve", fake_solve)
+        base = cosine_problem(Regime.LARGE_RADIUS, ConstantCurvature2(0.4, 1.0, 0.3), n=n, amplitude=0.05)
+        report = limit_convergence_study(base, [4.0, 8.0, 16.0])
+        assert report.errors.tolist() == [0.0, 1e-6, 1.1e-7]
+        assert np.isnan(report.order)
+        assert not report.exact
+
+        cfg = {"regime": "large_radius", "f0": [0.4, 1.0, 0.3], "alpha": 1.0,
+               "datum": {"kind": "fourier", "cos": [0.05]}, "grid": n, "t_list": [4, 8, 16]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["limits", "--config", str(path), "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+        assert results["order"] is None and results["exact"] is False
 
 
 @pytest.mark.parametrize(

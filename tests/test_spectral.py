@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dhym.errors import InvalidConfig
+from dhym.errors import DimensionMismatch, InvalidConfig
 from dhym.spectral import (
     _DENSE_MAX_N,
     PeriodicProfile,
@@ -90,6 +90,10 @@ class TestDerivatives:
 
 
 class TestInterpolation:
+    def test_rejects_odd_grid(self):
+        with pytest.raises(InvalidConfig, match="even grid"):
+            trig_interpolate(np.zeros(15), np.array([0.1]))
+
     def test_exact_on_band_limited(self, rng):
         n = 64
         x = grid(n)
@@ -269,3 +273,7 @@ class TestPeriodicProfile:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidConfig):
             PeriodicProfile(np.array([np.nan] * 16))
+
+    def test_rejects_2d_samples(self):
+        with pytest.raises(DimensionMismatch, match="1-d array"):
+            PeriodicProfile(np.zeros((16, 16)))
