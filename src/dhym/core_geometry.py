@@ -10,9 +10,12 @@ equations.
 
 Matrix fields are plain numpy arrays of shape ``(..., n, n)``; all operations
 broadcast over the leading axes.  A pair (v, F) must be two fields of one
-shape (``_check_pair``).  The 2x2 pencil eigenvalues have a closed form,
-``_pencil2``: ``pencil_eigenvalues`` checks its pair and calls it, and the
-verifiers that have already checked theirs call it directly.
+shape (``_check_pair``).  Each 2x2 rule has one helper: ``_spd2_pair`` reads
+a (v, F) pair (symmetric, paired, v positive definite), ``_spd2_inverse``
+inverts a positive definite field and ``_nonneg2`` tests F >= 0.  The 2x2
+pencil eigenvalues have a closed form, ``_pencil2``: ``pencil_eigenvalues``
+checks its pair and calls it, and the verifiers that have already read
+theirs call it directly.
 """
 
 from __future__ import annotations
@@ -262,6 +265,27 @@ def _check_pair(v: np.ndarray, f: np.ndarray) -> None:
         raise DimensionMismatch(f"dimension mismatch: v is {v.shape}, F is {f.shape}")
 
 
+def _spd2_pair(v, f):
+    """(v, F, det v) of a 2x2 metric and curvature pair: both symmetrized,
+    fields of one shape, v positive definite at every point."""
+    v, f = _as_sym(v, "v"), _as_sym(f, "F")
+    _check_pair(v, f)
+    return v, f, _spd2_det(v, "v")
+
+
+def _spd2_inverse(m: np.ndarray, name: str, error=NonPositiveMetric):
+    """(det, inverse) of the 2x2 matrix field ``m``, positive definite at
+    every point by ``_spd2_det``."""
+    det = _spd2_det(m, name, error)
+    return det, _adj2(m) / det[..., None, None]
+
+
+def _nonneg2(f: np.ndarray) -> bool:
+    """The symmetric 2x2 field F is positive semidefinite to 1e-12 at every
+    point: det F and tr F both >= -1e-12."""
+    return bool((_det2(f) >= -1e-12).all() and (f[..., 0, 0] + f[..., 1, 1] >= -1e-12).all())
+
+
 def _check_points(m: np.ndarray, name: str) -> None:
     """Refuse an empty stack in a verifier that reduces over the points:
     a sup or an inf over no points has no value.  Pointwise functions
@@ -281,10 +305,7 @@ def dhym_residual_surface(v, f, phase: Phase):
 
     The first equation of the coupled system is im == 0.
     """
-    v = _as_sym(v, "v")
-    f = _as_sym(f, "F")
-    _check_pair(v, f)
-    dv = _spd2_det(v, "v")
+    v, f, dv = _spd2_pair(v, f)
     df = _det2(f)
     mixed = _mixed2(v, f)
     im = -phase.sin * (dv - df) - phase.cos * mixed
@@ -300,10 +321,7 @@ def surface_ma_check(v, f, phase: Phase) -> float:
     together with the imaginary part.  Returns sup |det chi - det v|; an
     empty stack raises ``DimensionMismatch``.
     """
-    v = _as_sym(v, "v")
-    f = _as_sym(f, "F")
-    _check_pair(v, f)
-    det_v = _spd2_det(v, "v")
+    v, f, det_v = _spd2_pair(v, f)
     _check_points(v, "v")
     chi = -phase.sin * f + phase.cos * v
     return float(np.abs(_det2(chi) - det_v).max())
@@ -330,19 +348,15 @@ def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
         raise PhasePreconditionViolated(
             "the bounds require sin(theta_hat) < 0 < cos(theta_hat)"
         )
-    v = _as_sym(v, "v")
-    f = _as_sym(f, "F")
-    _check_pair(v, f)
-    det_v = _spd2_det(v, "v")
+    v, f, det_v = _spd2_pair(v, f)
     _check_points(v, "v")
     det_ratio = _det2(f) / det_v
     trace_ratio = 0.5 * _pencil2(v, f, det_v).sum(axis=-1)
     bound = 0.5 * abs(phase.sin / phase.cos)
-    f_nonneg = bool((_det2(f) >= -1e-12).all() and (f[..., 0, 0] + f[..., 1, 1] >= -1e-12).all())
     return SurfaceAprioriReport(
         det_ratio_ok=det_ratio < 1.0,
         trace_ratio_ok=trace_ratio < bound,
-        curvature_nonneg=f_nonneg,
+        curvature_nonneg=_nonneg2(f),
         max_det_ratio=float(det_ratio.max()),
     )
 

@@ -31,7 +31,8 @@ class NonPositiveMetric(DhymError):
 
 
 class DegeneratePhase(DhymError):
-    """The defining integral of the phase angle vanishes."""
+    """The phase is not a unit complex number: ``Phase`` raises it for a
+    (cos, sin) off the unit circle."""
 
     exit_code = 3
 

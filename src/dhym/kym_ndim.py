@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _check_pair, _check_points, _det2, _pencil2, _spd2_det
+from .core_geometry import _adj2, _as_sym, _check_points, _det2, _nonneg2, _pencil2, _spd2_det, _spd2_inverse, _spd2_pair
 from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
@@ -60,7 +60,7 @@ class KymData:
 
 
 def _hessian_of_potential(phi_field: np.ndarray) -> np.ndarray:
-    return np.eye(2) + hessian2(phi_field)
+    return np.eye(2) + hessian2(_check_field2d(phi_field, "phi"))
 
 
 def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
@@ -72,9 +72,8 @@ def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
     u^{ij} - delta^{ij}: a dense ``partial2`` does not send the constant
     delta^{ij} to exactly zero, and the flat potential must give zero.
     """
-    phi_field = _check_field2d(phi_field, "phi")
     hess = _hessian_of_potential(phi_field)
-    uinv = _adj2(hess) / _spd2_det(hess, "I + Hess phi", NotConvex)[..., None, None]
+    _, uinv = _spd2_inverse(hess, "I + Hess phi", NotConvex)
     return (
         partial2(uinv[..., 0, 0] - 1.0, 2, 0)
         + 2.0 * partial2(uinv[..., 0, 1], 1, 1)
@@ -86,7 +85,6 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
     """Same operator as U^{ij} w_{ij} with U the cofactor matrix of the
     Hessian and w the reciprocal determinant; agrees with ``abreu_operator``
     to discretization accuracy."""
-    phi_field = _check_field2d(phi_field, "phi")
     hess = _hessian_of_potential(phi_field)
     det = _spd2_det(hess, "I + Hess phi", NotConvex)
     cof = _adj2(hess)
@@ -99,17 +97,14 @@ def _metric_fields(v_hess, f_field, f_datum):
 
     v and F are (N, M, 2, 2) fields; the datum is a constant or one value
     per point, read as an (N, M) field."""
-    v = _as_sym(v_hess, "v")
-    f = _as_sym(f_field, "F")
-    _check_pair(v, f)
+    v, f, _ = _spd2_pair(v_hess, f_field)
     if v.ndim != 4:
         raise DimensionMismatch(f"surface residuals take (N, M, 2, 2) fields, got shape {v.shape}")
     datum = np.asarray(f_datum, dtype=float)
     if datum.ndim and datum.size != v.shape[0] * v.shape[1]:
         raise DimensionMismatch(f"datum of shape {datum.shape} does not match the {v.shape[:2]} grid")
     datum = datum.reshape(v.shape[:2]) if datum.ndim else datum
-    det = _spd2_det(v, "v")
-    vinv = _adj2(v) / det[..., None, None]
+    det, vinv = _spd2_inverse(v, "v")
     return v, f, datum, det, vinv, np.einsum("...ij,...ij->...", vinv, hessian2(np.log(det)))
 
 
@@ -171,20 +166,15 @@ def apriori_verify(v_hess, f_field, mu: float, tol: float = 1e-10) -> AprioriRep
     n mu^2.  Report-only: out-of-range samples are flagged, never raised.
     An empty field raises ``DimensionMismatch``.
     """
-    v = _as_sym(v_hess, "v")
-    f = _as_sym(f_field, "F")
-    _check_pair(v, f)
+    v, f, det_v = _spd2_pair(v_hess, f_field)
     _check_points(v, "v")
-    lam = _pencil2(v, f, _spd2_det(v, "v"))
-    det_f = _det2(f)
-    tr_f = f[..., 0, 0] + f[..., 1, 1]
-    nonneg = bool((det_f >= -1e-12).all() and (tr_f >= -1e-12).all())
+    lam = _pencil2(v, f, det_v)
     in_range = bool((lam >= -tol).all() and (lam <= mu + tol).all())
     return AprioriReport(
         min_lambda=float(lam.min()),
         max_lambda=float(lam.max()),
         max_lambda_sq_sum=float((lam**2).sum(axis=-1).max()),
-        curvature_nonneg=nonneg,
+        curvature_nonneg=_nonneg2(f),
         in_range=in_range,
         mu=float(mu),
     )

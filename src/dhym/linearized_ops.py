@@ -32,7 +32,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _spd2_det
+from .core_geometry import _as_sym, _spd2_inverse
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
 from .spectral import _pcg, _prolong2, hessian2, inner, partial2, resample2
 
@@ -138,9 +138,9 @@ class LinearizedContext:
         if not np.isfinite(b_squared).all():
             raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
         hess = np.eye(2) + hessian2(self.u_pert)
-        det = _spd2_det(hess, "I + Hess u_pert", InvalidConfig)
+        det, u_inv = _spd2_inverse(hess, "I + Hess u_pert", InvalidConfig)
         self.u_hess = hess
-        self._u_inv_fields = np.moveaxis(_adj2(hess) / det[..., None, None], (-2, -1), (0, 1)).copy()
+        self._u_inv_fields = np.moveaxis(u_inv, (-2, -1), (0, 1)).copy()
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
         n = self.n
         self._alternating = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^i

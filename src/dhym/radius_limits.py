@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_geometry import ConstantCurvature2, _as_sym
-from .errors import DegeneratePhase, DegenerateTopPower, InvalidConfig
+from .errors import DegenerateTopPower, InvalidConfig
 from .ode_solver import ODEProblem, Regime, solve
 
 __all__ = [
@@ -74,8 +74,6 @@ def exact_z(t: float, data: CohomologyData) -> complex:
 
 def _phase_at(t: float, data: CohomologyData) -> complex:
     z = exact_z(t, data)
-    if z == 0:
-        raise DegeneratePhase(f"class integral vanishes at t = {t:g}")
     return np.conj(z) / abs(z)
 
 
@@ -106,9 +104,10 @@ def _expansion_report(data: CohomologyData, t: np.ndarray, c: float, truncation)
     """Errors |exp(-i theta(t)) - truncation(t)| along ``t`` and their
     log-log slope, nan when some error is exactly 0 and no slope can be
     fitted."""
-    # a class or radius too large for floating point leaves inf or nan
-    # errors, which are refused here rather than warned about on the way
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a class or radius beyond floating point (t^2 overflowing, or
+    # underflowing to a zero z(t)) leaves inf or nan errors, which are
+    # refused here rather than warned about on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         errors = np.array([abs(_phase_at(tv, data) - truncation(tv)) for tv in t])
     if not np.isfinite(errors).all():
         raise InvalidConfig("the phase expansion overflows for this class and these radii")
@@ -214,7 +213,7 @@ def limit_convergence_study(base: ODEProblem, t_list) -> LimitConvergenceReport:
         raise InvalidConfig("the study needs >= 2 distinct positive radius values")
     limit_bundle = solve(base)
     errors, bounds = [], []
-    for tv in t:
+    for tv in t.tolist():  # Python floats: an overflowing radius gives inf or nan, not a warning
         bundle = solve(scaled_coupled_problem(base, tv))
         errors.append(float(np.abs(bundle.phi.samples - limit_bundle.phi.samples).max()))
         bounds.append(_EXACT_EPS * max(limit_bundle.residual_scale, bundle.residual_scale))

@@ -60,6 +60,20 @@ def test_solve_reference_instance(tmp_path):
     assert manifest["results"]["min_curvature"] > 0.0
 
 
+def test_solve_verbose(tmp_path, capsys):
+    # --verbose adds one stderr line and leaves the solution untouched
+    cfg = write_cfg(tmp_path, "c.json", SOLVE_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    quiet_err = capsys.readouterr().err
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "verbose"), "--verbose"]) == 0
+    err = capsys.readouterr().err
+    residual = json.loads((tmp_path / "verbose" / "manifest.json").read_text())["results"]["residual_sup"]
+    assert quiet_err == ""
+    assert err == f"solved dhym: residual {residual:.3e}\n"
+    solution = [(tmp_path / d / "solution.csv").read_bytes() for d in ("quiet", "verbose")]
+    assert solution[0] == solution[1]
+
+
 def test_small_radius_obstruction_exit_code(tmp_path):
     cfg = dict(SOLVE_CFG, regime="small_radius", f0=[1.0, 0.5, -1.0])
     code = main(["solve", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)])

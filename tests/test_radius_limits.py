@@ -285,22 +285,60 @@ def test_expand_refuses_overflowing_class(tmp_path, f0):
     assert "the phase expansion overflows" in out.stderr
 
 
-@pytest.mark.parametrize(
-    "f0",
-    [[[1e300, 0, 0], [0, -1e300, 0], [0, 0, 1e300]], [[1e308, 1e308], [1e308, 1e308]]],
-    ids=["e_n-overflows", "sum-overflows"],
-)
-def test_expand_overflow_prints_one_error_line(tmp_path, capsys, f0):
-    # in-process a numpy RuntimeWarning is an error here (exit 5), and in a
-    # subprocess it would print in front of the CLI's own message
+def _one_error_line(tmp_path, capsys, command, cfg):
+    """The stderr of ``command`` on ``cfg``, run in-process (exit 2) and in a
+    subprocess, asserted equal: in-process a numpy RuntimeWarning is an
+    error here (exit 5), and in a subprocess it would print in front of the
+    CLI's own message."""
     from dhym.cli import main
 
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"f0_matrix": f0}))
-    assert main(["expand", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     in_process = capsys.readouterr().err
     src = str(Path(dhym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "dhym.cli", "expand", "--config", str(cfg), "--out", str(tmp_path)]
+    argv = [sys.executable, "-m", "dhym.cli", command, "--config", str(path), "--out", str(tmp_path)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert out.stderr == in_process == "error: the phase expansion overflows for this class and these radii\n"
+    assert out.returncode == 2
+    assert out.stderr == in_process
+    return in_process
+
+
+#: radii whose t^2 underflows to 0 (z(t) = t^2 of the zero class reads 0)
+_TINY_RADII = [1e-200, 2e-200, 4e-200, 1e-199]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"f0_matrix": [[1e300, 0, 0], [0, -1e300, 0], [0, 0, 1e300]]},
+        {"f0_matrix": [[1e308, 1e308], [1e308, 1e308]]},
+        {"f0_matrix": [[0, 0], [0, 0]], "t_large": _TINY_RADII},
+        {"f0_matrix": [[1, 0], [0, 2]], "t_large": _TINY_RADII},
+    ],
+    ids=["e_n-overflows", "sum-overflows", "zero-class-tiny-radii", "tiny-radii"],
+)
+def test_expand_overflow_prints_one_error_line(tmp_path, capsys, cfg):
+    # z(t) = prod (t - i lambda_j) has no zero at a real t > 0: a zero read
+    # there is underflow, refused like an overflow (exit 2), not an
+    # obstruction (exit 3)
+    err = _one_error_line(tmp_path, capsys, "expand", cfg)
+    assert err == "error: the phase expansion overflows for this class and these radii\n"
+
+
+@pytest.mark.parametrize(
+    "regime, f0, t_list, text",
+    [
+        ("large_radius", [0.4, 1.0, 0.3], [1e200, 2e200], "the ODE coefficients overflow"),
+        ("small_radius", [2.0, 0.5, 1.0], [1e-200, 2e-200], "the defining integral overflows"),
+    ],
+    ids=["large-radius", "small-radius"],
+)
+def test_limits_extreme_radii_print_one_error_line(tmp_path, capsys, regime, f0, t_list, text):
+    # the rescaled coupling 4 alpha t^2 overflows at large t, and det(F0/t)
+    # at small t: inf or nan the study refuses, with no numpy warning first
+    cfg = {"regime": regime, "f0": f0, "alpha": 1.0, "datum": {"kind": "fourier", "cos": [0.05]},
+           "grid": 32, "t_list": t_list}
+    err = _one_error_line(tmp_path, capsys, "limits", cfg)
+    assert err.startswith("error: " + text) and err.count("\n") == 1
