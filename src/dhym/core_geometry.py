@@ -12,7 +12,9 @@ Matrix fields are plain numpy arrays of shape ``(..., n, n)``; all operations
 broadcast over the leading axes.  A pair (v, F) must be two fields of one
 shape (``_check_pair``).  Each 2x2 rule has one helper: ``_spd2_pair`` reads
 a (v, F) pair (symmetric, paired, v positive definite), ``_spd2_inverse``
-inverts a positive definite field and ``_nonneg2`` tests F >= 0.  The 2x2
+checks and inverts a positive definite field (by ``_inverse2``, the one
+inverse formula, which a reader of a checked pair calls with its det) and
+``_nonneg2`` tests F >= 0.  The 2x2
 pencil eigenvalues have a closed form, ``_pencil2``: ``pencil_eigenvalues``
 checks its pair and calls it, and the verifiers that have already read
 theirs call it directly.
@@ -273,11 +275,17 @@ def _spd2_pair(v, f):
     return v, f, _spd2_det(v, "v")
 
 
+def _inverse2(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The inverse adj(m) / det of a 2x2 matrix field whose det, nonzero at
+    every point, has been read."""
+    return _adj2(m) / det[..., None, None]
+
+
 def _spd2_inverse(m: np.ndarray, name: str, error=NonPositiveMetric):
     """(det, inverse) of the 2x2 matrix field ``m``, positive definite at
     every point by ``_spd2_det``."""
     det = _spd2_det(m, name, error)
-    return det, _adj2(m) / det[..., None, None]
+    return det, _inverse2(m, det)
 
 
 def _nonneg2(f: np.ndarray) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _check_points, _det2, _nonneg2, _pencil2, _spd2_det, _spd2_inverse, _spd2_pair
+from .core_geometry import _adj2, _as_sym, _check_points, _det2, _inverse2, _nonneg2, _pencil2, _spd2_det, _spd2_inverse, _spd2_pair
 from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
@@ -97,14 +97,14 @@ def _metric_fields(v_hess, f_field, f_datum):
 
     v and F are (N, M, 2, 2) fields; the datum is a constant or one value
     per point, read as an (N, M) field."""
-    v, f, _ = _spd2_pair(v_hess, f_field)
+    v, f, det = _spd2_pair(v_hess, f_field)
     if v.ndim != 4:
         raise DimensionMismatch(f"surface residuals take (N, M, 2, 2) fields, got shape {v.shape}")
     datum = np.asarray(f_datum, dtype=float)
     if datum.ndim and datum.size != v.shape[0] * v.shape[1]:
         raise DimensionMismatch(f"datum of shape {datum.shape} does not match the {v.shape[:2]} grid")
     datum = datum.reshape(v.shape[:2]) if datum.ndim else datum
-    det, vinv = _spd2_inverse(v, "v")
+    vinv = _inverse2(v, det)
     return v, f, datum, det, vinv, np.einsum("...ij,...ij->...", vinv, hessian2(np.log(det)))
 
 
@@ -138,7 +138,7 @@ def j_equation_residual(v_hess, f_field, kappa: float, alpha: float, f_datum):
     det_f = _det2(f)
     if np.abs(det_f).min() == 0.0:
         raise InvalidConfig("curvature field is singular somewhere")
-    finv = _adj2(f) / det_f[..., None, None]
+    finv = _inverse2(f, det_f)
     r1 = np.einsum("...ij,...ij->...", finv, v) - kappa
     r2 = -0.25 * logdet - alpha * det_f / det_v - datum
     return r1, r2

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 
 import numpy as np
@@ -92,11 +92,16 @@ class LinearizedContext:
 
     ``u_inv`` (N, N, 2, 2) is a view of the contiguous ``_u_inv_fields``
     (2, 2, N, N), so each of its entry fields is contiguous.  The elliptic
-    solve's data is built here too: the preconditioner's weight W and symbol
-    S (``_precondition``), and (-1)^i for the Nyquist projector of
-    ``_operator``.  The operator itself is the ``partial2`` composition of
-    ``laplacian`` and keeps no multipliers of its own.  The half-grid
-    context of the nested solve (``_half_grid``) is built on first use.
+    solve's data is built here too: the preconditioner's weight W and the
+    multipliers of S^-1 (``_precondition``), and (-1)^i for the Nyquist
+    projector of ``_operator``.  Both paths of ``_precondition`` read the
+    one symbol of ``_elliptic_symbol``: up to ``_HARTLEY_MAX_N``
+    ``_multipliers`` is the stack (alpha, beta) of the Hartley path,
+    alpha = (1/S(k1, k2) + 1/S(-k1, k2)) / 2N^2 and
+    beta = (1/S(-k1, k2) - 1/S(k1, k2)) / 2N^2, above it the rfft2 half of S.
+    The operator itself is the ``partial2`` composition of ``laplacian`` and
+    keeps no multipliers of its own.  The half-grid context of the nested
+    solve (``_half_grid``) is built on first use.
 
     The bundle potential ``phi`` is derived, not passed: the mean-zero
     solution of the degree equation Delta phi = tr(B) - u_ij B_ij on this
@@ -110,7 +115,7 @@ class LinearizedContext:
     Jacobian of the transport difference).
 
     ``_rayleigh`` maps each trial the trial checks have applied L to, by a
-    16-byte blake2b digest of its shape and float64 samples, to its Rayleigh
+    32-byte sha256 digest of its shape and float64 samples, to its Rayleigh
     quotient <gamma, L gamma>/<gamma, gamma>, so ``negativity_check`` does
     not apply L again to a trial ``selfadjointness_defect`` already did.  It
     holds scalars, never images.
@@ -123,7 +128,7 @@ class LinearizedContext:
     _u_inv_fields: np.ndarray = field(init=False, repr=False)
     _alternating: np.ndarray = field(init=False, repr=False)
     _weight: np.ndarray = field(init=False, repr=False)
-    _symbol: np.ndarray = field(init=False, repr=False)
+    _multipliers: np.ndarray = field(init=False, repr=False)
     _rayleigh: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -147,7 +152,13 @@ class LinearizedContext:
         # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1;
         # S is the symbol of mean(a^{ij}), W = (det u^{ij})^(-1/4) = det^(1/4)
         self._weight = det**0.25
-        self._symbol = _elliptic_symbol(n, np.tensordot(self._u_inv_fields, np.sqrt(det), 2) / det.size)
+        symbol = _elliptic_symbol(n, np.tensordot(self._u_inv_fields, np.sqrt(det), 2) / det.size)
+        if n <= _HARTLEY_MAX_N:
+            inverse = 1.0 / symbol
+            flipped = inverse.take(_hartley(n)[1], axis=0)  # 1 / S(-k1, k2)
+            self._multipliers = np.array((inverse + flipped, flipped - inverse)) / (2.0 * n * n)
+        else:
+            self._multipliers = symbol[:, : n // 2 + 1].copy()
 
     @property
     def n(self) -> int:
@@ -189,8 +200,17 @@ class LinearizedContext:
         return tangent, (dw + ubt).swapaxes(0, 1)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Divergence-form operator d_i(u^{ij} d_j f), of a field or a stack."""
-        return _divergence(*_mv(self.u_inv, *_gradient(f)))
+        """Divergence-form operator d_i(u^{ij} d_j f), of a field or a stack.
+        The flux u^{-1} grad f is formed in the gradient's own arrays, with
+        the arithmetic of ``_mv``, so bit for bit its value."""
+        g0, g1 = _gradient(f)
+        u = self._u_inv_fields
+        flux0 = u[0, 0] * g0
+        flux0 += u[0, 1] * g1
+        g0 *= u[1, 0]
+        g1 *= u[1, 1]
+        g0 += g1
+        return _divergence(flux0, g0)
 
     def _operator(self, f: np.ndarray, penalty: float) -> np.ndarray:
         """-(Delta + sigma P) f, sigma = -penalty, of a field or a stack: the
@@ -204,24 +224,38 @@ class LinearizedContext:
             # n Px f = a x (a . f) and n Py (1 - Px) f = (f . a - a (a . f . a) / n) x a,
             # their sum one rank-2 product [a, cols] @ [rows; a]
             a = self._alternating
-            rows = a @ f
-            cols = f @ a - ((rows @ a) / n)[..., None] * a
+            left, right = np.empty(f.shape[:-1] + (2,)), np.empty(f.shape[:-2] + (2, n))
+            left[..., 0] = right[..., 1, :] = a
+            rows, cols = np.matmul(a, f, out=right[..., 0, :]), left[..., 1]
+            cols[...] = f @ a - ((rows @ a) / n)[..., None] * a
             rows *= penalty / n
             cols *= penalty / n
-            a = np.broadcast_to(a, rows.shape)
-            out += np.stack((a, cols), axis=-1) @ np.stack((rows, a), axis=-2)
+            out += left @ right
         return out
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r = Pi W S^-1 (W r) of a field or a stack, Pi the removal of
         the mean (S^-1 zeroes the mean mode).  Symmetric positive definite on
-        mean-zero fields, since W > 0.  ``rfft2`` / ``irfft2`` are spelled as
-        the per-axis calls they make, in their order: the same bits without
-        the n-d wrappers' Python overhead."""
+        mean-zero fields, since W > 0.
+
+        Up to ``_HARTLEY_MAX_N`` S^-1 is applied in the separable Hartley
+        basis of ``_hartley``, by dense products and no FFT: T = C f C, then
+        alpha T + beta T(-k1, -k2) (an even symbol with a cross term couples
+        (k1, k2) only to (-k1, -k2) there), then C . C.  Above it, by
+        ``rfft2`` / ``irfft2``, spelled as the per-axis calls they make, in
+        their order: the same bits without the n-d wrappers' Python
+        overhead."""
         n = self.n
-        spec = np.fft.fft(np.fft.rfft(self._weight * r, axis=-1), axis=-2)
-        spec /= self._symbol
-        z = np.fft.irfft(np.fft.ifft(spec, axis=-2), n=n, axis=-1)
+        if n <= _HARTLEY_MAX_N:
+            c, rev = _hartley(n)
+            t = c @ (self._weight * r) @ c
+            z = self._multipliers[0] * t
+            z += self._multipliers[1] * t.take(rev, axis=-2).take(rev, axis=-1)
+            z = c @ z @ c
+        else:
+            spec = np.fft.fft(np.fft.rfft(self._weight * r, axis=-1), axis=-2)
+            spec /= self._multipliers
+            z = np.fft.irfft(np.fft.ifft(spec, axis=-2), n=n, axis=-1)
         z *= self._weight
         z -= _field_means(z)
         return z
@@ -247,22 +281,59 @@ def _nyquist_penalty(n: int) -> float:
 
 
 def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
-    """rfft2 symbol of -(Delta + sigma P) for the constant 2x2 coefficient
-    matrix ``coef`` in place of u^{ij}.
+    """The n x n fft2 symbol S of -(Delta + sigma P) for the constant 2x2
+    coefficient matrix ``coef`` in place of u^{ij}; its rfft2 half is
+    ``[:, : n // 2 + 1]``.
 
     The wavenumbers drop the Nyquist index, as spectral first derivatives
     do.  The mean mode is infinite, so dividing by the symbol zeroes it.
+    S is even, S(-k1, -k2) = S(k1, k2), index for index.
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
     nyq = np.zeros(n, dtype=bool)
     if n % 2 == 0:
         k[n // 2] = 0.0
         nyq[n // 2] = True
-    kx, ky = k[:, None], k[None, : n // 2 + 1]
+    kx, ky = k[:, None], k[None, :]
     sym = (2.0 * np.pi) ** 2 * (coef[0, 0] * kx**2 + 2.0 * coef[0, 1] * kx * ky + coef[1, 1] * ky**2)
-    sym += _nyquist_penalty(n) * (nyq[:, None] | nyq[None, : n // 2 + 1])
+    sym += _nyquist_penalty(n) * (nyq[:, None] | nyq[None, :])
     sym[0, 0] = np.inf
     return sym
+
+
+#: Largest grid size whose preconditioner applies S^-1 in the Hartley basis
+#: by dense products, so that a CG step makes no FFT call; larger grids take
+#: the rfft2 pair.  Median us of one ``_precondition`` call on a stack of K
+#: white-noise fields, the two paths alternated in one process (2-core
+#: x86-64, OpenBLAS, one thread, numpy 2.4):
+#:
+#:     N     K   FFT   Hartley
+#:     16    1    60     28
+#:     32    2    74     50
+#:     32    8   250    125
+#:     64    1   135     88
+#:     64    2   240    173
+#:     64    8   752    598
+#:     128   1   383    572
+#:     128   2   707   1105
+#:
+#: Field-2d solves hold at most 2^13 points per stack (``_CHUNK_POINTS``).
+_HARTLEY_MAX_N = 64
+
+
+@lru_cache(maxsize=None)
+def _hartley(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C and rev, read-only: the n x n separable Hartley matrix
+    C[k, x] = cos + sin of 2 pi ((k x) mod n) / n, real and symmetric with
+    C @ C = n I (Bracewell, The Hartley Transform, 1986), and the index map
+    rev[k] = -k mod n.  Cached per n."""
+    x = np.arange(n)
+    angle = (2.0 * np.pi / n) * (np.outer(x, x) % n)
+    c = np.cos(angle) + np.sin(angle)
+    rev = -x % n
+    c.setflags(write=False)
+    rev.setflags(write=False)
+    return c, rev
 
 
 #: Smallest grid on which ``_solve_elliptic`` starts its CG from the
@@ -451,8 +522,10 @@ def _as_trial(ctx: LinearizedContext, trial) -> np.ndarray:
 
 
 def _trial_key(trial: np.ndarray) -> bytes:
-    """The key of a float64 trial in ``LinearizedContext._rayleigh``."""
-    digest = hashlib.blake2b(str(trial.shape).encode(), digest_size=16)
+    """The key of a float64 trial in ``LinearizedContext._rayleigh``: the
+    32-byte sha256 digest, which hashes a 64 x 64 trial in 28 us against
+    56 us for a 16-byte blake2b (x86-64 with SHA extensions, OpenSSL 3.0)."""
+    digest = hashlib.sha256(str(trial.shape).encode())
     digest.update(np.ascontiguousarray(trial))
     return digest.digest()
 

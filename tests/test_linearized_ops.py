@@ -248,7 +248,7 @@ class TestFusedOperator:
         ref = partial2(flux0, 1, 0) + partial2(flux1, 0, 1)
         assert np.array_equal(ctx.laplacian(f), ref)
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [16, 17, 32, 64, 128])
     @pytest.mark.parametrize("sup_hessian", [0.1, 0.3])
     def test_preconditioner_symmetric_positive_mean_free(self, n, sup_hessian):
         ctx = make_consistent_context(hessian_scaled_background(n, 1, sup_hessian), B_REF)
@@ -264,7 +264,7 @@ class TestFusedOperator:
         # the same CG; at 0.1 the scaling saves 1 to 3 applications of 11 or 12
         for seed in range(4):
             ctx = make_consistent_context(hessian_scaled_background(n, seed, sup_hessian), B_REF)
-            symbol = linearized_ops._elliptic_symbol(n, ctx.u_inv.mean(axis=(0, 1)))
+            symbol = linearized_ops._elliptic_symbol(n, ctx.u_inv.mean(axis=(0, 1)))[:, : n // 2 + 1]
             constant = lambda r: np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape[-2:])
             rhs = lincond_rhs(ctx, band_limited(n, seed=100 + seed))
             penalty = linearized_ops._nyquist_penalty(n)
@@ -280,6 +280,44 @@ class TestFusedOperator:
                 assert converged.all()
                 counts.append(len(calls))
             assert counts[1] <= counts[0] - saved, counts
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 33, 64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_hartley_preconditioner_agrees_with_fft(self, n, k, monkeypatch):
+        # the FFT path forced by a crossover below every grid
+        u = hessian_scaled_background(n, 2, 0.2)
+        stacks = [
+            np.array([white_noise(n, seed=60 + i) for i in range(k)]),
+            np.array([band_limited(n, seed=65 + i) for i in range(k)]),
+        ]
+        hartley = LinearizedContext(u, B_REF)
+        images = [hartley._precondition(r) for r in stacks]
+        monkeypatch.setattr(linearized_ops, "_HARTLEY_MAX_N", 0)
+        fft = LinearizedContext(u, B_REF)
+        for r, image in zip(stacks, images):
+            ref = fft._precondition(r)
+            assert np.abs(image - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [32, 64, 65, 256])
+    def test_operator_bits_of_the_stacked_formula(self, n):
+        # the negated partial2 composition plus the rank-2 product of
+        # np.stack'ed factors, with temporaries throughout
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        penalty = linearized_ops._nyquist_penalty(n)
+        u = ctx.u_inv
+        for f in (white_noise(n, seed=52), np.array([band_limited(n, seed=53), white_noise(n, seed=54)])):
+            g0, g1 = partial2(f, 1, 0), partial2(f, 0, 1)
+            flux0, flux1 = u[..., 0, 0] * g0 + u[..., 0, 1] * g1, u[..., 1, 0] * g0 + u[..., 1, 1] * g1
+            ref = -(partial2(flux0, 1, 0) + partial2(flux1, 0, 1))
+            if n % 2 == 0:
+                a = ctx._alternating
+                rows = a @ f
+                cols = f @ a - ((rows @ a) / n)[..., None] * a
+                rows *= penalty / n
+                cols *= penalty / n
+                a = np.broadcast_to(a, rows.shape)
+                ref += np.stack((a, cols), axis=-1) @ np.stack((rows, a), axis=-2)
+            assert np.array_equal(ctx._operator(f, penalty), ref)
 
 
 FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
@@ -303,7 +341,9 @@ def count_fft_calls(monkeypatch):
 
 class TestFftCounts:
     """Up to ``_DENSE_MAX_N`` the CG operator and apply_L differentiate by
-    dense products; the preconditioner's four transforms are the only FFTs."""
+    dense products.  Up to ``_HARTLEY_MAX_N`` the preconditioner is dense
+    products too, so a CG step makes no FFT call; above it the
+    preconditioner's four transforms are the only FFTs of a step."""
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_operator_and_apply_L_make_no_fft_call(self, n, monkeypatch):
@@ -325,10 +365,10 @@ class TestFftCounts:
         apply_L(ctx, trials)  # builds the cached coefficients too
         assert calls == []
 
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_four_fft_calls_per_cg_step(self, n, monkeypatch):
-        # over both levels of the nested solve at N = 64: the residual of the
-        # fine start is an operator application with no preconditioning
+    @staticmethod
+    def solve_counted(n, monkeypatch):
+        """The FFT calls of one nested elliptic solve on a stack of two, and
+        the grid of each preconditioning it makes."""
         ctx = make_consistent_context(hessian_scaled_background(n, 4, 0.1), B_REF)
         rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=72 + i)) for i in range(2)])
         calls, _ = count_fft_calls(monkeypatch)
@@ -341,8 +381,23 @@ class TestFftCounts:
 
         monkeypatch.setattr(LinearizedContext, "_precondition", counted)
         linearized_ops._solve_elliptic(ctx, rhs)
+        return calls, steps
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_no_fft_call_in_a_nested_solve(self, n, monkeypatch):
+        # over both levels of the nested solve at N = 64
+        calls, steps = self.solve_counted(n, monkeypatch)
         assert n in steps
-        assert len(calls) == 4 * len(steps)
+        assert calls == []
+
+    def test_four_fft_calls_per_cg_step_above_the_crossover(self, monkeypatch):
+        # N = 128 takes the FFT, its half grid (N = 64) the Hartley products;
+        # the residual of the fine start is an operator application with no
+        # preconditioning
+        n = 128
+        calls, steps = self.solve_counted(n, monkeypatch)
+        assert n in steps and n // 2 in steps
+        assert len(calls) == 4 * steps.count(n)
 
 
 class TestPcgStart:
@@ -727,7 +782,7 @@ class TestContext:
     def test_consistent_context_equals_a_fresh_one(self, n):
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         fresh = LinearizedContext(ctx.u_pert, ctx.b_matrix)
-        for name in ("u_hess", "_u_inv_fields", "_weight", "_symbol"):
+        for name in ("u_hess", "_u_inv_fields", "_weight", "_multipliers"):
             assert np.array_equal(getattr(ctx, name), getattr(fresh, name)), name
         stack = np.array([band_limited(n, seed=231 + i) for i in range(2)])
         assert np.array_equal(apply_L(ctx, stack), apply_L(fresh, stack))

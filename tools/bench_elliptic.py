@@ -23,6 +23,9 @@ band-limited (k <= 3) directions.  A record holds, per size:
 * ``operator_applications``: mean CG operator applications per call on
   the grid of N (``fine``) and, where the solve starts from the solution
   on the half grid, on that grid (``half``);
+* ``fft_calls``: mean ``numpy.fft`` calls per call made while a CG runs,
+  ``fine`` and ``half`` as above (a transform of ``numpy.fft`` counts once,
+  whatever it calls inside), counted on the untimed solve only;
 * ``residual_sup_rel``: the largest true relative residual
   ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over the right-hand sides,
   recomputed here with FFT derivatives and an ``fft2`` Nyquist projector,
@@ -31,7 +34,8 @@ band-limited (k <= 3) directions.  A record holds, per size:
 ``field2d_applications`` is the mean number of CG operator applications per
 ``_solve_elliptic`` call, ``fine`` and ``half`` as above, over the first 16 backgrounds of the seed-1 pool of
 the field-2d benchmark workload, with the battery run as
-``perfbench/workloads.py::field_battery`` runs it.
+``perfbench/workloads.py::field_battery`` runs it; ``field2d_fft_calls`` is
+the mean number of ``numpy.fft`` calls in its CGs per call, the same way.
 
 One BLAS / OpenMP thread, as in ``perfbench/run.py``.
 """
@@ -46,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -60,26 +65,56 @@ BACKGROUNDS = 6  # per grid size
 REPS = 5  # timed solves per background and round
 ROUNDS = 5
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
+FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 def _count_applications(lo):
     """Wrap the ``_pcg`` that ``linearized_ops`` calls so that it counts the
     operator applications; returns the list the counts go to, one
-    ``[grid size, applications]`` per CG.  Any further arguments of ``_pcg``
+    ``[grid size, applications, fft calls]`` per CG, and a flag list whose
+    first entry is True while a CG runs.  Any further arguments of ``_pcg``
     are passed through, so the wrapper fits every version of the code."""
-    pcg, counts = lo._pcg, []
+    pcg, counts, running = lo._pcg, [], [False]
 
     def counted(operator, precondition, rhs, *args, **kwargs):
-        counts.append([rhs.shape[-1], 0])
+        counts.append([rhs.shape[-1], 0, 0])
 
         def apply(p):
             counts[-1][1] += 1
             return operator(p)
 
-        return pcg(apply, precondition, rhs, *args, **kwargs)
+        running[0] = True
+        try:
+            return pcg(apply, precondition, rhs, *args, **kwargs)
+        finally:
+            running[0] = False
 
     lo._pcg = counted
-    return counts
+    return counts, running
+
+
+@contextmanager
+def _counting_transforms(counts, running):
+    """Count each ``numpy.fft`` call made while a CG runs on that CG's entry
+    of ``counts``; the transforms are restored on exit, so timed solves run
+    unwrapped."""
+    saved = {name: getattr(np.fft, name) for name in FFT_FUNCTIONS}
+
+    def wrap(transform):
+        def counted(*args, **kwargs):
+            if running[0]:
+                counts[-1][2] += 1
+            return transform(*args, **kwargs)
+
+        return counted
+
+    for name, transform in saved.items():
+        setattr(np.fft, name, wrap(transform))
+    try:
+        yield
+    finally:
+        for name, transform in saved.items():
+            setattr(np.fft, name, transform)
 
 
 def _fft_laplacian(u_inv, f):
@@ -99,11 +134,12 @@ def _fft_laplacian(u_inv, f):
     return d(flux_x, -2) + d(flux_y, -1)
 
 
-def _per_solve(counts, n, solves) -> dict:
-    """Mean applications per solve on the grid of n and on its half grid."""
+def _per_solve(counts, n, solves, column=1) -> dict:
+    """Mean operator applications (``column`` 1) or fft calls (2) per solve
+    on the grid of n and on its half grid."""
     return {
-        "fine": sum(c for m, c in counts if m == n) / solves,
-        "half": sum(c for m, c in counts if m == n // 2) / solves,
+        "fine": sum(c[column] for c in counts if c[0] == n) / solves,
+        "half": sum(c[column] for c in counts if c[0] == n // 2) / solves,
     }
 
 
@@ -128,27 +164,36 @@ def _background(rng, n, workloads):
     return u, 0.5 * (b + b.T)
 
 
-def bench_size(lo, workloads, counts, n) -> dict:
+def bench_size(lo, workloads, counts, running, n) -> dict:
     rng = np.random.default_rng(n)
     k = max(1, STACK_POINTS // n**2)
     sigma = -lo._nyquist_penalty(n)
-    times, applications, residual = [], [], 0.0
+    times, applications, transforms, residual = [], [], [], 0.0
     for _ in range(BACKGROUNDS):
         ctx = lo.make_consistent_context(*_background(rng, n, workloads))
         trials = np.array([workloads.band_limited(rng, n, 3) for _ in range(k)])
         rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
         counts.clear()
-        x = lo._solve_elliptic(ctx, rhs)  # warms the context, counts, checks
+        with _counting_transforms(counts, running):
+            x = lo._solve_elliptic(ctx, rhs)  # warms the context, counts, checks
         applications.append(_per_solve(counts, n, 1))
+        transforms.append(_per_solve(counts, n, 1, column=2))
         residual = max(residual, _relative_residual(ctx, x, rhs, sigma))
         for _ in range(REPS):
             t0 = time.perf_counter()
             lo._solve_elliptic(ctx, rhs)
             times.append(time.perf_counter() - t0)
-    return {"n": n, "stack": k, "times": times, "applications": applications, "residual": residual}
+    return {
+        "n": n,
+        "stack": k,
+        "times": times,
+        "applications": applications,
+        "transforms": transforms,
+        "residual": residual,
+    }
 
 
-def field2d_applications(lo, workloads, counts, backgrounds=16) -> dict:
+def field2d_applications(lo, workloads, counts, running, backgrounds=16) -> tuple:
     solves = []
     solve = lo._solve_elliptic
 
@@ -160,16 +205,18 @@ def field2d_applications(lo, workloads, counts, backgrounds=16) -> dict:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             pool = workloads.Field2d(1, Path(tmp)).inputs()
-        out = {}
+        applications, transforms = {}, {}
         for n, (grounds, trials) in pool.items():
             counts.clear()
             solves.clear()
-            for u, b in grounds[:backgrounds]:
-                workloads.field_battery(u, b, trials)
-            out[str(n)] = _per_solve(counts, n, len(solves))
+            with _counting_transforms(counts, running):
+                for u, b in grounds[:backgrounds]:
+                    workloads.field_battery(u, b, trials)
+            applications[str(n)] = _per_solve(counts, n, len(solves))
+            transforms[str(n)] = _per_solve(counts, n, len(solves), column=2)
     finally:
         lo._solve_elliptic = solve
-    return out
+    return applications, transforms
 
 
 def worker(src: str, first: bool) -> None:
@@ -178,10 +225,10 @@ def worker(src: str, first: bool) -> None:
     import workloads
     from dhym import linearized_ops as lo
 
-    counts = _count_applications(lo)
-    out = {"sizes": [bench_size(lo, workloads, counts, n) for n in SIZES]}
+    counts, running = _count_applications(lo)
+    out = {"sizes": [bench_size(lo, workloads, counts, running, n) for n in SIZES]}
     if first:
-        out["field2d_applications"] = field2d_applications(lo, workloads, counts)
+        out["field2d_applications"], out["field2d_fft_calls"] = field2d_applications(lo, workloads, counts, running)
     print(json.dumps(out))
 
 
@@ -198,9 +245,16 @@ def _record(rounds: list) -> dict:
             "operator_applications": {
                 level: float(np.mean([a[level] for a in rows[0]["applications"]])) for level in ("fine", "half")
             },
+            "fft_calls": {
+                level: float(np.mean([a[level] for a in rows[0]["transforms"]])) for level in ("fine", "half")
+            },
             "residual_sup_rel": max(row["residual"] for row in rows),
         })
-    return {"sizes": sizes, "field2d_applications": rounds[0]["field2d_applications"]}
+    return {
+        "sizes": sizes,
+        "field2d_applications": rounds[0]["field2d_applications"],
+        "field2d_fft_calls": rounds[0]["field2d_fft_calls"],
+    }
 
 
 def source_dirs(sources: list) -> dict:
@@ -247,12 +301,14 @@ def main(argv=None) -> None:
     (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     for label, record in doc["records"].items():
         print(label, "field-2d applications per solve:", record["field2d_applications"])
+        print(label, "field-2d fft calls in CG per solve:", record["field2d_fft_calls"])
         for row in record["sizes"]:
             ms = {q: 1e3 * t for q, t in row["wall_s"].items()}
-            apps = row["operator_applications"]
+            apps, ffts = row["operator_applications"], row["fft_calls"]
             print(
                 f"  N={row['n']:4d} K={row['stack']:2d}  {ms['p50']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
                 f"  {apps['fine']:5.2f} + {apps['half']:5.2f} half-grid applications"
+                f"  {ffts['fine']:5.1f} + {ffts['half']:5.1f} half-grid fft calls"
                 f"  residual {row['residual_sup_rel']:.1e}"
             )
 
