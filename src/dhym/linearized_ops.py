@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import chain, islice
 
 import numpy as np
@@ -119,6 +119,8 @@ class LinearizedContext:
     quotient <gamma, L gamma>/<gamma, gamma>, so ``negativity_check`` does
     not apply L again to a trial ``selfadjointness_defect`` already did.  It
     holds scalars, never images.
+
+    The first context of a process primes the heap (``_prime_heap``).
     """
 
     u_pert: np.ndarray
@@ -142,6 +144,7 @@ class LinearizedContext:
             b_squared = self.b_matrix @ self.b_matrix
         if not np.isfinite(b_squared).all():
             raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
+        _prime_heap()
         hess = np.eye(2) + hessian2(self.u_pert)
         det, u_inv = _spd2_inverse(hess, "I + Hess u_pert", InvalidConfig)
         self.u_hess = hess
@@ -304,20 +307,24 @@ def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
 #: Largest grid size whose preconditioner applies S^-1 in the Hartley basis
 #: by dense products, so that a CG step makes no FFT call; larger grids take
 #: the rfft2 pair.  Median us of one ``_precondition`` call on a stack of K
-#: white-noise fields, the two paths alternated in one process (2-core
-#: x86-64, OpenBLAS, one thread, numpy 2.4):
+#: white-noise fields, the two paths alternated in one process, the median
+#: of three such runs (2-core x86-64, OpenBLAS, one thread, numpy 2.4):
 #:
 #:     N     K   FFT   Hartley
-#:     16    1    60     28
-#:     32    2    74     50
-#:     32    8   250    125
-#:     64    1   135     88
-#:     64    2   240    173
-#:     64    8   752    598
-#:     128   1   383    572
-#:     128   2   707   1105
+#:     16    1    36     15
+#:     16    2    47     30
+#:     32    1    63     29
+#:     32    2    85     49
+#:     32   16   324    201
+#:     64    1   107     81
+#:     64    2   161    132
+#:     64    4   243    236
+#:     128   1   273    447
+#:     128   2   497    922
 #:
-#: Field-2d solves hold at most 2^13 points per stack (``_CHUNK_POINTS``).
+#: Field-2d solves hold at most 2^14 points per stack (``_CHUNK_POINTS``):
+#: K = 16 at N = 32, 4 at N = 64 and on its N = 32 half grid, 1 at N = 128.
+#: At N = 64, K = 4 the paths ran 224 / 236, 378 / 295 and 243 / 213.
 _HARTLEY_MAX_N = 64
 
 
@@ -505,13 +512,43 @@ def make_consistent_context(u_pert: np.ndarray, b_matrix) -> LinearizedContext:
 
 
 #: Grid points per stacked application of L in the trial checks: trials go
-#: through ``apply_L`` in chunks of max(1, _CHUNK_POINTS // N^2), 8 at N = 32
-#: and 2 at N = 64.  On 60 field-2d batteries (seed-1 pool, one process
-#: each, 2-core x86-64, one BLAS thread), twice as many took about 5 % less
-#: time and 1.1 MB (2.5 %) more peak RSS, half as many about 10 % more
-#: time.  From N = 128 on a chunk is one trial, so memory does not grow
-#: with the number of trials.
-_CHUNK_POINTS = 2**13
+#: through ``apply_L`` in chunks of max(1, _CHUNK_POINTS // N^2), 16 at
+#: N = 32 and 4 at N = 64.  From N = 128 on a chunk is one trial, so memory
+#: does not grow with the number of trials.  Median ms per field-2d battery
+#: (seed-1 pool, 58 batteries alternating N = 32 and 64 in one process, heap
+#: primed, six processes per size, 2-core x86-64, one BLAS thread), and peak
+#: RSS:
+#:
+#:     points   N = 32   N = 64   MB
+#:     2^12      17.6     53.3    42.4
+#:     2^13      16.1     45.3    42.6
+#:     2^14      16.1     40.9    43.6
+#:     2^15      13.8     37.1    46.7
+#:
+#: 2^15 is faster still, but at 3 MB (7 %) more peak RSS.
+_CHUNK_POINTS = 2**14
+
+#: Points of the block of ``_prime_heap``: 32 stacks of ``_CHUNK_POINTS``
+#: float64 points, 4 MiB.  Minor page faults per field-2d battery (seed-1
+#: pool, 16 batteries after one, a fresh process per size) at N = 32 / 64:
+#: 2077 / 3584 unprimed (508 / 2468 with 2^13 points per stack), 490 / 626
+#: with a 1 MiB block, 0.6 / 0.4 with 2 MiB and 0.5 / 0.5 with 4 MiB.
+_PRIME_POINTS = 32 * _CHUNK_POINTS
+
+
+@cache
+def _prime_heap() -> None:
+    """Lift glibc's dynamic mmap threshold above the stacks of the trial
+    checks, once per process.  glibc maps each block of M_MMAP_THRESHOLD or
+    more and unmaps it on free, and it trims the top of the heap once more
+    than M_TRIM_THRESHOLD is free (both 128 KiB at start, mallopt(3)), so
+    each application of L would fault the pages of its stacks in again.
+    Freeing a mapped block above the mmap threshold raises that threshold to
+    the block's size and the trim threshold to twice it: after this block
+    the stacks come from the heap and stay there.  The block is never
+    touched, so it adds nothing to the resident set, and under any other
+    allocator it is one allocation."""
+    np.empty(_PRIME_POINTS)
 
 
 def _as_trial(ctx: LinearizedContext, trial) -> np.ndarray:

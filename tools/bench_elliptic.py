@@ -11,31 +11,45 @@ processes, ``ROUNDS`` rounds that alternate which version goes first, so
 that a slow spell of a shared machine falls on both.  The result is written
 to ``BENCH_elliptic.json`` at the repository root, one record per label.
 
-Per grid size N = 16 / 32 / 64 / 128 / 256, the solve gets stacks of
-K = max(1, 2^13 / N^2) right-hand sides, as the field-2d battery chunks its
-trials.  Each size uses six seeded field-2d-like backgrounds: a
-band-limited (k <= 1) metric potential with sup |Hess u_pert| in
-[0.05, 0.15], and right-hand sides of the linearized degree equation for
-band-limited (k <= 3) directions.  A record holds, per size:
+Per grid size N = 16 / 32 / 64 / 128 / 256, each of six seeded
+field-2d-like backgrounds (a band-limited (k <= 1) metric potential with
+sup |Hess u_pert| in [0.05, 0.15]) gets the right-hand sides of the
+linearized degree equation for 20 band-limited (k <= 3) directions, as many
+as a field-2d battery has trials.  They are solved in stacks of
+K = max(1, C / N^2), C the ``_CHUNK_POINTS`` of the version under test, as
+its battery chunks its trials (the last stack may be shorter).  Each
+background draws from its own seed, so every version solves the same
+right-hand sides.  A record holds, per size:
 
-* ``wall_s``: quartiles of the wall time of one ``_solve_elliptic`` call,
-  five timed calls per background and round after an untimed one;
+* ``stack``: the size of the first stack, min(K, 20);
+* ``wall_s``: quartiles of the wall time of one ``_solve_elliptic`` call on
+  the first stack, five timed calls per background and round after the
+  untimed solve of all 20;
 * ``operator_applications``: mean CG operator applications per call on
   the grid of N (``fine``) and, where the solve starts from the solution
   on the half grid, on that grid (``half``);
 * ``fft_calls``: mean ``numpy.fft`` calls per call made while a CG runs,
   ``fine`` and ``half`` as above (a transform of ``numpy.fft`` counts once,
-  whatever it calls inside), counted on the untimed solve only;
+  whatever it calls inside), counted on the untimed solves only;
 * ``residual_sup_rel``: the largest true relative residual
-  ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over the right-hand sides,
+  ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over all right-hand sides,
   recomputed here with FFT derivatives and an ``fft2`` Nyquist projector,
-  not read from the CG recursion nor from the operator under test.
+  not read from the CG recursion nor from the operator under test;
+* ``time_ratio`` (every label after the first): this label's time per
+  right-hand side over the first label's, the round's median wall time over
+  ``stack``, as the median of the per-round ratios (``rounds``), so that a
+  slow spell of the machine in one round cancels.
 
 ``field2d_applications`` is the mean number of CG operator applications per
-``_solve_elliptic`` call, ``fine`` and ``half`` as above, over the first 16 backgrounds of the seed-1 pool of
-the field-2d benchmark workload, with the battery run as
+``_solve_elliptic`` call, ``fine`` and ``half`` as above, over the first 16
+backgrounds of the seed-1 pool of the field-2d benchmark workload, with the
+battery run as
 ``perfbench/workloads.py::field_battery`` runs it; ``field2d_fft_calls`` is
 the mean number of ``numpy.fft`` calls in its CGs per call, the same way.
+``field2d_minor_faults`` is the worker's own minor page faults
+(``ru_minflt``) per battery over the same batteries, after one battery per
+size that is not counted; these run first, in a fresh process, so that no
+block the sizes above free sets glibc's malloc thresholds.
 
 One BLAS / OpenMP thread, as in ``perfbench/run.py``.
 """
@@ -46,6 +60,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -60,10 +75,10 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128, 256)
-STACK_POINTS = 2**13
 BACKGROUNDS = 6  # per grid size
 REPS = 5  # timed solves per background and round
 ROUNDS = 5
+TRIALS = 20  # right-hand sides per background
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
 
@@ -165,27 +180,28 @@ def _background(rng, n, workloads):
 
 
 def bench_size(lo, workloads, counts, running, n) -> dict:
-    rng = np.random.default_rng(n)
-    k = max(1, STACK_POINTS // n**2)
+    k = max(1, lo._CHUNK_POINTS // n**2)
     sigma = -lo._nyquist_penalty(n)
     times, applications, transforms, residual = [], [], [], 0.0
-    for _ in range(BACKGROUNDS):
+    for i in range(BACKGROUNDS):
+        rng = np.random.default_rng((n, i))
         ctx = lo.make_consistent_context(*_background(rng, n, workloads))
-        trials = np.array([workloads.band_limited(rng, n, 3) for _ in range(k)])
+        trials = np.array([workloads.band_limited(rng, n, 3) for _ in range(TRIALS)])
         rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
+        stacks = [rhs[j : j + k] for j in range(0, TRIALS, k)]
         counts.clear()
-        with _counting_transforms(counts, running):
-            x = lo._solve_elliptic(ctx, rhs)  # warms the context, counts, checks
-        applications.append(_per_solve(counts, n, 1))
-        transforms.append(_per_solve(counts, n, 1, column=2))
+        with _counting_transforms(counts, running):  # warms the context, counts, checks
+            x = np.concatenate([lo._solve_elliptic(ctx, stack) for stack in stacks])
+        applications.append(_per_solve(counts, n, len(stacks)))
+        transforms.append(_per_solve(counts, n, len(stacks), column=2))
         residual = max(residual, _relative_residual(ctx, x, rhs, sigma))
         for _ in range(REPS):
             t0 = time.perf_counter()
-            lo._solve_elliptic(ctx, rhs)
+            lo._solve_elliptic(ctx, stacks[0])
             times.append(time.perf_counter() - t0)
     return {
         "n": n,
-        "stack": k,
+        "stack": len(stacks[0]),
         "times": times,
         "applications": applications,
         "transforms": transforms,
@@ -194,7 +210,7 @@ def bench_size(lo, workloads, counts, running, n) -> dict:
 
 
 def field2d_applications(lo, workloads, counts, running, backgrounds=16) -> tuple:
-    solves = []
+    solves, faults = [], {}
     solve = lo._solve_elliptic
 
     def counted(ctx, rhs):
@@ -207,16 +223,19 @@ def field2d_applications(lo, workloads, counts, running, backgrounds=16) -> tupl
             pool = workloads.Field2d(1, Path(tmp)).inputs()
         applications, transforms = {}, {}
         for n, (grounds, trials) in pool.items():
+            workloads.field_battery(*grounds[0], trials)
             counts.clear()
             solves.clear()
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             with _counting_transforms(counts, running):
                 for u, b in grounds[:backgrounds]:
                     workloads.field_battery(u, b, trials)
+            faults[str(n)] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / backgrounds
             applications[str(n)] = _per_solve(counts, n, len(solves))
             transforms[str(n)] = _per_solve(counts, n, len(solves), column=2)
     finally:
         lo._solve_elliptic = solve
-    return applications, transforms
+    return applications, transforms, faults
 
 
 def worker(src: str, first: bool) -> None:
@@ -226,9 +245,11 @@ def worker(src: str, first: bool) -> None:
     from dhym import linearized_ops as lo
 
     counts, running = _count_applications(lo)
-    out = {"sizes": [bench_size(lo, workloads, counts, running, n) for n in SIZES]}
+    out = {}
     if first:
-        out["field2d_applications"], out["field2d_fft_calls"] = field2d_applications(lo, workloads, counts, running)
+        field2d = field2d_applications(lo, workloads, counts, running)
+        out["field2d_applications"], out["field2d_fft_calls"], out["field2d_minor_faults"] = field2d
+    out["sizes"] = [bench_size(lo, workloads, counts, running, n) for n in SIZES]
     print(json.dumps(out))
 
 
@@ -254,7 +275,26 @@ def _record(rounds: list) -> dict:
         "sizes": sizes,
         "field2d_applications": rounds[0]["field2d_applications"],
         "field2d_fft_calls": rounds[0]["field2d_fft_calls"],
+        "field2d_minor_faults": rounds[0]["field2d_minor_faults"],
     }
+
+
+def _time_per_rhs(rounds: list) -> list:
+    """Per size, the median wall time of each round over its stack K."""
+    by_size = zip(*(r["sizes"] for r in rounds))
+    return [[float(np.median(row["times"])) / row["stack"] for row in rows] for rows in by_size]
+
+
+def add_time_ratios(records: dict, rounds: dict) -> None:
+    """``time_ratio`` on each size of every label after the first: the
+    median over rounds of its time per right-hand side over the first
+    label's in the same round."""
+    reference, *others = rounds
+    for label in others:
+        pairs = zip(records[label]["sizes"], _time_per_rhs(rounds[label]), _time_per_rhs(rounds[reference]))
+        for row, mine, theirs in pairs:
+            ratios = [a / b for a, b in zip(mine, theirs)]
+            row["time_ratio"] = {"vs": reference, "p50": float(np.median(ratios)), "rounds": ratios}
 
 
 def source_dirs(sources: list) -> dict:
@@ -298,10 +338,12 @@ def main(argv=None) -> None:
         "rounds": ROUNDS,
         "records": {label: _record(r) for label, r in rounds.items()},
     }
+    add_time_ratios(doc["records"], rounds)
     (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     for label, record in doc["records"].items():
         print(label, "field-2d applications per solve:", record["field2d_applications"])
         print(label, "field-2d fft calls in CG per solve:", record["field2d_fft_calls"])
+        print(label, "field-2d minor page faults per battery:", record["field2d_minor_faults"])
         for row in record["sizes"]:
             ms = {q: 1e3 * t for q, t in row["wall_s"].items()}
             apps, ffts = row["operator_applications"], row["fft_calls"]
@@ -310,6 +352,7 @@ def main(argv=None) -> None:
                 f"  {apps['fine']:5.2f} + {apps['half']:5.2f} half-grid applications"
                 f"  {ffts['fine']:5.1f} + {ffts['half']:5.1f} half-grid fft calls"
                 f"  residual {row['residual_sup_rel']:.1e}"
+                + (f"  time/rhs x{row['time_ratio']['p50']:.3f}" if "time_ratio" in row else "")
             )
 
 
