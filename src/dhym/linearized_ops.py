@@ -245,9 +245,7 @@ class LinearizedContext:
         basis of ``_hartley``, by dense products and no FFT: T = C f C, then
         alpha T + beta T(-k1, -k2) (an even symbol with a cross term couples
         (k1, k2) only to (-k1, -k2) there), then C . C.  Above it, by
-        ``rfft2`` / ``irfft2``, spelled as the per-axis calls they make, in
-        their order: the same bits without the n-d wrappers' Python
-        overhead."""
+        ``rfft2`` / ``irfft2``."""
         n = self.n
         if n <= _HARTLEY_MAX_N:
             c, rev = _hartley(n)
@@ -256,9 +254,7 @@ class LinearizedContext:
             z += self._multipliers[1] * t.take(rev, axis=-2).take(rev, axis=-1)
             z = c @ z @ c
         else:
-            spec = np.fft.fft(np.fft.rfft(self._weight * r, axis=-1), axis=-2)
-            spec /= self._multipliers
-            z = np.fft.irfft(np.fft.ifft(spec, axis=-2), n=n, axis=-1)
+            z = np.fft.irfft2(np.fft.rfft2(self._weight * r) / self._multipliers, s=(n, n))
         z *= self._weight
         z -= _field_means(z)
         return z
@@ -343,10 +339,11 @@ def _hartley(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c, rev
 
 
-#: Smallest grid on which ``_solve_elliptic`` starts its CG from the
-#: solution on the half grid.  At N = 32 the half grid resolves the
-#: field-2d right-hand sides to 2e-7 .. 1e-5 only, and allowing the start
-#: there made 40 N = 32 field-2d ops 6 % slower.
+#: Smallest grid on which ``_solve_elliptic`` starts a CG from the solution
+#: on the half grid, on every level of the nested solve: from N = 128 on,
+#: the half-grid solve takes its own nested start.  At N = 32 the half grid
+#: resolves the field-2d right-hand sides to 2e-7 .. 1e-5 only, and allowing
+#: the start there made 40 N = 32 field-2d ops 6 % slower.
 _NESTED_MIN_N = 64
 
 #: Largest resolution defect sup |b - P b[::2, ::2]| / sup |b| of a
@@ -361,38 +358,40 @@ _NESTED_MIN_N = 64
 _RESOLVED_RTOL = 1e-9
 
 
-def _cg(ctx: LinearizedContext, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+def _cg(ctx: LinearizedContext, b: np.ndarray) -> np.ndarray:
     """The preconditioned CG of -(Delta + sigma P) x = b on the grid of
-    ``ctx``, b a stack of mean-free fields, from ``x0`` (zeros if None)."""
+    ``ctx``, b a stack of mean-free fields, from the start of
+    ``_coarse_start``."""
     penalty = _nyquist_penalty(ctx.n)
-    x, converged = _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, b, SingularElliptic, x0)
+    start = _coarse_start(ctx, b)
+    x, converged = _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, b, SingularElliptic, start)
     if not converged.all():
         raise SingularElliptic("elliptic solve failed to converge")
     return x
 
 
 def _coarse_start(ctx: LinearizedContext, b: np.ndarray) -> np.ndarray | None:
-    """The half-grid solution of the injected stack b[..., ::2, ::2],
-    prolonged to the grid of ``ctx`` by trigonometric interpolation
-    (``_prolong2``): a start for the CG there.  None below
-    ``_NESTED_MIN_N``, on an odd grid (its every other point is not a
-    uniform grid), for a zero stack, when the half-grid context is None, or
-    when a column of b is not resolved on the half grid, that is, when
-    sup |b - P b[::2, ::2]| > ``_RESOLVED_RTOL`` sup |b| (P the
-    prolongation): then the start costs more than it saves."""
+    """A start for the CG of the stack b on the grid of ``ctx``: in each
+    column resolved on the half grid, sup |b - P b[::2, ::2]| <
+    ``_RESOLVED_RTOL`` sup |b| (P the prolongation ``_prolong2``, so a zero
+    column is not resolved), the half-grid solution of its injection,
+    prolonged by trigonometric interpolation; zeros in the other columns,
+    where the start costs more than it saves.  The half-grid solve is
+    ``_cg`` on ``ctx._half_grid``, so it takes its own start by this rule.
+    None below ``_NESTED_MIN_N``, on an odd grid (its every other point is
+    not a uniform grid), when no column is resolved, or when the half-grid
+    context is None."""
     n = ctx.n
     if n < _NESTED_MIN_N or n % 2:
         return None
-    scale = np.abs(b).max(axis=(-2, -1))
-    if not scale.any():
-        return None
     injected = b[..., ::2, ::2]
-    if (np.abs(b - _prolong2(injected, n)).max(axis=(-2, -1)) > _RESOLVED_RTOL * scale).any():
+    defect = np.abs(b - _prolong2(injected, n)).max(axis=(-2, -1))
+    resolved = defect < _RESOLVED_RTOL * np.abs(b).max(axis=(-2, -1))
+    if not resolved.any() or ctx._half_grid is None:
         return None
-    half = ctx._half_grid
-    if half is None:
-        return None
-    return _prolong2(_cg(half, injected - _field_means(injected)), n)
+    start = np.zeros_like(b)
+    start[resolved] = _prolong2(_cg(ctx._half_grid, (injected - _field_means(injected))[resolved]), n)
+    return start
 
 
 def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
@@ -410,19 +409,19 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     set by the variation of u^{ij}, not by N (about 10 from N = 16 to
     N = 128 on the field-2d backgrounds).
 
-    On an even grid from N = ``_NESTED_MIN_N`` on, a stack whose every
-    column is resolved on the half grid (to ``_RESOLVED_RTOL``) is first
-    solved there, by the same CG on the context of u_pert[::2, ::2] (one
-    level: that solve starts from zeros), and the fine CG starts from its
-    trigonometric interpolant (nested iteration: Brandt, Math. Comp. 31,
-    1977).  On the field-2d data that start is within a few times the CG
+    On an even grid from N = ``_NESTED_MIN_N`` on, each column resolved on
+    the half grid (to ``_RESOLVED_RTOL``) is first solved there, by the same
+    CG on the context of u_pert[::2, ::2], and the fine CG starts that
+    column from its trigonometric interpolant (nested iteration: Brandt,
+    Math. Comp. 31, 1977).  The rule is ``_coarse_start``'s, per column and
+    on every level, so the half-grid solve nests in turn while its grid
+    allows.  On the field-2d data that start is within a few times the CG
     tolerance of the solution, so the fine CG takes one or two steps, not
-    ten; its stop rule is unchanged, so is the accuracy.  Other stacks (a
-    delta, white noise) start from zeros.  Deterministic.
+    ten; its stop rule is unchanged, so is the accuracy.  The other columns
+    (a delta, white noise) start from zeros.  Deterministic.
     """
     stack = rhs.reshape((-1,) + rhs.shape[-2:])
-    b = -(stack - _field_means(stack))
-    x = _cg(ctx, b, _coarse_start(ctx, b))
+    x = _cg(ctx, -(stack - _field_means(stack)))
     x -= _field_means(x)
     return x.reshape(rhs.shape)
 

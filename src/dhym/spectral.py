@@ -361,19 +361,19 @@ def _col_means(f: np.ndarray) -> np.ndarray:
     return np.add.reduce(cols, axis=1) / cols.shape[1]
 
 
-def _retire(scale, x_out, converged, active, x, r, work, *stacks):
+def _retire(scale, x_out, converged, active, x, r, *stacks):
     """The stop rule of ``_pcg``: each active column whose residual r has a
     sup norm of at most ``_CG_RTOL`` times that of its rhs (``scale``) is
     stored from x into x_out, flagged converged and dropped.  Returns
-    active, x, r, work and ``stacks`` without the dropped columns, as they
-    are when none is dropped; work becomes a view."""
-    done = np.abs(r, out=work).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
+    active, x, r and ``stacks`` without the dropped columns, as they are
+    when none is dropped."""
+    done = np.abs(r).reshape(len(r), -1).max(axis=1) <= _CG_RTOL * scale[active]
     if not done.any():
-        return (active, x, r, work) + stacks
+        return (active, x, r) + stacks
     x_out[active[done]] = x[done]
     converged[active[done]] = True
     keep = ~done
-    return (active[keep], x[keep], r[keep], work[: keep.sum()]) + tuple(s[keep] for s in stacks)
+    return (active[keep], x[keep], r[keep]) + tuple(s[keep] for s in stacks)
 
 
 def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0: np.ndarray | None = None):
@@ -397,12 +397,12 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
     exact ``x0`` is returned as it is; with ``x0=None`` no application is
     made and the residual is ``rhs``.
 
-    The loop owns x, r, p and one scratch stack and updates them in place;
-    it never writes into ``rhs``, ``x0`` or an array that ``operator`` or
-    ``precondition`` returned, so those may be read-only or shared.  Each
-    update does the arithmetic of x + a p, r - a Ap and z + b p, and the
-    column products are ``ndarray.mean``'s sums, so the iterates are those
-    of the same loop written with temporaries.
+    The loop owns x, r and p and updates them in place; it never writes
+    into ``rhs``, ``x0`` or an array that ``operator`` or ``precondition``
+    returned, so those may be read-only or shared.  Each update does the
+    arithmetic of x + a p, r - a Ap and z + b p, and the column products are
+    ``ndarray.mean``'s sums, so the iterates are those of the same loop
+    written with temporaries.
     """
     x_out = np.zeros_like(rhs)
     scale = np.abs(rhs).reshape(len(rhs), -1).max(axis=1)
@@ -412,32 +412,31 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
         return x_out, converged
     cols = (slice(None),) + (None,) * (rhs.ndim - 1)  # a (K,) vector against a stack
     r = rhs[active]  # a copy, as is every fancy-indexed stack below
-    work = np.empty_like(r)
     if x0 is None:
         x = np.zeros_like(r)
     else:
         x = x0[active]
         r -= operator(x)
-        active, x, r, work = _retire(scale, x_out, converged, active, x, r, work)
+        active, x, r = _retire(scale, x_out, converged, active, x, r)
         if not active.size:
             return x_out, converged
     p = np.array(precondition(r))
-    rz = _col_means(np.multiply(r, p, out=work))
+    rz = _col_means(r * p)
     for _ in range(_CG_MAXITER):
         ap = operator(p)
-        denom = _col_means(np.multiply(p, ap, out=work))
+        denom = _col_means(p * ap)
         if (denom <= 0.0).any():
             raise singular("operator lost definiteness in CG (p . Ap <= 0)")
         a = (rz / denom)[cols]
-        x += np.multiply(a, p, out=work)
-        r -= np.multiply(a, ap, out=work)
-        active, x, r, work, p, rz = _retire(scale, x_out, converged, active, x, r, work, p, rz)
+        x += a * p
+        r -= a * ap
+        active, x, r, p, rz = _retire(scale, x_out, converged, active, x, r, p, rz)
         if not active.size:
             return x_out, converged
         z = precondition(r)
-        rz, rz_old = _col_means(np.multiply(r, z, out=work)), rz
+        rz, rz_old = _col_means(r * z), rz
         p *= (rz / rz_old)[cols]
         p += z
-        del z, ap  # the operator's temporaries peak next; hold only x, r, p and work
+        del z, ap  # the operator's temporaries peak next; hold only x, r and p
     x_out[active] = x
     return x_out, converged

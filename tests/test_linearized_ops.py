@@ -192,22 +192,24 @@ class TestEllipticSolve:
             out = solve_lincond(ctx, gamma)
             assert np.abs(out - ref).max() <= 1e-11 * np.abs(ref).max()
 
+    #: Per N, the cost of the solve of the delta and of the band-limited
+    #: direction below when the nested start took one level only (its
+    #: half-grid solve started from zeros): operator applications on each
+    #: grid m of the solve weighted by (m / N)^2, the cost of one on grid m
+    #: against one on grid N.
+    ONE_LEVEL_COST = {16: (12.0, 13.0), 32: (12.0, 14.0), 64: (12.0, 7.5), 128: (12.0, 6.5)}
+
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_laplacian_applications_per_solve(self, n, monkeypatch):
-        # the CG applies -(Delta + sigma P), ``_operator``
+        # the CG applies -(Delta + sigma P), ``_operator``, on every grid of
+        # the nested solve; a start from coarser grids costs no more work
         ctx = make_consistent_context(perturbed_background(n), B_REF)
-        calls = []
-        operator = LinearizedContext._operator
-
-        def counted(self, f, penalty):
-            calls.append(1)
-            return operator(self, f, penalty)
-
-        monkeypatch.setattr(LinearizedContext, "_operator", counted)
-        for gamma in (delta(n), band_limited(n, seed=9)):
-            calls.clear()
+        grids = count_operator_columns(monkeypatch)
+        for gamma, cost in zip((delta(n), band_limited(n, seed=9)), self.ONE_LEVEL_COST[n]):
+            grids.clear()
             solve_lincond(ctx, gamma)
-            assert 0 < len(calls) <= 20
+            assert 0 < grids.count(n) <= 20
+            assert sum((m / n) ** 2 for m in grids) <= cost
 
 
 def assert_symmetric_positive(fields, images):
@@ -348,7 +350,8 @@ class TestFftCounts:
     """Up to ``_DENSE_MAX_N`` the CG operator and apply_L differentiate by
     dense products.  Up to ``_HARTLEY_MAX_N`` the preconditioner is dense
     products too, so a CG step makes no FFT call; above it the
-    preconditioner's four transforms are the only FFTs of a step."""
+    preconditioner's ``rfft2`` / ``irfft2`` pair (four per-axis transforms
+    inside numpy) is the only FFT call of a step."""
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_operator_and_apply_L_make_no_fft_call(self, n, monkeypatch):
@@ -385,14 +388,14 @@ class TestFftCounts:
         assert n in steps
         assert calls == []
 
-    def test_four_fft_calls_per_cg_step_above_the_crossover(self, monkeypatch):
-        # N = 128 takes the FFT, its half grid (N = 64) the Hartley products;
-        # the residual of the fine start is an operator application with no
-        # preconditioning
+    def test_one_rfft2_pair_per_cg_step_above_the_crossover(self, monkeypatch):
+        # N = 128 takes the FFT, its coarser grids (N = 64, 32) the Hartley
+        # products; the residual of the fine start is an operator
+        # application with no preconditioning
         n = 128
         calls, steps = self.solve_counted(n, monkeypatch)
         assert n in steps and n // 2 in steps
-        assert len(calls) == 4 * steps.count(n)
+        assert calls == ["rfft2", "irfft2"] * steps.count(n)
 
 
 class TestPcgStart:
@@ -485,16 +488,38 @@ class TestNestedSolve:
             m.setattr(linearized_ops, "_NESTED_MIN_N", 2 * ctx.n)
             return linearized_ops._solve_elliptic(ctx, rhs)
 
-    @pytest.mark.parametrize("n", [64, 66, 128])
+    @pytest.mark.parametrize("n", [64, 66, 128, 256])
     def test_agrees_with_the_plain_solve(self, n, monkeypatch):
-        # the half grid of N = 66 is odd
+        # the half grid of N = 66 is odd; from N = 128 on the half-grid
+        # solve starts from its own half grid
         ctx = make_consistent_context(hessian_scaled_background(n, 6, 0.15), B_REF)
         rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=90 + i)) for i in range(3)])
         grids = count_operator_columns(monkeypatch)
         nested = linearized_ops._solve_elliptic(ctx, rhs)
         assert n // 2 in grids
+        assert (n // 4 in grids) == (n >= 2 * linearized_ops._NESTED_MIN_N)
         ref = self.plain(ctx, rhs, monkeypatch)
         assert np.abs(nested - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [64, 66, 96, 128])
+    def test_mixed_stack_starts_its_resolved_columns(self, n, monkeypatch):
+        # the start is decided per column: the noise column starts from
+        # zeros and does not hold the others back
+        ctx = make_consistent_context(hessian_scaled_background(n, 6, 0.15), B_REF)
+        resolved = [lincond_rhs(ctx, band_limited(n, seed=98 + i)) for i in range(2)]
+        rhs = np.array([resolved[0], white_noise(n, seed=99), resolved[1]])
+        columns, cg = [], linearized_ops._cg
+
+        def counted(level, b):
+            columns.append((level.n, len(b)))
+            return cg(level, b)
+
+        monkeypatch.setattr(linearized_ops, "_cg", counted)
+        out = linearized_ops._solve_elliptic(ctx, rhs)
+        assert [c for c in columns if c[0] == n // 2] == [(n // 2, 2)]
+        alone = [linearized_ops._solve_elliptic(ctx, column) for column in rhs]
+        assert np.array_equal(out[0], alone[0]) and np.array_equal(out[2], alone[2])
+        assert np.abs(out[1] - alone[1]).max() <= 1e-14 * np.abs(alone[1]).max()
 
     def test_odd_grid_makes_no_half_grid_call(self, monkeypatch):
         # every other point of an odd grid is not a uniform grid

@@ -6,10 +6,12 @@ Run from the repository root::
     python3 tools/bench_elliptic.py parent=/path/to/parent/src change=src
 
 Each ``LABEL=DIR`` names a directory holding a ``dhym`` package, so one run
-compares versions of the code.  The versions are measured in fresh worker
-processes, ``ROUNDS`` rounds that alternate which version goes first, so
-that a slow spell of a shared machine falls on both.  The result is written
-to ``BENCH_elliptic.json`` at the repository root, one record per label.
+compares versions of the code.  Each of ``ROUNDS`` rounds is one fresh
+worker process that loads every version under a package name of its own
+and times them call by call, alternating which goes first, so that a slow
+spell of a shared machine falls on all of them; the rounds alternate the
+order of the versions too.  The result is written to
+``BENCH_elliptic.json`` at the repository root, one record per label.
 
 Per grid size N = 16 / 32 / 64 / 128 / 256, each of six seeded
 field-2d-like backgrounds (a band-limited (k <= 1) metric potential with
@@ -24,13 +26,16 @@ right-hand sides.  A record holds, per size:
 * ``stack``: the size of the first stack, min(K, 20);
 * ``wall_s``: quartiles of the wall time of one ``_solve_elliptic`` call on
   the first stack, five timed calls per background and round after the
-  untimed solve of all 20;
+  untimed solve of all 20, each next to the same call of every other
+  version;
 * ``operator_applications``: mean CG operator applications per call on
-  the grid of N (``fine``) and, where the solve starts from the solution
-  on the half grid, on that grid (``half``);
+  each grid its CGs ran on, keyed by grid size: N and, where the solve
+  starts from the solution on coarser grids, each of those;
 * ``fft_calls``: mean ``numpy.fft`` calls per call made while a CG runs,
-  ``fine`` and ``half`` as above (a transform of ``numpy.fft`` counts once,
-  whatever it calls inside), counted on the untimed solves only;
+  keyed by grid size as above, counted on the untimed solves only.  A
+  ``numpy.fft`` function counts once, whatever it calls inside: the
+  ``rfft2`` / ``irfft2`` pair of a preconditioning is two calls, not the
+  four per-axis transforms it makes;
 * ``residual_sup_rel``: the largest true relative residual
   ||(Delta + sigma P) x - rhs||_inf / ||rhs||_inf over all right-hand sides,
   recomputed here with FFT derivatives and an ``fft2`` Nyquist projector,
@@ -41,15 +46,16 @@ right-hand sides.  A record holds, per size:
   slow spell of the machine in one round cancels.
 
 ``field2d_applications`` is the mean number of CG operator applications per
-``_solve_elliptic`` call, ``fine`` and ``half`` as above, over the first 16
+``_solve_elliptic`` call, by grid size as above, over the first 16
 backgrounds of the seed-1 pool of the field-2d benchmark workload, with the
 battery run as
 ``perfbench/workloads.py::field_battery`` runs it; ``field2d_fft_calls`` is
 the mean number of ``numpy.fft`` calls in its CGs per call, the same way.
 ``field2d_minor_faults`` is the worker's own minor page faults
 (``ru_minflt``) per battery over the same batteries, after one battery per
-size that is not counted; these run first, in a fresh process, so that no
-block the sizes above free sets glibc's malloc thresholds.
+size that is not counted.  These three run the battery on the package
+imported as ``dhym``, so each version gets one fresh process of its own,
+in which no block the sizes above free sets glibc's malloc thresholds.
 
 One BLAS / OpenMP thread, as in ``perfbench/run.py``.
 """
@@ -57,6 +63,7 @@ One BLAS / OpenMP thread, as in ``perfbench/run.py``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -149,13 +156,18 @@ def _fft_laplacian(u_inv, f):
     return d(flux_x, -2) + d(flux_y, -1)
 
 
-def _per_solve(counts, n, solves, column=1) -> dict:
+def _per_solve(counts, solves, column=1) -> dict:
     """Mean operator applications (``column`` 1) or fft calls (2) per solve
-    on the grid of n and on its half grid."""
-    return {
-        "fine": sum(c[column] for c in counts if c[0] == n) / solves,
-        "half": sum(c[column] for c in counts if c[0] == n // 2) / solves,
-    }
+    on each grid a CG ran on, keyed by grid size, the finest first."""
+    grids = sorted({c[0] for c in counts}, reverse=True)
+    return {str(m): sum(c[column] for c in counts if c[0] == m) / solves for m in grids}
+
+
+def _mean_per_grid(per_solve: list) -> dict:
+    """The mean of ``_per_solve`` records by grid size, a grid missing from
+    one counting as zero there."""
+    grids = sorted({int(m) for row in per_solve for m in row}, reverse=True)
+    return {str(m): float(np.mean([row.get(str(m), 0.0) for row in per_solve])) for m in grids}
 
 
 def _relative_residual(ctx, x, rhs, sigma) -> float:
@@ -179,34 +191,37 @@ def _background(rng, n, workloads):
     return u, 0.5 * (b + b.T)
 
 
-def bench_size(lo, workloads, counts, running, n) -> dict:
-    k = max(1, lo._CHUNK_POINTS // n**2)
-    sigma = -lo._nyquist_penalty(n)
-    times, applications, transforms, residual = [], [], [], 0.0
+def bench_size(versions, workloads, n) -> list:
+    """The samples of grid size n, one dict per version.  ``versions`` holds
+    a ``(linearized_ops, counts, running)`` triple per version; every
+    version solves the same right-hand sides, and the timed calls alternate
+    between the versions."""
+    rows = [{"n": n, "times": [], "applications": [], "transforms": [], "residual": 0.0} for _ in versions]
     for i in range(BACKGROUNDS):
         rng = np.random.default_rng((n, i))
-        ctx = lo.make_consistent_context(*_background(rng, n, workloads))
+        background = _background(rng, n, workloads)
         trials = np.array([workloads.band_limited(rng, n, 3) for _ in range(TRIALS)])
-        rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
-        stacks = [rhs[j : j + k] for j in range(0, TRIALS, k)]
-        counts.clear()
-        with _counting_transforms(counts, running):  # warms the context, counts, checks
-            x = np.concatenate([lo._solve_elliptic(ctx, stack) for stack in stacks])
-        applications.append(_per_solve(counts, n, len(stacks)))
-        transforms.append(_per_solve(counts, n, len(stacks), column=2))
-        residual = max(residual, _relative_residual(ctx, x, rhs, sigma))
-        for _ in range(REPS):
-            t0 = time.perf_counter()
-            lo._solve_elliptic(ctx, stacks[0])
-            times.append(time.perf_counter() - t0)
-    return {
-        "n": n,
-        "stack": len(stacks[0]),
-        "times": times,
-        "applications": applications,
-        "transforms": transforms,
-        "residual": residual,
-    }
+        timed = []
+        for (lo, counts, running), row in zip(versions, rows):
+            k = max(1, lo._CHUNK_POINTS // n**2)
+            ctx = lo.make_consistent_context(*background)
+            rhs = lo._lincond_rhs(ctx, lo._tangent(ctx, trials))[2]
+            stacks = [rhs[j : j + k] for j in range(0, TRIALS, k)]
+            counts.clear()
+            with _counting_transforms(counts, running):  # warms the context, counts, checks
+                x = np.concatenate([lo._solve_elliptic(ctx, stack) for stack in stacks])
+            row["stack"] = len(stacks[0])
+            row["applications"].append(_per_solve(counts, len(stacks)))
+            row["transforms"].append(_per_solve(counts, len(stacks), column=2))
+            row["residual"] = max(row["residual"], _relative_residual(ctx, x, rhs, -lo._nyquist_penalty(n)))
+            timed.append((lo._solve_elliptic, ctx, stacks[0]))
+        for rep in range(REPS):
+            for j in range(len(versions))[:: 1 if rep % 2 == 0 else -1]:
+                solve, ctx, stack = timed[j]
+                t0 = time.perf_counter()
+                solve(ctx, stack)
+                rows[j]["times"].append(time.perf_counter() - t0)
+    return rows
 
 
 def field2d_applications(lo, workloads, counts, running, backgrounds=16) -> tuple:
@@ -231,29 +246,49 @@ def field2d_applications(lo, workloads, counts, running, backgrounds=16) -> tupl
                 for u, b in grounds[:backgrounds]:
                     workloads.field_battery(u, b, trials)
             faults[str(n)] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / backgrounds
-            applications[str(n)] = _per_solve(counts, n, len(solves))
-            transforms[str(n)] = _per_solve(counts, n, len(solves), column=2)
+            applications[str(n)] = _per_solve(counts, len(solves))
+            transforms[str(n)] = _per_solve(counts, len(solves), column=2)
     finally:
         lo._solve_elliptic = solve
     return applications, transforms, faults
 
 
-def worker(src: str, first: bool) -> None:
-    """One round for the package in ``src``; prints its samples as JSON."""
+def _load(src: str, name: str):
+    """The ``linearized_ops`` of the ``dhym`` package in ``src``, imported
+    as the package ``name``, so that versions share one process."""
+    init = Path(src, "dhym", "__init__.py")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.linearized_ops")
+
+
+def worker(srcs: list) -> None:
+    """One round for the packages in ``srcs``, each under a name of its own;
+    prints the samples of each, in the order of ``srcs``, as JSON."""
+    sys.path[:0] = [srcs[0], str(ROOT / "perfbench")]
+    import workloads
+
+    versions = []
+    for i, src in enumerate(srcs):
+        lo = _load(src, f"dhym_v{i}")
+        versions.append((lo, *_count_applications(lo)))
+    sizes = [bench_size(versions, workloads, n) for n in SIZES]
+    print(json.dumps([{"sizes": [rows[j] for rows in sizes]} for j in range(len(srcs))]))
+
+
+def field2d_worker(src: str) -> None:
+    """The field-2d records of the package in ``src``, imported as ``dhym``
+    as the battery imports it; prints them as JSON."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     import workloads
     from dhym import linearized_ops as lo
 
-    counts, running = _count_applications(lo)
-    out = {}
-    if first:
-        field2d = field2d_applications(lo, workloads, counts, running)
-        out["field2d_applications"], out["field2d_fft_calls"], out["field2d_minor_faults"] = field2d
-    out["sizes"] = [bench_size(lo, workloads, counts, running, n) for n in SIZES]
-    print(json.dumps(out))
+    field2d = field2d_applications(lo, workloads, *_count_applications(lo))
+    print(json.dumps(dict(zip(("field2d_applications", "field2d_fft_calls", "field2d_minor_faults"), field2d))))
 
 
-def _record(rounds: list) -> dict:
+def _record(rounds: list, field2d: dict) -> dict:
     sizes = []
     for rows in zip(*(r["sizes"] for r in rounds)):
         times = [t for row in rows for t in row["times"]]
@@ -263,20 +298,11 @@ def _record(rounds: list) -> dict:
             "stack": rows[0]["stack"],
             "samples": len(times),
             "wall_s": {"p25": q1, "p50": q2, "p75": q3},
-            "operator_applications": {
-                level: float(np.mean([a[level] for a in rows[0]["applications"]])) for level in ("fine", "half")
-            },
-            "fft_calls": {
-                level: float(np.mean([a[level] for a in rows[0]["transforms"]])) for level in ("fine", "half")
-            },
+            "operator_applications": _mean_per_grid(rows[0]["applications"]),
+            "fft_calls": _mean_per_grid(rows[0]["transforms"]),
             "residual_sup_rel": max(row["residual"] for row in rows),
         })
-    return {
-        "sizes": sizes,
-        "field2d_applications": rounds[0]["field2d_applications"],
-        "field2d_fft_calls": rounds[0]["field2d_fft_calls"],
-        "field2d_minor_faults": rounds[0]["field2d_minor_faults"],
-    }
+    return {"sizes": sizes, **field2d}
 
 
 def _time_per_rhs(rounds: list) -> list:
@@ -320,23 +346,30 @@ def machine() -> str:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sources", nargs="*", metavar="LABEL=DIR", help="directories holding a dhym package")
-    parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
-    parser.add_argument("--first", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs="+", metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--field2d", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        return worker(args.worker, args.first)
+        return worker(args.worker)
+    if args.field2d:
+        return field2d_worker(args.field2d)
 
-    def run(src, i):
-        cmd = [sys.executable, __file__, "--worker", src] + ["--first"] * (i == 0)
-        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
-        return json.loads(out.splitlines()[-1])
+    def run(*flags):
+        out = subprocess.run([sys.executable, __file__, *flags], cwd=ROOT, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
 
-    rounds = alternate(source_dirs(args.sources), ROUNDS, run)
+    sources = source_dirs(args.sources)
+    field2d = {label: run("--field2d", src) for label, src in sources.items()}
+    rounds = {label: [] for label in sources}
+    for i in range(ROUNDS):
+        order = list(sources)[:: 1 if i % 2 == 0 else -1]
+        for label, samples in zip(order, run("--worker", *(sources[label] for label in order))):
+            rounds[label].append(samples)
     doc = {
         "benchmark": "linearized_ops._solve_elliptic",
         "machine": machine(),
         "rounds": ROUNDS,
-        "records": {label: _record(r) for label, r in rounds.items()},
+        "records": {label: _record(r, field2d[label]) for label, r in rounds.items()},
     }
     add_time_ratios(doc["records"], rounds)
     (ROOT / "BENCH_elliptic.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -346,11 +379,11 @@ def main(argv=None) -> None:
         print(label, "field-2d minor page faults per battery:", record["field2d_minor_faults"])
         for row in record["sizes"]:
             ms = {q: 1e3 * t for q, t in row["wall_s"].items()}
-            apps, ffts = row["operator_applications"], row["fft_calls"]
+            apps = " + ".join(f"{a:.2f}@{m}" for m, a in row["operator_applications"].items())
+            ffts = " + ".join(f"{a:.1f}@{m}" for m, a in row["fft_calls"].items())
             print(
                 f"  N={row['n']:4d} K={row['stack']:2d}  {ms['p50']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
-                f"  {apps['fine']:5.2f} + {apps['half']:5.2f} half-grid applications"
-                f"  {ffts['fine']:5.1f} + {ffts['half']:5.1f} half-grid fft calls"
+                f"  applications {apps}  fft calls {ffts}"
                 f"  residual {row['residual_sup_rel']:.1e}"
                 + (f"  time/rhs x{row['time_ratio']['p50']:.3f}" if "time_ratio" in row else "")
             )

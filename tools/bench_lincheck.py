@@ -13,8 +13,10 @@ shared machine falls on both.  The result is written to
 ``BENCH_lincheck.json`` at the repository root, one record per label.
 
 The configs are N = 32 and N = 64, each on a perturbed background
-(``perturbation`` 0.004 and 0.006) and on the flat one, with
-B = [[2, 0.7], [0.7, 1]] and the default 20 trials.  A record holds, per config:
+(``perturbation`` 0.004 and 0.006) and on the flat one, and N = 128 / 256 /
+512 on the perturbed background of N = 64, where the elliptic solve can nest
+over three to five grids, with B = [[2, 0.7], [0.7, 1]] and the default 20
+trials.  A record holds, per config:
 
 * ``wall_s``: quartiles of the wall time of the process, start-up included;
 * ``peak_rss_mb``: the largest peak RSS of the process over the rounds;
@@ -50,6 +52,9 @@ CONFIGS = {
     "n64": {"grid": 64, "perturbation": 0.006, "seed": 1},
     "n32_flat": {"grid": 32},
     "n64_flat": {"grid": 64},
+    "n128": {"grid": 128, "perturbation": 0.006, "seed": 1},
+    "n256": {"grid": 256, "perturbation": 0.006, "seed": 1},
+    "n512": {"grid": 512, "perturbation": 0.006, "seed": 1},
 }
 RESULTS = ("degree_defect", "selfadjointness_max", "negativity_max_rayleigh")
 
