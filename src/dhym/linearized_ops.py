@@ -92,16 +92,13 @@ class LinearizedContext:
 
     ``u_inv`` (N, N, 2, 2) is a view of the contiguous ``_u_inv_fields``
     (2, 2, N, N), so each of its entry fields is contiguous.  The elliptic
-    solve's data is built here too: the preconditioner's weight W and the
-    multipliers of S^-1 (``_precondition``), and (-1)^i for the Nyquist
-    projector of ``_operator``.  Both paths of ``_precondition`` read the
-    one symbol of ``_elliptic_symbol``: up to ``_HARTLEY_MAX_N``
-    ``_multipliers`` is the stack (alpha, beta) of the Hartley path,
-    alpha = (1/S(k1, k2) + 1/S(-k1, k2)) / 2N^2 and
-    beta = (1/S(-k1, k2) - 1/S(k1, k2)) / 2N^2, above it the rfft2 half of S.
-    The operator itself is the ``partial2`` composition of ``laplacian`` and
-    keeps no multipliers of its own.  The half-grid context of the nested
-    solve (``_half_grid``) is built on first use.
+    solve's per-background data is built here too: the preconditioner's
+    weight W (``_precondition``; its symbol is the flat Laplacian's, one
+    per grid size, cached apart from any context) and (-1)^i for the
+    Nyquist projector of ``_operator``.  The operator itself is the
+    ``partial2`` composition of ``laplacian`` and keeps no multipliers of
+    its own.  The half-grid context of the nested solve (``_half_grid``) is
+    built on first use.
 
     The bundle potential ``phi`` is derived, not passed: the mean-zero
     solution of the degree equation Delta phi = tr(B) - u_ij B_ij on this
@@ -130,7 +127,6 @@ class LinearizedContext:
     _u_inv_fields: np.ndarray = field(init=False, repr=False)
     _alternating: np.ndarray = field(init=False, repr=False)
     _weight: np.ndarray = field(init=False, repr=False)
-    _multipliers: np.ndarray = field(init=False, repr=False)
     _rayleigh: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -145,23 +141,20 @@ class LinearizedContext:
         if not np.isfinite(b_squared).all():
             raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
         _prime_heap()
+        # the preconditioner's cached data of this grid size, built before a
+        # solve allocates its stacks: built inside the first solve, it sits
+        # between them and raises peak RSS (by 1.7 MB in ``dhym lincheck``
+        # at N = 512)
+        _hartley(self.n) if self.n <= _HARTLEY_MAX_N else _rfft_symbol(self.n)
         hess = np.eye(2) + hessian2(self.u_pert)
         det, u_inv = _spd2_inverse(hess, "I + Hess u_pert", InvalidConfig)
         self.u_hess = hess
         self._u_inv_fields = np.moveaxis(u_inv, (-2, -1), (0, 1)).copy()
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
-        n = self.n
-        self._alternating = 1.0 - 2.0 * (np.arange(n) % 2)  # (-1)^i
-        # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1;
-        # S is the symbol of mean(a^{ij}), W = (det u^{ij})^(-1/4) = det^(1/4)
+        self._alternating = 1.0 - 2.0 * (np.arange(self.n) % 2)  # (-1)^i
+        # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1
+        # and W = (det u^{ij})^(-1/4) = det^(1/4)
         self._weight = det**0.25
-        symbol = _elliptic_symbol(n, np.tensordot(self._u_inv_fields, np.sqrt(det), 2) / det.size)
-        if n <= _HARTLEY_MAX_N:
-            inverse = 1.0 / symbol
-            flipped = inverse.take(_hartley(n)[1], axis=0)  # 1 / S(-k1, k2)
-            self._multipliers = np.array((inverse + flipped, flipped - inverse)) / (2.0 * n * n)
-        else:
-            self._multipliers = symbol[:, : n // 2 + 1].copy()
 
     @property
     def n(self) -> int:
@@ -237,24 +230,22 @@ class LinearizedContext:
         return out
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """M^-1 r = Pi W S^-1 (W r) of a field or a stack, Pi the removal of
-        the mean (S^-1 zeroes the mean mode).  Symmetric positive definite on
-        mean-zero fields, since W > 0.
+        """M^-1 r = Pi W S^-1 (W r) of a field or a stack, S the symbol of
+        the flat -(Delta + sigma P) (``_elliptic_symbol``) and Pi the
+        removal of the mean (S^-1 zeroes the mean mode).  Symmetric positive
+        definite on mean-zero fields, since W > 0.
 
         Up to ``_HARTLEY_MAX_N`` S^-1 is applied in the separable Hartley
-        basis of ``_hartley``, by dense products and no FFT: T = C f C, then
-        alpha T + beta T(-k1, -k2) (an even symbol with a cross term couples
-        (k1, k2) only to (-k1, -k2) there), then C . C.  Above it, by
-        ``rfft2`` / ``irfft2``."""
+        basis of ``_hartley``, by dense products and no FFT: S is even in
+        each index, so it is diagonal there and S^-1 f = C (T / N^2 S) C
+        with T = C f C.  Above it, by ``rfft2`` / ``irfft2`` and the
+        cached half symbol of ``_rfft_symbol``."""
         n = self.n
         if n <= _HARTLEY_MAX_N:
-            c, rev = _hartley(n)
-            t = c @ (self._weight * r) @ c
-            z = self._multipliers[0] * t
-            z += self._multipliers[1] * t.take(rev, axis=-2).take(rev, axis=-1)
-            z = c @ z @ c
+            c, inverse = _hartley(n)
+            z = c @ (inverse * (c @ (self._weight * r) @ c)) @ c
         else:
-            z = np.fft.irfft2(np.fft.rfft2(self._weight * r) / self._multipliers, s=(n, n))
+            z = np.fft.irfft2(np.fft.rfft2(self._weight * r) / _rfft_symbol(n), s=(n, n))
         z *= self._weight
         z -= _field_means(z)
         return z
@@ -279,64 +270,77 @@ def _nyquist_penalty(n: int) -> float:
     return (np.pi * n) ** 2
 
 
-def _elliptic_symbol(n: int, coef: np.ndarray) -> np.ndarray:
-    """The n x n fft2 symbol S of -(Delta + sigma P) for the constant 2x2
-    coefficient matrix ``coef`` in place of u^{ij}; its rfft2 half is
-    ``[:, : n // 2 + 1]``.
+def _elliptic_symbol(n: int) -> np.ndarray:
+    """The n x n fft2 symbol S of the flat -(Delta + sigma P):
+    (2 pi)^2 (k1^2 + k2^2), plus the Nyquist penalty on the modes with a
+    Nyquist index.  It is the preconditioner's symbol on every background
+    of grid size n: what the weight W of ``_precondition`` leaves of u^{ij},
+    u^{ij} / sqrt(det u^{ij}) = ((1 + tr H) I - H) / sqrt(det(I + H)) with
+    H = Hess u_pert, has mean I + O(|H|^2), since a periodic Hessian has
+    mean zero.
 
     The wavenumbers drop the Nyquist index, as spectral first derivatives
     do.  The mean mode is infinite, so dividing by the symbol zeroes it.
-    S is even, S(-k1, -k2) = S(k1, k2), index for index.
+    S is even in each index, S(-k1, k2) = S(k1, -k2) = S(k1, k2).
     """
     k = np.fft.fftfreq(n, d=1.0 / n)
     nyq = np.zeros(n, dtype=bool)
     if n % 2 == 0:
         k[n // 2] = 0.0
         nyq[n // 2] = True
-    kx, ky = k[:, None], k[None, :]
-    sym = (2.0 * np.pi) ** 2 * (coef[0, 0] * kx**2 + 2.0 * coef[0, 1] * kx * ky + coef[1, 1] * ky**2)
+    sym = (2.0 * np.pi) ** 2 * (k[:, None] ** 2 + k[None, :] ** 2)
     sym += _nyquist_penalty(n) * (nyq[:, None] | nyq[None, :])
     sym[0, 0] = np.inf
     return sym
 
 
+@lru_cache(maxsize=None)
+def _rfft_symbol(n: int) -> np.ndarray:
+    """The rfft2 half ``[:, : n // 2 + 1]`` of ``_elliptic_symbol``,
+    contiguous and read-only; cached per n."""
+    half = np.ascontiguousarray(_elliptic_symbol(n)[:, : n // 2 + 1])
+    half.setflags(write=False)
+    return half
+
+
 #: Largest grid size whose preconditioner applies S^-1 in the Hartley basis
 #: by dense products, so that a CG step makes no FFT call; larger grids take
 #: the rfft2 pair.  Median us of one ``_precondition`` call on a stack of K
-#: white-noise fields, the two paths alternated in one process, the median
-#: of three such runs (2-core x86-64, OpenBLAS, one thread, numpy 2.4):
+#: white-noise fields, the two paths alternated in one process (400 calls
+#: each), the median of three such runs (2-core x86-64, OpenBLAS, one
+#: thread, numpy 2.4):
 #:
 #:     N     K   FFT   Hartley
-#:     16    1    36     15
-#:     16    2    47     30
-#:     32    1    63     29
-#:     32    2    85     49
-#:     32   16   324    201
-#:     64    1   107     81
-#:     64    2   161    132
-#:     64    4   243    236
-#:     128   1   273    447
-#:     128   2   497    922
+#:     16    1    40     11
+#:     16    2    45     14
+#:     32    1    53     17
+#:     32    2    68     25
+#:     32   16   251    115
+#:     64    1    86     46
+#:     64    2   136     88
+#:     64    4   238    167
+#:     128   1   224    328
+#:     128   2   429    659
 #:
 #: Field-2d solves hold at most 2^14 points per stack (``_CHUNK_POINTS``):
 #: K = 16 at N = 32, 4 at N = 64 and on its N = 32 half grid, 1 at N = 128.
-#: At N = 64, K = 4 the paths ran 224 / 236, 378 / 295 and 243 / 213.
 _HARTLEY_MAX_N = 64
 
 
 @lru_cache(maxsize=None)
 def _hartley(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """C and rev, read-only: the n x n separable Hartley matrix
+    """C and 1 / (n^2 S), read-only: the n x n separable Hartley matrix
     C[k, x] = cos + sin of 2 pi ((k x) mod n) / n, real and symmetric with
-    C @ C = n I (Bracewell, The Hartley Transform, 1986), and the index map
-    rev[k] = -k mod n.  Cached per n."""
+    C @ C = n I (Bracewell, The Hartley Transform, 1986), and the inverse
+    of ``_elliptic_symbol`` over n^2, the multiplier of the Hartley path of
+    ``_precondition``.  Cached per n."""
     x = np.arange(n)
     angle = (2.0 * np.pi / n) * (np.outer(x, x) % n)
     c = np.cos(angle) + np.sin(angle)
-    rev = -x % n
+    inverse = 1.0 / (n * n * _elliptic_symbol(n))
     c.setflags(write=False)
-    rev.setflags(write=False)
-    return c, rev
+    inverse.setflags(write=False)
+    return c, inverse
 
 
 #: Smallest grid on which ``_solve_elliptic`` starts a CG from the solution
@@ -404,8 +408,9 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
     -(Delta + sigma P) is symmetric positive definite on mean-zero fields,
     so CG applies, one ``LinearizedContext._operator`` per step.  The
     preconditioner scales out the pointwise factor (det u^{ij})^(1/2) of
-    u^{ij} and inverts the constant-coefficient symbol of what remains
-    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973); the steps it takes are
+    u^{ij} (Concus & Golub, SIAM J. Numer. Anal. 10, 1973) and inverts the
+    flat Laplacian's symbol, whose coefficient I is the mean of what
+    remains up to O(|Hess u_pert|^2); the steps it takes are
     set by the variation of u^{ij}, not by N (about 10 from N = 16 to
     N = 128 on the field-2d backgrounds).
 
@@ -632,13 +637,15 @@ def negativity_check(ctx: LinearizedContext, trials) -> float:
     is checked; the quotient of one this context has applied L to (in
     ``selfadjointness_defect``, say) is read from its memo, so each trial
     costs one application of L per context.  The others are read lazily and
-    L is applied to chunks of them.
+    L is applied to chunks of them.  No trials raise ``DimensionMismatch``:
+    a max over none has no value.
     """
-    worst = -np.inf
+    worst, seen = -np.inf, False
 
     def misses():
-        nonlocal worst
+        nonlocal worst, seen
         for trial in trials:
+            seen = True
             gamma = _as_trial(ctx, _checked_trial(trial))
             quotient = ctx._rayleigh.get(_trial_key(gamma))
             if quotient is None:
@@ -648,4 +655,6 @@ def negativity_check(ctx: LinearizedContext, trials) -> float:
 
     for _, _, quotient in _applied(ctx, misses()):
         worst = max(worst, quotient)
+    if not seen:
+        raise DimensionMismatch("negativity_check needs at least one trial")
     return float(worst)

@@ -388,8 +388,9 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
     that of its rhs; it then leaves the active set, so its iterates are
     those of a run on that column alone.  Returns ``(x, converged)``, x of the shape of ``rhs`` and
     converged a (K,) bool array; a column still active after ``_CG_MAXITER``
-    steps keeps its last iterate.  A zero column gives zeros, and
-    ``p . Ap <= 0`` in any column raises ``singular``.
+    steps keeps its last iterate.  A zero column gives zeros, an empty
+    stack (K = 0) an empty x, and ``p . Ap <= 0`` in any column raises
+    ``singular``.
 
     ``x0``, of the shape of ``rhs``, is the initial iterate (zeros if
     None).  Its residual ``rhs - operator(x0)`` costs one operator
@@ -405,7 +406,7 @@ def _pcg(operator, precondition, rhs: np.ndarray, singular: type[Exception], x0:
     written with temporaries.
     """
     x_out = np.zeros_like(rhs)
-    scale = np.abs(rhs).reshape(len(rhs), -1).max(axis=1)
+    scale = np.abs(rhs).max(axis=tuple(range(1, rhs.ndim)), initial=0.0)
     converged = scale == 0.0
     active = np.flatnonzero(~converged)
     if not active.size:

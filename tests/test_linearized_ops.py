@@ -177,6 +177,14 @@ class TestEllipticSolve:
         assert not solve_lincond(ctx, zero).any()
         assert not apply_L(ctx, zero).any()
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_empty_stack(self, n):
+        # dense, nested and FFT paths: no columns in, none out
+        ctx = make_consistent_context(perturbed_background(n), B_REF)
+        empty = np.zeros((0, n, n))
+        assert solve_lincond(ctx, empty).shape == (0, n, n)
+        assert apply_L(ctx, empty).shape == (0, n, n)
+
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_white_noise_direction(self, n):
         ctx = make_consistent_context(perturbed_background(n), B_REF)
@@ -226,6 +234,23 @@ def hessian_scaled_background(n, seed, sup_hessian):
     return u * (sup_hessian / np.abs(hessian2(u)).max())
 
 
+def constant_symbol(n, coef):
+    """The fft2 symbol of -(div(coef grad) + sigma P) for a constant 2x2
+    matrix ``coef``, sigma = -(pi N)^2 and P the projector onto the modes
+    with a Nyquist index: first derivatives drop the Nyquist index, and the
+    mean mode is infinite, so dividing by the symbol zeroes it."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    nyq = np.zeros(n, dtype=bool)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+        nyq[n // 2] = True
+    kx, ky = k[:, None], k[None, :]
+    sym = (2.0 * np.pi) ** 2 * (coef[0, 0] * kx**2 + 2.0 * coef[0, 1] * kx * ky + coef[1, 1] * ky**2)
+    sym += (np.pi * n) ** 2 * (nyq[:, None] | nyq[None, :])
+    sym[0, 0] = np.inf
+    return sym
+
+
 class TestFusedOperator:
     """The CG operator -(Delta + sigma P) and the scaled preconditioner."""
 
@@ -272,7 +297,7 @@ class TestFusedOperator:
         # the same CG; at 0.1 the scaling saves 1 to 3 applications of 11 or 12
         for seed in range(4):
             ctx = make_consistent_context(hessian_scaled_background(n, seed, sup_hessian), B_REF)
-            symbol = linearized_ops._elliptic_symbol(n, ctx.u_inv.mean(axis=(0, 1)))[:, : n // 2 + 1]
+            symbol = constant_symbol(n, ctx.u_inv.mean(axis=(0, 1)))[:, : n // 2 + 1]
             constant = lambda r: np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape[-2:])
             rhs = lincond_rhs(ctx, band_limited(n, seed=100 + seed))
             penalty = linearized_ops._nyquist_penalty(n)
@@ -288,6 +313,18 @@ class TestFusedOperator:
                 assert converged.all()
                 counts.append(len(calls))
             assert counts[1] <= counts[0] - saved, counts
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 64, 65, 128, 130])
+    def test_preconditioner_is_the_flat_symbol_between_weights(self, n):
+        # Pi W S^-1 W by fft2, S the symbol of the flat -(Delta + sigma P)
+        # and W = det(I + Hess u_pert)^(1/4), on both paths
+        u = hessian_scaled_background(n, 3, 0.2)
+        ctx = LinearizedContext(u, B_REF)
+        w = np.linalg.det(np.eye(2) + hessian2(u)) ** 0.25
+        r = np.array([white_noise(n, seed=70), band_limited(n, seed=71)])
+        z = w * np.fft.ifft2(np.fft.fft2(w * r) / constant_symbol(n, np.eye(2))).real
+        ref = z - z.mean(axis=(-2, -1), keepdims=True)
+        assert np.abs(ctx._precondition(r) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [16, 17, 32, 33, 64])
     @pytest.mark.parametrize("k", [1, 3])
@@ -759,6 +796,13 @@ class TestNegativity:
         with pytest.raises(InvalidConfig):
             negativity_check(ctx, [np.ones((32, 32))])
 
+    def test_rejects_no_trials(self):
+        # a max over no trials has no value, as a sup over no points has none
+        ctx = flat_context(32)
+        for trials in ([], iter(())):
+            with pytest.raises(DimensionMismatch):
+                negativity_check(ctx, trials)
+
 
 class TestContext:
     def test_degree_defect_flat(self):
@@ -802,7 +846,7 @@ class TestContext:
     def test_consistent_context_equals_a_fresh_one(self, n):
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         fresh = LinearizedContext(ctx.u_pert, ctx.b_matrix)
-        for name in ("u_hess", "_u_inv_fields", "_weight", "_multipliers"):
+        for name in ("u_hess", "_u_inv_fields", "_weight"):
             assert np.array_equal(getattr(ctx, name), getattr(fresh, name)), name
         stack = np.array([band_limited(n, seed=231 + i) for i in range(2)])
         assert np.array_equal(apply_L(ctx, stack), apply_L(fresh, stack))

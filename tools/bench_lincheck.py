@@ -18,12 +18,17 @@ The configs are N = 32 and N = 64, each on a perturbed background
 over three to five grids, with B = [[2, 0.7], [0.7, 1]] and the default 20
 trials.  A record holds, per config:
 
-* ``wall_s``: quartiles of the wall time of the process, start-up included;
+* ``wall_s``: quartiles of the wall time of the process, start-up included,
+  and the time of each round (``rounds``);
 * ``peak_rss_mb``: the largest peak RSS of the process over the rounds;
 * ``L_columns``: the trials ``linearized_ops.apply_L`` was applied to,
   counted in one more, untimed run that calls ``dhym.cli.main`` in-process;
 * ``results``: ``degree_defect``, ``selfadjointness_max`` and
-  ``negativity_max_rayleigh`` of the manifest, the same in every round.
+  ``negativity_max_rayleigh`` of the manifest, the same in every round;
+* ``time_ratio`` (every label after the first): the per-round ratios of
+  its wall time over the first label's (``rounds``), their median and the
+  rounds in which this label was faster (``won``), so that a slow spell of
+  the machine in one round cancels.
 
 One BLAS / OpenMP thread, as in ``perfbench/run.py``.
 """
@@ -110,15 +115,28 @@ def _record(runs: list, columns: dict) -> dict:
         results = samples[0]["results"]
         if any(s["results"] != results for s in samples):
             raise RuntimeError(f"{name}: results differ between rounds")
-        q1, q2, q3 = np.percentile([s["wall_s"] for s in samples], [25, 50, 75])
+        walls = [s["wall_s"] for s in samples]
+        q1, q2, q3 = np.percentile(walls, [25, 50, 75])
         configs[name] = {
             "config": cfg,
-            "wall_s": {"p25": q1, "p50": q2, "p75": q3},
+            "wall_s": {"p25": q1, "p50": q2, "p75": q3, "rounds": walls},
             "peak_rss_mb": max(s["rss_mb"] for s in samples),
             "L_columns": columns[name],
             "results": results,
         }
     return configs
+
+
+def add_time_ratios(records: dict) -> None:
+    """``time_ratio`` on each config of every label after the first,
+    against the first label's wall time in the same round."""
+    reference, *others = records
+    for label in others:
+        for name, row in records[label].items():
+            theirs = records[reference][name]["wall_s"]["rounds"]
+            ratios = [a / b for a, b in zip(row["wall_s"]["rounds"], theirs)]
+            won = sum(r < 1.0 for r in ratios)
+            row["time_ratio"] = {"vs": reference, "p50": float(np.median(ratios)), "won": won, "rounds": ratios}
 
 
 def main(argv=None) -> None:
@@ -135,16 +153,18 @@ def main(argv=None) -> None:
         cmd = [sys.executable, __file__, "--count", src]
         columns = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
         records[label] = _record(runs[label], columns)
+    add_time_ratios(records)
     doc = {"benchmark": "dhym lincheck", "machine": machine(), "rounds": ROUNDS, "records": records}
     (ROOT / "BENCH_lincheck.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     for label, record in records.items():
         print(label)
         for name, row in record.items():
-            wall = row["wall_s"]
+            wall, ratio = row["wall_s"], row.get("time_ratio")
             print(
                 f"  {name:9s} {wall['p50']:.3f} s [{wall['p25']:.3f}, {wall['p75']:.3f}]"
                 f"  {row['peak_rss_mb']:6.1f} MB  {row['L_columns']:3d} L columns"
                 f"  negativity {row['results']['negativity_max_rayleigh']!r}"
+                + (f"  time x{ratio['p50']:.3f}, won {ratio['won']}/{ROUNDS}" if ratio else "")
             )
 
 
