@@ -64,27 +64,39 @@ from .spectral import PeriodicProfile, grid, grid2, spectral_derivative, trig_in
 
 # -- config schemas ----------------------------------------------------------
 
-_DATUM = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["fourier", "samples"]},
-        "cos": {"type": "array", "items": {"type": "number"}},
-        "sin": {"type": "array", "items": {"type": "number"}},
-        "constant": {"type": "number"},
-        "file": {"type": "string"},
-    },
-    "required": ["kind"],
-}
 
-_F0 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
+def _closed(properties: dict, required=()) -> dict:
+    """The schema of a config object: the keys of ``properties`` and no
+    other, those in ``required`` present."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": properties,
+        "required": list(required),
+    }
+
+
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_RADII = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}}
+_STRING = {"type": "string"}
+_DATUM = _closed(
+    {
+        "kind": {"enum": ["fourier", "samples"]},
+        "cos": _NUMBERS,
+        "sin": _NUMBERS,
+        "constant": {"type": "number"},
+        "file": _STRING,
+    },
+    required=["kind"],
+)
+_F0 = {**_NUMBERS, "minItems": 3, "maxItems": 3}
 _MATRIX = {
     "type": "array",
-    "items": {"type": "array", "items": {"type": "number"}},
+    "items": _NUMBERS,
 }
 _MATRIX2 = {
     "type": "array",
-    "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    "items": {**_NUMBERS, "minItems": 2, "maxItems": 2},
     "minItems": 2,
     "maxItems": 2,
 }
@@ -92,13 +104,11 @@ _MATRIX2 = {
 # on a 2-core 8 GB machine): the Legendre transform's off-grid interpolation
 # is dense, O(N^2) in time and memory
 _GRID = {"type": "integer", "minimum": 16, "maximum": 8192}
-_TOL = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
+_TOL = _closed(
+    {
         "residual": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+    }
+)
 
 _PROBLEM_KEYS = {
     "regime": {"enum": [r.value for r in Regime]},
@@ -107,53 +117,32 @@ _PROBLEM_KEYS = {
     "datum": _DATUM,
     "grid": _GRID,
     "tolerances": _TOL,
-    "output": {"type": "string"},
+    "output": _STRING,
 }
 
 SCHEMAS = {
-    "solve": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": _PROBLEM_KEYS,
-        "required": ["regime", "f0", "alpha", "datum", "grid"],
-    },
-    "residual": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {**_PROBLEM_KEYS, "solution": {"type": "string"}},
-        "required": ["regime", "f0", "alpha", "solution"],
-    },
-    "phase": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"f0": _F0, "output": {"type": "string"}},
-        "required": ["f0"],
-    },
-    "expand": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+    "solve": _closed(_PROBLEM_KEYS, required=["regime", "f0", "alpha", "datum", "grid"]),
+    "residual": _closed({**_PROBLEM_KEYS, "solution": _STRING}, required=["regime", "f0", "alpha", "solution"]),
+    "phase": _closed({"f0": _F0, "output": _STRING}, required=["f0"]),
+    "expand": _closed(
+        {
             "f0_matrix": _MATRIX,
-            "t_large": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-            "t_small": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-            "output": {"type": "string"},
+            "t_large": _RADII,
+            "t_small": _RADII,
+            "output": _STRING,
         },
-        "required": ["f0_matrix"],
-    },
-    "legendre": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+        required=["f0_matrix"],
+    ),
+    "legendre": _closed(
+        {
             "profile": _DATUM,
             "grid": _GRID,
-            "output": {"type": "string"},
+            "output": _STRING,
         },
-        "required": ["profile", "grid"],
-    },
-    "lincheck": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+        required=["profile", "grid"],
+    ),
+    "lincheck": _closed(
+        {
             # the field battery peaks near 0.5 GB at N = 1024, and 4x that per doubling
             "grid": {"type": "integer", "minimum": 16, "maximum": 1024},
             "b_matrix": _MATRIX2,
@@ -161,16 +150,14 @@ SCHEMAS = {
             "trials": {"type": "integer", "minimum": 2, "maximum": 1000},
             "seed": {"type": "integer", "minimum": 0},
             "mode_limit": {"type": "integer", "minimum": 1},
-            "output": {"type": "string"},
+            "output": _STRING,
         },
-        "required": ["grid", "b_matrix"],
-    },
-    "limits": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {**_PROBLEM_KEYS, "t_list": {"type": "array", "items": {"type": "number"}}},
-        "required": ["regime", "f0", "alpha", "datum", "grid", "t_list"],
-    },
+        required=["grid", "b_matrix"],
+    ),
+    "limits": _closed(
+        {**_PROBLEM_KEYS, "t_list": _NUMBERS},
+        required=["regime", "f0", "alpha", "datum", "grid", "t_list"],
+    ),
 }
 
 # -- helpers -----------------------------------------------------------------
@@ -213,12 +200,14 @@ _IS_TYPE = {
 }
 
 
-def _schema_errors(value, schema: dict, where: str) -> list[str]:
-    """JSON Schema (draft 2020-12) check of ``value``, for the keywords SCHEMAS uses."""
+def _checked(value, schema: dict, where: str, errors: list):
+    """``value`` with its schema integers as ints (the check accepts 16.0),
+    checked against ``schema`` by JSON Schema (draft 2020-12) for the
+    keywords SCHEMAS uses; a broken rule appends its message to ``errors``."""
     kind = schema.get("type")
     if kind is not None and not _IS_TYPE[kind](value):
-        return [f"{where}: {value!r} is not of type {kind!r}"]
-    errors = []
+        errors.append(f"{where}: {value!r} is not of type {kind!r}")
+        return value
     if "enum" in schema and value not in schema["enum"]:
         errors.append(f"{where}: {value!r} is not one of {schema['enum']!r}")
     if isinstance(value, dict):
@@ -226,17 +215,14 @@ def _schema_errors(value, schema: dict, where: str) -> list[str]:
         errors += [f"{where}: {k!r} is a required property" for k in schema.get("required", ()) if k not in value]
         if schema.get("additionalProperties") is False:
             errors += [f"{where}: additional property {k!r} is not allowed" for k in value if k not in props]
-        for k, v in value.items():
-            if k in props:
-                errors += _schema_errors(v, props[k], f"{where}.{k}")
+        value = {k: _checked(v, props[k], f"{where}.{k}", errors) if k in props else v for k, v in value.items()}
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             errors.append(f"{where}: fewer than {schema['minItems']} items")
         if "maxItems" in schema and len(value) > schema["maxItems"]:
             errors.append(f"{where}: more than {schema['maxItems']} items")
         if "items" in schema:
-            for i, v in enumerate(value):
-                errors += _schema_errors(v, schema["items"], f"{where}[{i}]")
+            value = [_checked(v, schema["items"], f"{where}[{i}]", errors) for i, v in enumerate(value)]
     if _IS_TYPE["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
             errors.append(f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}")
@@ -244,37 +230,36 @@ def _schema_errors(value, schema: dict, where: str) -> list[str]:
             errors.append(f"{where}: {value!r} is greater than the maximum of {schema['maximum']!r}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             errors.append(f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']!r}")
-    return errors
+    return int(value) if kind == "integer" else value
 
 
-def _validate(cfg, command: str) -> None:
-    errors = _schema_errors(cfg, SCHEMAS[command], "config")
+def _validate(cfg, command: str) -> dict:
+    """The checked config of ``command``; raises InvalidConfig with every
+    broken rule."""
+    errors = []
+    checked = _checked(cfg, SCHEMAS[command], "config", errors)
     if errors:
         raise InvalidConfig("; ".join(sorted(errors)))
-
-
-def _schema_ints(value, schema: dict):
-    """``value`` with its schema integers as ints (the check accepts 16.0)."""
-    if schema.get("type") == "integer":
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _schema_ints(v, schema.get("properties", {}).get(k, {})) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_schema_ints(v, schema.get("items", {})) for v in value]
-    return value
+    return checked
 
 
 def _reject_constant(token: str):
     raise InvalidConfig(f"{token} is not a JSON number")
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, command: str, grid: int | None, tol: float | None) -> dict:
+    """The checked config of ``command`` at ``path``, with the ``--grid``
+    and ``--tol`` overrides in place, so that they obey the schema too."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        cfg = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    _validate(raw, command)
-    return _schema_ints(raw, SCHEMAS[command])
+    if isinstance(cfg, dict):  # an override with no object to go into leaves the config to the check
+        if grid is not None:
+            cfg["grid"] = grid
+        if tol is not None and isinstance(cfg.setdefault("tolerances", {}), dict):
+            cfg["tolerances"]["residual"] = tol
+    return _validate(cfg, command)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -552,13 +537,7 @@ def main(argv=None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        if args.grid is not None:
-            cfg["grid"] = args.grid
-        if args.tol is not None:
-            cfg.setdefault("tolerances", {})["residual"] = args.tol
-        if args.grid is not None or args.tol is not None:
-            _validate(cfg, args.command)  # overrides obey the schema too
+        cfg = _load_config(args.config, args.command, args.grid, args.tol)
         base_dir = Path(args.config).resolve().parent
         outdir = Path(args.out or cfg.get("output", "."))
         outdir.mkdir(parents=True, exist_ok=True)

@@ -108,7 +108,13 @@ def legendre_forward(psi: PeriodicProfile):
     d2 = spectral_derivative(psi.samples, 2)
     if (1.0 + d2).min() <= 0.0:
         raise NotConvex("1 + psi'' must be positive for the Legendre transform")
-    m = MonotoneMap(d1=d1, d2=d2)
+    try:
+        m = MonotoneMap(d1=d1, d2=d2)
+    except NotMonotone as exc:
+        # 1 + psi'' > 0 at every node, so the map folds between them: the samples do not resolve psi
+        raise NotMonotone(
+            f"{exc}: the grid of {psi.n} points does not resolve the potential, a finer grid is needed"
+        ) from exc
     y_at = m.preimages
     # u(x) = x y - v(y) at y = y(x): the periodic part is -psi(y) - psi'(y)^2/2
     phi_raw = -trig_interpolate(psi.samples, y_at) - 0.5 * trig_interpolate(d1, y_at) ** 2

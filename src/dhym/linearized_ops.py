@@ -208,11 +208,11 @@ class LinearizedContext:
         g0 += g1
         return _divergence(flux0, g0)
 
-    def _operator(self, f: np.ndarray, penalty: float) -> np.ndarray:
-        """-(Delta + sigma P) f, sigma = -penalty, of a field or a stack: the
-        negated ``laplacian`` plus penalty P f, P the projection onto the
-        modes with a Nyquist index in either axis.  P f = Px f + Py f -
-        Px f Py, formed from the products of f with a = (-1)^i."""
+    def _operator(self, f: np.ndarray) -> np.ndarray:
+        """-(Delta + sigma P) f, sigma = -``_nyquist_penalty``, of a field or
+        a stack: the negated ``laplacian`` plus |sigma| P f, P the projection
+        onto the modes with a Nyquist index in either axis.  P f = Px f +
+        Py f - Px f Py, formed from the products of f with a = (-1)^i."""
         out = self.laplacian(f)
         np.negative(out, out=out)
         n = self.n
@@ -224,6 +224,7 @@ class LinearizedContext:
             left[..., 0] = right[..., 1, :] = a
             rows, cols = np.matmul(a, f, out=right[..., 0, :]), left[..., 1]
             cols[...] = f @ a - ((rows @ a) / n)[..., None] * a
+            penalty = _nyquist_penalty(n)
             rows *= penalty / n
             cols *= penalty / n
             out += left @ right
@@ -366,9 +367,8 @@ def _cg(ctx: LinearizedContext, b: np.ndarray) -> np.ndarray:
     """The preconditioned CG of -(Delta + sigma P) x = b on the grid of
     ``ctx``, b a stack of mean-free fields, from the start of
     ``_coarse_start``."""
-    penalty = _nyquist_penalty(ctx.n)
     start = _coarse_start(ctx, b)
-    x, converged = _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, b, SingularElliptic, start)
+    x, converged = _pcg(ctx._operator, ctx._precondition, b, SingularElliptic, start)
     if not converged.all():
         raise SingularElliptic("elliptic solve failed to converge")
     return x

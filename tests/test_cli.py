@@ -282,6 +282,34 @@ def test_grid_override_is_validated(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path), "--grid", "-4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "cfg, override, text",
+    [
+        (dict(SOLVE_CFG, tolerances=5), ["--tol", "1e-9"], "config.tolerances: 5 is not of type 'object'"),
+        ([1, 2], ["--grid", "32"], "config: [1, 2] is not of type 'object'"),
+    ],
+    ids=["tolerances-not-object", "config-not-object"],
+)
+def test_override_leaves_malformed_config_to_the_check(tmp_path, capsys, cfg, override, text):
+    # the override goes into the parsed config before its one check, and
+    # where it has no object to go into the check reports the config
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path), *override]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+def test_under_resolved_solve_asks_for_a_finer_grid(tmp_path, capsys):
+    # Newton converges at N = 64, but the solution's gradient map folds
+    # between the nodes; N = 128 resolves it
+    cfg = dict(SOLVE_CFG, f0=[0.0, 1.0, 0.3], datum={"kind": "fourier", "cos": [200.0]}, grid=64)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not strictly increasing" in err and "grid of 64 points does not resolve" in err
+    assert "finer grid is needed" in err
+    assert main(["solve", "--config", path, "--out", str(tmp_path), "--grid", "128"]) == 0
+
+
 def test_lincheck_rejects_non_2x2_b_matrix(tmp_path):
     cfg = {"grid": 16, "b_matrix": [[2.0, 0.7, 0.0], [0.7, 1.0, 0.0], [0.0, 0.0, 1.0]]}
     path = write_cfg(tmp_path, "c.json", cfg)

@@ -259,16 +259,15 @@ class TestFusedOperator:
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         penalty = linearized_ops._nyquist_penalty(n)
         f = white_noise(n, seed=n)
-        term = ctx._operator(f, penalty) - ctx._operator(f, 0.0)
+        term = ctx._operator(f) + ctx.laplacian(f)
         ref = penalty * nyquist_projection(f)
         assert np.abs(term - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [16, 24, 25])
     def test_operator_symmetric_positive(self, n):
         ctx = make_consistent_context(perturbed_background(n, amplitude=0.006), B_REF)
-        penalty = linearized_ops._nyquist_penalty(n)
         fields = [white_noise(n, seed=30 + i) for i in range(3)] + [band_limited(n, seed=33)]
-        assert_symmetric_positive(fields, [ctx._operator(f, penalty) for f in fields])
+        assert_symmetric_positive(fields, [ctx._operator(f) for f in fields])
 
     @pytest.mark.parametrize("n", [16, 25, 32])
     def test_laplacian_matches_partial2_composition(self, n):
@@ -300,12 +299,11 @@ class TestFusedOperator:
             symbol = constant_symbol(n, ctx.u_inv.mean(axis=(0, 1)))[:, : n // 2 + 1]
             constant = lambda r: np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape[-2:])
             rhs = lincond_rhs(ctx, band_limited(n, seed=100 + seed))
-            penalty = linearized_ops._nyquist_penalty(n)
             counts = []
             for precondition in (constant, ctx._precondition):
                 calls = []
                 _, converged = _pcg(
-                    lambda p: calls.append(1) or ctx._operator(p, penalty),
+                    lambda p: calls.append(1) or ctx._operator(p),
                     precondition,
                     -(rhs - rhs.mean())[None],
                     SingularElliptic,
@@ -339,9 +337,11 @@ class TestFusedOperator:
         images = [hartley._precondition(r) for r in stacks]
         monkeypatch.setattr(linearized_ops, "_HARTLEY_MAX_N", 0)
         fft = LinearizedContext(u, B_REF)
+        calls = count_fft_calls(monkeypatch)
         for r, image in zip(stacks, images):
             ref = fft._precondition(r)
             assert np.abs(image - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert calls == ["rfft2", "irfft2"] * len(stacks)  # the FFT path ran
 
     @pytest.mark.parametrize("n", [32, 64, 65, 256])
     def test_operator_bits_of_the_stacked_formula(self, n):
@@ -362,7 +362,7 @@ class TestFusedOperator:
                 cols *= penalty / n
                 a = np.broadcast_to(a, rows.shape)
                 ref += np.stack((a, cols), axis=-1) @ np.stack((rows, a), axis=-2)
-            assert np.array_equal(ctx._operator(f, penalty), ref)
+            assert np.array_equal(ctx._operator(f), ref)
 
 
 FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
@@ -395,7 +395,7 @@ class TestFftCounts:
         ctx = make_consistent_context(hessian_scaled_background(n, 3, 0.1), B_REF)
         trials = np.array([band_limited(n, seed=70), band_limited(n, seed=71)])
         calls = count_fft_calls(monkeypatch)
-        ctx._operator(trials, linearized_ops._nyquist_penalty(n))
+        ctx._operator(trials)
         assert calls == []
         apply_L(ctx, trials)  # its elliptic solve included; builds the cached coefficients too
         assert calls == []
@@ -440,10 +440,9 @@ class TestPcgStart:
 
     def elliptic(self, n=32):
         ctx = make_consistent_context(hessian_scaled_background(n, 5, 0.2), B_REF)
-        penalty = linearized_ops._nyquist_penalty(n)
         rhs = np.array([lincond_rhs(ctx, band_limited(n, seed=80)), delta(n), np.zeros((n, n))])
         rhs -= rhs.mean(axis=(-2, -1), keepdims=True)
-        return lambda p: ctx._operator(p, penalty), ctx._precondition, rhs
+        return ctx._operator, ctx._precondition, rhs
 
     def test_zero_start_is_no_start(self):
         operator, precondition, rhs = self.elliptic()
@@ -500,9 +499,9 @@ def count_operator_columns(monkeypatch):
     every column it is applied to; returns that list."""
     grids, operator = [], LinearizedContext._operator
 
-    def counted(self, f, penalty):
+    def counted(self, f):
         grids.extend([self.n] * (len(f) if f.ndim == 3 else 1))
-        return operator(self, f, penalty)
+        return operator(self, f)
 
     monkeypatch.setattr(LinearizedContext, "_operator", counted)
     return grids
@@ -628,16 +627,15 @@ class TestPcgOwnership:
     def test_elliptic_stack(self):
         n = 32
         ctx = make_consistent_context(hessian_scaled_background(n, 2, 0.3), B_REF)
-        penalty = linearized_ops._nyquist_penalty(n)
         # a zero column never enters the active set, and the others leave it
         # after 15, 13 and 14 steps, so the loop compacts its stacks twice
         gx, _ = grid2(n)
         rhs = np.array([np.cos(2 * np.pi * gx), delta(n), lincond_rhs(ctx, band_limited(n, seed=60)), np.zeros((n, n))])
         rhs -= rhs.mean(axis=(-2, -1), keepdims=True)
         runs = [
-            _pcg(lambda p: ctx._operator(p, penalty), ctx._precondition, rhs.copy(), SingularElliptic),
+            _pcg(ctx._operator, ctx._precondition, rhs.copy(), SingularElliptic),
             _pcg(
-                lambda p: read_only(ctx._operator(p, penalty)),
+                lambda p: read_only(ctx._operator(p)),
                 lambda r: read_only(ctx._precondition(r)),
                 read_only(rhs),
                 SingularElliptic,
