@@ -187,6 +187,8 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
         raise InvalidConfig(f"cannot read CSV {path}: {exc}") from exc
     if any(c not in header for c in columns) or data.ndim != 2 or data.shape[1] != len(header):
         raise InvalidConfig(f"CSV {path} needs a header with {', '.join(columns)} and one value per column")
+    if not np.isfinite(data).all():
+        raise InvalidConfig(f"CSV {path} holds a value that is not finite")
     return {name: data[:, i] for i, name in enumerate(header)}
 
 

@@ -250,13 +250,17 @@ def _mixed2(v: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _spd2_det(m: np.ndarray, name: str, error=NonPositiveMetric) -> np.ndarray:
     """det of the 2x2 matrix field ``m``, which must be positive definite
     at every point: det > 0 and tr > 0, else ``error`` names the lowest
-    eigenvalue.  An empty stack passes."""
+    eigenvalue, and a finite det, else ``error`` says it overflows.  An
+    empty stack passes."""
     if m.shape[-2:] != (2, 2):
         raise DimensionMismatch("surface operations expect 2x2 matrices")
-    det, tr = _det2(m), m[..., 0, 0] + m[..., 1, 1]
-    if not ((det > 0.0).all() and (tr > 0.0).all()):
-        lowest = 0.5 * tr - np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
-        raise error(f"{name} has a nonpositive eigenvalue ({lowest.min():g})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, tr = _det2(m), m[..., 0, 0] + m[..., 1, 1]
+        if not ((det > 0.0).all() and (tr > 0.0).all()):
+            lowest = 0.5 * tr - np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
+            raise error(f"{name} has a nonpositive eigenvalue ({lowest.min():g})")
+    if not np.isfinite(det).all():
+        raise error(f"{name} is too large: its determinant overflows")
     return det
 
 

@@ -26,7 +26,6 @@ which is nonpositive by Cauchy-Schwarz.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import chain, islice
 
@@ -86,7 +85,6 @@ def _contract_jacobian(v0: np.ndarray, v1: np.ndarray, c: np.ndarray) -> np.ndar
     return out
 
 
-@dataclass
 class LinearizedContext:
     """Background data; Hessian and inverse-Hessian fields precomputed.
 
@@ -120,18 +118,9 @@ class LinearizedContext:
     The first context of a process primes the heap (``_prime_heap``).
     """
 
-    u_pert: np.ndarray
-    b_matrix: np.ndarray
-    u_hess: np.ndarray = field(init=False)
-    u_inv: np.ndarray = field(init=False)
-    _u_inv_fields: np.ndarray = field(init=False, repr=False)
-    _alternating: np.ndarray = field(init=False, repr=False)
-    _weight: np.ndarray = field(init=False, repr=False)
-    _rayleigh: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.u_pert = np.asarray(self.u_pert, dtype=float)
-        self.b_matrix = _as_sym(self.b_matrix, "B")
+    def __init__(self, u_pert: np.ndarray, b_matrix: np.ndarray):
+        self.u_pert = np.asarray(u_pert, dtype=float)
+        self.b_matrix = _as_sym(b_matrix, "B")
         if self.u_pert.ndim != 2 or self.u_pert.shape[0] != self.u_pert.shape[1]:
             raise DimensionMismatch(f"u_pert must be an N x N field, not {self.u_pert.shape}")
         if self.u_pert.shape[0] < 16:
@@ -155,6 +144,7 @@ class LinearizedContext:
         # Concus & Golub: u^{ij} = sqrt(det u^{ij}) a^{ij} with det a^{ij} = 1
         # and W = (det u^{ij})^(-1/4) = det^(1/4)
         self._weight = det**0.25
+        self._rayleigh = {}
 
     @property
     def n(self) -> int:
@@ -572,12 +562,12 @@ def _trial_key(trial: np.ndarray) -> bytes:
 
 
 def _applied(ctx: LinearizedContext, trials):
-    """Triples (trial, L trial, Rayleigh quotient), L applied to chunks of
-    trials at once.  The quotient of a nonzero trial goes into the context's
-    memo; a zero trial has none (nan)."""
+    """Triples (trial, L trial, Rayleigh quotient) of trials already read by
+    ``_as_trial``, L applied to chunks of them at once.  The quotient of a
+    nonzero trial goes into the context's memo; a zero trial has none (nan)."""
     size = max(1, _CHUNK_POINTS // ctx.n**2)
     trials = iter(trials)
-    while chunk := [_as_trial(ctx, t) for t in islice(trials, size)]:
+    while chunk := list(islice(trials, size)):
         for trial, image in zip(chunk, apply_L(ctx, np.stack(chunk))):
             norm, quotient = inner(trial, trial), float("nan")
             if norm:
@@ -595,7 +585,7 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
     each trial stays, in the context's memo, for ``negativity_check``.
     """
     defects = []
-    images = _applied(ctx, chain.from_iterable(trial_pairs))
+    images = _applied(ctx, (_as_trial(ctx, t) for t in chain.from_iterable(trial_pairs)))
     for (xi, lx, _), (gamma, lg, _) in zip(images, images):
         raw = abs(inner(xi, lg) - inner(gamma, lx))
         scale = (
@@ -622,8 +612,10 @@ def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes) -> lis
     return max_defects
 
 
-def _checked_trial(gamma) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=float)
+def _checked_trial(ctx: LinearizedContext, gamma) -> np.ndarray:
+    """The trial read by ``_as_trial`` (its shape checked first), refused
+    unless nonzero and mean-free."""
+    gamma = _as_trial(ctx, gamma)
     if inner(gamma, gamma) == 0.0 or abs(gamma.mean()) > 1e-12 * np.abs(gamma).max():
         raise InvalidConfig("trials must be nonzero and mean-free")
     return gamma
@@ -640,21 +632,15 @@ def negativity_check(ctx: LinearizedContext, trials) -> float:
     L is applied to chunks of them.  No trials raise ``DimensionMismatch``:
     a max over none has no value.
     """
-    worst, seen = -np.inf, False
-
-    def misses():
-        nonlocal worst, seen
-        for trial in trials:
-            seen = True
-            gamma = _as_trial(ctx, _checked_trial(trial))
-            quotient = ctx._rayleigh.get(_trial_key(gamma))
-            if quotient is None:
-                yield gamma
-            else:
-                worst = max(worst, quotient)
-
-    for _, _, quotient in _applied(ctx, misses()):
-        worst = max(worst, quotient)
-    if not seen:
+    quotients = []
+    # a memo hit is appended as it is read (append returns None); the misses go to _applied
+    misses = (
+        gamma
+        for gamma in (_checked_trial(ctx, t) for t in trials)
+        if (hit := ctx._rayleigh.get(_trial_key(gamma))) is None or quotients.append(hit)
+    )
+    for _, _, quotient in _applied(ctx, misses):
+        quotients.append(quotient)
+    if not quotients:
         raise DimensionMismatch("negativity_check needs at least one trial")
-    return float(worst)
+    return float(max(quotients))

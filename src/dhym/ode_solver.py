@@ -175,13 +175,14 @@ def project_datum(a: PeriodicProfile, problem: ODEProblem) -> tuple[PeriodicProf
 
 def _residual_at(rho: np.ndarray, k1: float, a_dev: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
     """F(rho) and the scale S' of the terms it cancels: the largest of
-    (1/4) |rho''|, K1 |1/rho - 1|, |A~| and the roundoff scale of (1/4) rho''.
-    F is computed to a small multiple of eps S'.  rho'' keeps the first
-    ``keep`` bins, those ``_chop`` keeps of A~, so F sees all of A~."""
+    (1/4) |rho''|, K1 max(1, 1/rho) (the operands of K1 (1/rho - 1), whose
+    difference rounds at their size), |A~| and the roundoff scale of
+    (1/4) rho''.  F is computed to a small multiple of eps S'.  rho'' keeps
+    the first ``keep`` bins, those ``_chop`` keeps of A~, so F sees all of A~."""
     rho_dd, roundoff = _tail_chopped_second_derivative(rho, keep)
-    drift = k1 * (1.0 / rho - 1.0)
-    scale = max(0.25 * np.abs(rho_dd).max(), np.abs(drift).max(), np.abs(a_dev).max(), 0.25 * roundoff)
-    return -0.25 * rho_dd - drift - a_dev, float(scale)
+    inv = 1.0 / rho
+    scale = max(0.25 * np.abs(rho_dd).max(), k1 * max(1.0, inv.max()), np.abs(a_dev).max(), 0.25 * roundoff)
+    return -0.25 * rho_dd - k1 * (inv - 1.0) - a_dev, float(scale)
 
 
 def curvature_residual(w: np.ndarray, problem: ODEProblem, datum: np.ndarray | float | None = None) -> PeriodicProfile:

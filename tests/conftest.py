@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dhym
 from dhym import ConstantCurvature2, ODEProblem, PeriodicProfile, Regime
 from dhym import linearized_ops
 from dhym.linearized_ops import apply_L
@@ -77,3 +84,24 @@ def count_columns(monkeypatch):
 
     monkeypatch.setattr(linearized_ops, "apply_L", counted)
     return widths
+
+
+def one_error_line(tmp_path, capsys, command, cfg):
+    """The stderr of ``command`` on ``cfg``, run in-process and in a
+    subprocess, both refusing it (exit 2), asserted equal and one line:
+    in-process a numpy RuntimeWarning is an error here (exit 5), and in a
+    subprocess it would print in front of the CLI's own message."""
+    from dhym.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    in_process = capsys.readouterr().err
+    src = str(Path(dhym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "dhym.cli", command, "--config", str(path), "--out", str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == in_process
+    assert in_process.count("\n") == 1
+    return in_process

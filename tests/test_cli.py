@@ -14,6 +14,8 @@ from dhym.cli import SCHEMAS, _validate, _write_csv, main
 from dhym.core_geometry import ConstantCurvature2, average_radius, torus_constant_phase
 from dhym.errors import InvalidConfig
 
+from conftest import one_error_line
+
 SOLVE_CFG = {
     "regime": "dhym",
     "f0": [0.0, 1.0, 0.0],
@@ -355,6 +357,25 @@ def test_residual_curvature_outside_cone_exits_2(tmp_path):
                delimiter=",", header="phi_dd,residual", comments="")
     path = write_cfg(tmp_path, "r.json", dict(SOLVE_CFG, grid=n, solution="bad.csv"))
     assert main(["residual", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg, text",
+    [
+        ("residual", dict(SOLVE_CFG, grid=64, solution="s.csv"), "holds a value that is not finite"),
+        ("lincheck", {"grid": 32, "b_matrix": [[0.3, 0.1], [0.1, -0.2]], "perturbation": 1e300},
+         "I + Hess u_pert has a nonpositive eigenvalue"),
+    ],
+    ids=["residual-inf-in-csv", "lincheck-huge-perturbation"],
+)
+def test_non_finite_input_prints_one_error_line(tmp_path, capsys, command, cfg, text):
+    # an inf in the solution CSV, and a perturbation whose Hessian's det
+    # overflows: each is refused before numpy warns about what it computes
+    phi_dd = np.zeros(64)
+    phi_dd[5] = np.inf
+    np.savetxt(tmp_path / "s.csv", np.column_stack([phi_dd, np.zeros(64)]),
+               delimiter=",", header="phi_dd,residual", comments="")
+    assert text in one_error_line(tmp_path, capsys, command, cfg)
 
 
 def test_import_leaves_scipy_out():

@@ -246,6 +246,13 @@ class TestClosedFormPencil:
         with pytest.raises(NonPositiveMetric, match=r"^v has a nonpositive eigenvalue \(-?[0-9.e+-]+\)$"):
             METRIC_SITES[site](v, np.zeros_like(v))
 
+    @pytest.mark.parametrize("site", METRIC_SITES)
+    def test_rejects_metric_whose_det_overflows(self, site):
+        # v = 1e200 I is positive definite, but det v overflows: refused, with no RuntimeWarning first
+        v = 1e200 * np.eye(2)
+        with pytest.raises(NonPositiveMetric, match=r"^v is too large: its determinant overflows$"):
+            METRIC_SITES[site](v, np.zeros_like(v))
+
     @pytest.mark.parametrize("pair", MISMATCHED_PAIRS)
     @pytest.mark.parametrize("site", PAIR_SITES)
     def test_rejects_mismatched_pair(self, site, pair):

@@ -828,13 +828,13 @@ class TestContext:
 
     def test_one_build_per_consistent_background(self, monkeypatch):
         # the degree solve and apply_L share one fine and one half-grid context
-        grids, post_init = [], LinearizedContext.__post_init__
+        grids, init = [], LinearizedContext.__init__
 
-        def counted(self):
-            grids.append(np.shape(self.u_pert)[0])
-            post_init(self)
+        def counted(self, u_pert, b_matrix):
+            grids.append(np.shape(u_pert)[0])
+            init(self, u_pert, b_matrix)
 
-        monkeypatch.setattr(LinearizedContext, "__post_init__", counted)
+        monkeypatch.setattr(LinearizedContext, "__init__", counted)
         n = 64
         ctx = make_consistent_context(perturbed_background(n), B_REF)
         apply_L(ctx, band_limited(n, seed=230))
@@ -939,6 +939,9 @@ class TestStackedTrials:
         ctx = flat_context(16)
         with pytest.raises(DimensionMismatch):
             negativity_check(ctx, [band_limited(16, seed=1), band_limited(32, seed=2)])
+        # the shape is read first: a zero trial of the wrong shape is misshapen
+        with pytest.raises(DimensionMismatch):
+            negativity_check(ctx, [np.zeros((32, 32))])
 
     @pytest.mark.skipif(
         sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds"

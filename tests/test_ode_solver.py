@@ -374,6 +374,44 @@ class TestSolve:
         bundle = solve(problem)
         assert np.abs(bundle.phi.samples - exact).max() <= UNCOUPLED_BOUND * np.abs(exact).max()
 
+    @pytest.mark.parametrize(
+        "regime, f0, alpha",
+        [
+            (Regime.DHYM, (1e7, 1.0, 1.0), 1.0),
+            (Regime.LARGE_RADIUS, (0.4, 300.0, 0.3), 1.0),
+            (Regime.LARGE_RADIUS, (0.4, 1000.0, 0.3), 1.0),
+            (Regime.SMALL_RADIUS, (2e6, 1000.0, 1.0), 1.0),
+            (Regime.DHYM, (0.0, 1.0, 0.0), 1e6),
+        ],
+    )
+    def test_large_coupling_solves_to_its_floor(self, regime, f0, alpha):
+        # K1 (1/rho - 1) rounds at K1 max(1, 1/rho), not at its size: S' counts
+        # that, so a residual near K1 eps (measured 1e-10 .. 1.5e-9) is solved
+        datum = PeriodicProfile.from_fourier(64, cos=[0.1], constant=-2.0)
+        problem = ODEProblem(regime=regime, alpha=alpha, f0=ConstantCurvature2(*f0), datum_a=datum)
+        bundle = solve(problem)
+        assert bundle.residual_sup <= ode_solver.effective_tolerance(problem, bundle.residual_scale)
+        assert bundle.residual_scale >= problem.coefficients()[0]
+
+    def test_random_classes_solve_or_are_obstructed(self):
+        # entries +-10^U(-3, 7) and alpha = 10^U(-3, 6) in every regime: each
+        # problem solves to its effective tolerance or is a small-radius
+        # obstruction, and Newton never stops above its roundoff floor
+        rng = np.random.default_rng(35)
+        datum = PeriodicProfile.from_fourier(64, cos=[0.1], sin=[0.0, 0.05])
+        solved = 0
+        for _ in range(60):
+            regime = list(Regime)[rng.integers(3)]
+            f0 = ConstantCurvature2(*(rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-3, 7, 3)))
+            problem = ODEProblem(regime=regime, alpha=10.0 ** rng.uniform(-3, 6), f0=f0, datum_a=datum)
+            try:
+                bundle = solve(problem)
+            except SmallRadiusObstruction:
+                continue
+            assert bundle.residual_sup <= ode_solver.effective_tolerance(problem, bundle.residual_scale), (regime, f0)
+            solved += 1
+        assert solved >= 40  # measured: 44 of 60, 21 before S' counted the operands
+
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("alpha, b", [(1e-15, 1.0), (1.0, 1e-8), (1e-300, 1.0)])
     def test_weak_coupling_closed_form(self, regime, alpha, b):

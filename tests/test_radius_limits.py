@@ -23,7 +23,7 @@ from dhym.errors import DegenerateTopPower, InvalidConfig
 from dhym.radius_limits import fit_loglog_slope
 from dhym.spectral import PeriodicProfile
 
-from conftest import cosine_problem, random_sym
+from conftest import cosine_problem, one_error_line, random_sym
 
 
 def elementary_symmetric_oracle(eigs: np.ndarray) -> np.ndarray:
@@ -285,26 +285,6 @@ def test_expand_refuses_overflowing_class(tmp_path, f0):
     assert "the phase expansion overflows" in out.stderr
 
 
-def _one_error_line(tmp_path, capsys, command, cfg):
-    """The stderr of ``command`` on ``cfg``, run in-process (exit 2) and in a
-    subprocess, asserted equal: in-process a numpy RuntimeWarning is an
-    error here (exit 5), and in a subprocess it would print in front of the
-    CLI's own message."""
-    from dhym.cli import main
-
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    in_process = capsys.readouterr().err
-    src = str(Path(dhym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "dhym.cli", command, "--config", str(path), "--out", str(tmp_path)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert out.returncode == 2
-    assert out.stderr == in_process
-    return in_process
-
-
 #: radii whose t^2 underflows to 0 (z(t) = t^2 of the zero class reads 0)
 _TINY_RADII = [1e-200, 2e-200, 4e-200, 1e-199]
 
@@ -323,7 +303,7 @@ def test_expand_overflow_prints_one_error_line(tmp_path, capsys, cfg):
     # z(t) = prod (t - i lambda_j) has no zero at a real t > 0: a zero read
     # there is underflow, refused like an overflow (exit 2), not an
     # obstruction (exit 3)
-    err = _one_error_line(tmp_path, capsys, "expand", cfg)
+    err = one_error_line(tmp_path, capsys, "expand", cfg)
     assert err == "error: the phase expansion overflows for this class and these radii\n"
 
 
@@ -340,5 +320,4 @@ def test_limits_extreme_radii_print_one_error_line(tmp_path, capsys, regime, f0,
     # at small t: inf or nan the study refuses, with no numpy warning first
     cfg = {"regime": regime, "f0": f0, "alpha": 1.0, "datum": {"kind": "fourier", "cos": [0.05]},
            "grid": 32, "t_list": t_list}
-    err = _one_error_line(tmp_path, capsys, "limits", cfg)
-    assert err.startswith("error: " + text) and err.count("\n") == 1
+    assert one_error_line(tmp_path, capsys, "limits", cfg).startswith("error: " + text)
