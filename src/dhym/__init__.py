@@ -10,17 +10,14 @@ linearized operator with its self-adjointness and negativity checks.
 from .core_geometry import (
     ConstantCurvature2,
     Phase,
-    SpectralData,
-    average_radius,
     dhym_residual_surface,
     pencil_eigenvalues,
     phase_positivity_constant,
-    phase_radius,
     surface_apriori_check,
     surface_ma_check,
     torus_constant_phase,
 )
-from .legendre import MonotoneMap, datum_pullback, datum_pushforward, legendre_forward
+from .legendre import MonotoneMap, datum_pushforward, legendre_forward
 from .ode_solver import (
     ODEProblem,
     Regime,

@@ -100,9 +100,9 @@ _MATRIX2 = {
     "minItems": 2,
     "maxItems": 2,
 }
-# `solve --grid 8192` peaks at 1.6 GB RSS and 17 s (435 MB and 4.4 s at 4096,
-# on a 2-core 8 GB machine): the Legendre transform's off-grid interpolation
-# is dense, O(N^2) in time and memory
+# `solve --grid 8192` peaks at 1.6 GB RSS and takes 10.3 s (435 MB and
+# 2.9-3.3 s at 4096; a fresh process, 2-core 8 GB machine): the Legendre
+# transform's off-grid interpolation is dense, O(N^2) in time and memory
 _GRID = {"type": "integer", "minimum": 16, "maximum": 8192}
 _TOL = _closed(
     {

@@ -3,10 +3,9 @@
 The building blocks are a metric matrix ``v`` (symmetric positive definite)
 and a curvature matrix ``F`` (symmetric), both 2x2 in the surface case but
 n x n where noted.  Everything here is algebra at a single point or over a
-sampled field of points: eigenvalues of the pencil (F, v), the radius and
-phase functions built from them, the constant-representative phase angle of
-the underlying classes, and the residuals/bound checks of the surface
-equations.
+sampled field of points: eigenvalues of the pencil (F, v), the
+constant-representative phase angle of the underlying classes, and the
+residuals/bound checks of the surface equations.
 
 Matrix fields are plain numpy arrays of shape ``(..., n, n)``; all operations
 broadcast over the leading axes.  A pair (v, F) must be two fields of one
@@ -37,16 +36,13 @@ from .errors import (
 __all__ = [
     "ConstantCurvature2",
     "Phase",
-    "SpectralData",
     "pencil_eigenvalues",
-    "phase_radius",
     "torus_constant_phase",
     "phase_positivity_constant",
     "dhym_residual_surface",
     "surface_ma_check",
     "surface_apriori_check",
     "SurfaceAprioriReport",
-    "average_radius",
 ]
 
 
@@ -132,17 +128,6 @@ class Phase:
         return float(np.arctan2(self.sin, self.cos))
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Radius and phase induced by the eigenvalues of v^{-1} F.
-
-    Satisfies det(v - iF) = det(v) * radius * exp(-i theta).
-    """
-
-    radius: float
-    theta: float
-
-
 def pencil_eigenvalues(v, f) -> np.ndarray:
     """Eigenvalues of v^{-1} F, ascending (the pencil det(F - lambda v) = 0).
 
@@ -182,15 +167,6 @@ def _pencil2(v: np.ndarray, f: np.ndarray, det_v: np.ndarray) -> np.ndarray:
     s00, s01, s11 = a00 * r00 + a01 * r01, a00 * r01 + a01 * r11, a10 * r01 + a11 * r11
     mid, rad = 0.5 * (s00 + s11), np.hypot(0.5 * (s00 - s11), s01)
     return np.stack((mid - rad, mid + rad), axis=-1)
-
-
-def phase_radius(lambdas) -> SpectralData:
-    """Radius prod sqrt(1 + l_i^2) and phase sum arctan(l_i) of eigenvalues."""
-    # sorted, so that the rounding does not depend on the order of the eigenvalues
-    lam = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)))
-    radius = float(np.prod(np.sqrt(1.0 + lam**2)))
-    theta = float(np.arctan(lam).sum())
-    return SpectralData(radius=radius, theta=theta)
 
 
 def torus_constant_phase(f0: ConstantCurvature2) -> Phase:
@@ -372,11 +348,3 @@ def surface_apriori_check(v, f, phase: Phase) -> SurfaceAprioriReport:
         max_det_ratio=float(det_ratio.max()),
     )
 
-
-def average_radius(n: int, f0) -> float:
-    """Average radius |det(I - i F0)| of the constant representative on the
-    unit n-torus."""
-    f0 = _as_sym(f0, "F0")
-    if f0.shape != (n, n):
-        raise DimensionMismatch(f"expected a {n}x{n} matrix, got {f0.shape}")
-    return float(abs(np.linalg.det(np.eye(n) - 1j * f0)))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotConvex, NotMonotone
 from .spectral import PeriodicProfile, grid, spectral_chop, spectral_derivative, trig_interpolate
 
-__all__ = ["MonotoneMap", "legendre_forward", "datum_pushforward", "datum_pullback"]
+__all__ = ["MonotoneMap", "legendre_forward", "datum_pushforward"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,3 @@ def datum_pushforward(a: PeriodicProfile, m: MonotoneMap) -> PeriodicProfile:
         raise DimensionMismatch(f"datum has {a.n} samples, the map {m.n}")
     return PeriodicProfile.from_samples(trig_interpolate(a.samples, m.preimages))
 
-
-def datum_pullback(f: PeriodicProfile, m: MonotoneMap) -> PeriodicProfile:
-    """Inverse transport: a(s) = f(m(s)) sampled on the source grid."""
-    return PeriodicProfile.from_samples(trig_interpolate(f.samples, m.forward(grid(f.n))))

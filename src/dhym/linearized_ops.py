@@ -33,16 +33,14 @@ import numpy as np
 
 from .core_geometry import _as_sym, _spd2_inverse
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
-from .spectral import _pcg, _prolong2, hessian2, inner, partial2, resample2
+from .spectral import _pcg, _prolong2, hessian2, inner, partial2
 
 __all__ = [
     "LinearizedContext",
     "make_consistent_context",
-    "solve_lincond",
     "apply_L",
     "flat_symbol",
     "selfadjointness_defect",
-    "selfadjointness_refinement",
     "negativity_check",
 ]
 
@@ -439,18 +437,6 @@ def _lincond_rhs(ctx: LinearizedContext, g):
     return m, q, _divergence(*q) - _contract_sym(g, ctx.b_matrix)
 
 
-def solve_lincond(ctx: LinearizedContext, udot) -> np.ndarray:
-    """Solve the linearized degree equation for the bundle direction.
-
-    Returns the mean-zero phi-dot with
-    Delta phi-dot = d_i(u^{ia} udot_ab u^{bj} phi_j) - udot_ij B_ij;
-    the right-hand side is mean free because udot is a periodic Hessian.
-    ``udot`` is a potential (N, N) or a stack (K, N, N); a stack is solved
-    in one batched CG and gives a (K, N, N) stack.
-    """
-    return _solve_elliptic(ctx, _lincond_rhs(ctx, _tangent(ctx, udot))[2])
-
-
 def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
     """The full linearized operator L(udot) = L0 + L1.
 
@@ -594,22 +580,6 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
         )
         defects.append(raw / scale if scale > 0.0 else 0.0)
     return defects
-
-
-def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes) -> list[float]:
-    """The max defect of the same background and trials on each grid, in
-    increasing grid order.
-
-    The coarse fields must be band-limited; they are transplanted to each
-    grid by Fourier padding and the bundle potential is solved per grid,
-    so every context is consistent at its own resolution.
-    """
-    max_defects = []
-    for n in sorted(grid_sizes):
-        ctx = make_consistent_context(resample2(u_pert, n), b_matrix)
-        pairs = [(resample2(a, n), resample2(b, n)) for a, b in trial_pairs]
-        max_defects.append(max(selfadjointness_defect(ctx, pairs)))
-    return max_defects
 
 
 def _checked_trial(ctx: LinearizedContext, gamma) -> np.ndarray:

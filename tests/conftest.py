@@ -12,6 +12,7 @@ from dhym import ConstantCurvature2, ODEProblem, PeriodicProfile, Regime
 from dhym import linearized_ops
 from dhym.linearized_ops import apply_L
 from dhym.ode_solver import manufactured_datum
+from dhym.spectral import grid, resample2, trig_interpolate
 
 
 @pytest.fixture
@@ -62,15 +63,50 @@ def cosine_problem(regime, f0, n=256, alpha=1.0, amplitude=0.1):
 
 def dense_operator(ctx):
     """Dense matrix of the 2-d linearized operator L on scalar potentials
-    (columns are basis responses).  Memory grows like N^4; keep N small."""
+    (columns are basis responses, applied as one stack).  Memory grows like
+    N^4; keep N small."""
     n = ctx.n
-    mat = np.empty((n * n, n * n))
-    basis = np.zeros((n, n))
-    for j in range(n * n):
-        basis.flat[j] = 1.0
-        mat[:, j] = apply_L(ctx, basis).ravel()
-        basis.flat[j] = 0.0
-    return mat
+    return apply_L(ctx, np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n).T
+
+
+def solve_lincond(ctx, udot):
+    """The mean-zero phi-dot of the linearized degree equation for a tangent
+    potential (N, N) or a stack (K, N, N): the elliptic solve of the
+    right-hand side that ``apply_L`` forms, called as ``apply_L`` calls it."""
+    lo = linearized_ops
+    return lo._solve_elliptic(ctx, lo._lincond_rhs(ctx, lo._tangent(ctx, udot))[2])
+
+
+def selfadjointness_refinement(u_pert, b_matrix, trial_pairs, grid_sizes):
+    """The max self-adjointness defect of one band-limited background and
+    its trial pairs, moved to each grid by Fourier padding, in increasing
+    grid order; each grid solves its own bundle potential."""
+    defects = []
+    for n in sorted(grid_sizes):
+        ctx = linearized_ops.make_consistent_context(resample2(u_pert, n), b_matrix)
+        pairs = [(resample2(a, n), resample2(b, n)) for a, b in trial_pairs]
+        defects.append(max(linearized_ops.selfadjointness_defect(ctx, pairs)))
+    return defects
+
+
+def datum_pullback(f, m):
+    """The inverse of ``datum_pushforward``: a(s) = f(m(s)) on the source grid."""
+    return PeriodicProfile.from_samples(trig_interpolate(f.samples, m.forward(grid(f.n))))
+
+
+def phase_radius(lambdas):
+    """(radius, theta) = (prod sqrt(1 + l_i^2), sum arctan(l_i)) of the
+    pencil eigenvalues of (F, v): det(v - iF) = det(v) radius exp(-i theta)."""
+    # sorted, so that the rounding does not depend on the order of the eigenvalues
+    lam = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)))
+    return float(np.prod(np.sqrt(1.0 + lam**2))), float(np.arctan(lam).sum())
+
+
+def average_radius(f0):
+    """The average radius |det(I - i F0)| of a constant n x n representative
+    on the unit n-torus."""
+    f0 = np.asarray(f0, dtype=float)
+    return float(abs(np.linalg.det(np.eye(len(f0)) - 1j * f0)))
 
 
 def count_columns(monkeypatch):

@@ -11,10 +11,10 @@ from jsonschema import Draft202012Validator
 
 import dhym
 from dhym.cli import SCHEMAS, _validate, _write_csv, main
-from dhym.core_geometry import ConstantCurvature2, average_radius, torus_constant_phase
+from dhym.core_geometry import ConstantCurvature2, torus_constant_phase
 from dhym.errors import InvalidConfig
 
-from conftest import one_error_line
+from conftest import average_radius, one_error_line
 
 SOLVE_CFG = {
     "regime": "dhym",
@@ -689,12 +689,12 @@ def test_phase_reports_one_class_modulus(tmp_path):
     results = run_strict(tmp_path, "phase", FULL_CFGS["phase"])["results"]
     assert "average_radius" not in results
     f0 = ConstantCurvature2(*FULL_CFGS["phase"]["f0"])
-    assert abs(results["magnitude"] - average_radius(2, f0.matrix)) <= 1e-12 * results["magnitude"]
+    assert abs(results["magnitude"] - average_radius(f0.matrix)) <= 1e-12 * results["magnitude"]
     rng = np.random.default_rng(23)
     for abc, scale in zip(rng.uniform(-1.0, 1.0, (2000, 3)), 10.0 ** rng.uniform(-3.0, 3.0, 2000)):
         f0 = ConstantCurvature2(*(scale * abc))
         magnitude = torus_constant_phase(f0).magnitude
-        assert abs(magnitude - average_radius(2, f0.matrix)) <= 1e-12 * magnitude
+        assert abs(magnitude - average_radius(f0.matrix)) <= 1e-12 * magnitude
 
 
 def loop_csv(path, header, columns):

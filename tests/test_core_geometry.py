@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhym import (
+    CohomologyData,
     ConstantCurvature2,
     Phase,
-    average_radius,
     dhym_residual_surface,
+    exact_z,
     pencil_eigenvalues,
     phase_positivity_constant,
-    phase_radius,
     surface_apriori_check,
     surface_ma_check,
     torus_constant_phase,
@@ -27,7 +27,7 @@ from dhym.errors import (
 )
 from dhym.kym_ndim import KymData, apriori_verify, j_equation_residual, residual_complex
 
-from conftest import random_spd, random_sym
+from conftest import average_radius, phase_radius, random_spd, random_sym
 
 
 def reduced_field(m):
@@ -77,7 +77,6 @@ INPUT_REFUSALS = {
     "curvature-3x3": (lambda: ConstantCurvature2.from_matrix(np.eye(3)), DimensionMismatch, "must be 2x2"),
     "as_sym-2x3": (lambda: _as_sym(np.zeros((2, 3)), "m"), DimensionMismatch, r"m must be square, got shape \(2, 3\)"),
     "spd2_det-3x3": (lambda: core_geometry._spd2_det(np.eye(3), "v"), DimensionMismatch, "expect 2x2 matrices"),
-    "average_radius-2x2-for-n-3": (lambda: average_radius(3, np.eye(2)), DimensionMismatch, "expected a 3x3 matrix"),
 }
 
 
@@ -342,21 +341,27 @@ class TestSymmetryRule:
 
 
 class TestPhaseRadius:
+    """The oracle ``phase_radius`` on the library's pencil eigenvalues, and
+    on T^2 against the class phase: det(I - i F0) = radius exp(-i theta)."""
+
     def test_zero(self):
-        data = phase_radius([0.0, 0.0])
-        assert data.radius == 1.0 and data.theta == 0.0
+        assert phase_radius(pencil_eigenvalues(np.eye(2), np.zeros((2, 2)))) == (1.0, 0.0)
+        assert torus_constant_phase(ConstantCurvature2(0.0, 0.0, 0.0)).angle == 0.0
 
     def test_unit_pair(self):
-        data = phase_radius([1.0, 1.0])
-        assert abs(data.radius - 2.0) < 1e-14
-        assert abs(data.theta - np.pi / 2) < 1e-14
+        radius, theta = phase_radius(pencil_eigenvalues(np.eye(2), np.eye(2)))
+        assert abs(radius - 2.0) < 1e-14
+        assert abs(theta - np.pi / 2) < 1e-14
+        assert torus_constant_phase(ConstantCurvature2(1.0, 0.0, 1.0)).angle == -np.pi / 2
 
     def test_theta_range(self, rng):
         for _ in range(100):
-            lam = rng.uniform(-50, 50, 3)
-            data = phase_radius(lam)
-            assert data.radius >= 1.0
-            assert abs(data.theta) < 3 * np.pi / 2
+            f0 = ConstantCurvature2.from_matrix(random_sym(rng, 2, bound=50.0))
+            radius, theta = phase_radius(pencil_eigenvalues(np.eye(2), f0.matrix))
+            assert radius >= 1.0 and abs(theta) < np.pi
+            phase = torus_constant_phase(f0)
+            assert abs(phase.magnitude - radius) <= 1e-12 * radius
+            assert abs(complex(phase.cos, phase.sin) - np.exp(-1j * theta)) < 1e-12
 
     def test_complex_determinant_identity(self, rng):
         # det(v - iF) = det(v) * r * exp(-i theta)
@@ -364,9 +369,9 @@ class TestPhaseRadius:
             n = rng.choice([2, 3])
             v = random_spd(rng, n, scale=rng.uniform(0.5, 5.0))
             f = random_sym(rng, n, bound=10.0)
-            data = phase_radius(pencil_eigenvalues(v, f))
+            radius, theta = phase_radius(pencil_eigenvalues(v, f))
             lhs = np.linalg.det(v - 1j * f)
-            rhs = np.linalg.det(v) * data.radius * np.exp(-1j * data.theta)
+            rhs = np.linalg.det(v) * radius * np.exp(-1j * theta)
             assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
@@ -555,18 +560,27 @@ class TestAprioriCheck:
 
 
 class TestAverageRadius:
+    """The oracle ``average_radius`` against the library's class integrals:
+    on T^2 the modulus ``torus_constant_phase`` reports, on T^n the
+    |det(I - i F0)| that ``exact_z`` evaluates at t = 1."""
+
     def test_trivial(self):
-        assert average_radius(2, np.zeros((2, 2))) == 1.0
+        assert average_radius(np.zeros((2, 2))) == 1.0
+        assert torus_constant_phase(ConstantCurvature2(0.0, 0.0, 0.0)).magnitude == 1.0
 
     def test_surface_identity_class(self):
-        assert abs(average_radius(2, np.eye(2)) - 2.0) < 1e-14
+        assert abs(average_radius(np.eye(2)) - 2.0) < 1e-14
+        assert abs(torus_constant_phase(ConstantCurvature2(1.0, 0.0, 1.0)).magnitude - 2.0) < 1e-14
 
     def test_threefold_product(self):
-        value = average_radius(3, np.diag([1.0, 2.0, 3.0]))
+        f0 = np.diag([1.0, 2.0, 3.0])
+        value = abs(exact_z(1.0, CohomologyData.from_matrix(f0)))
         assert abs(value - np.sqrt(2.0) * np.sqrt(5.0) * np.sqrt(10.0)) < 1e-12
-        assert abs(value - 10.0) < 1e-12
+        assert abs(average_radius(f0) - value) < 1e-12
 
     def test_at_least_one(self, rng):
         for _ in range(50):
             f0 = random_sym(rng, 3, bound=5.0)
-            assert average_radius(3, f0) >= 1.0
+            value = abs(exact_z(1.0, CohomologyData.from_matrix(f0)))
+            assert value >= 1.0
+            assert abs(average_radius(f0) - value) <= 1e-12 * value

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import dhym.legendre
-from dhym import PeriodicProfile, datum_pullback, datum_pushforward, legendre_forward
+from dhym import PeriodicProfile, datum_pushforward, legendre_forward
 from dhym.errors import DimensionMismatch, NotConvex, NotMonotone
 from dhym.legendre import MonotoneMap
 from dhym.spectral import grid, spectral_derivative, trig_interpolate
+
+from conftest import datum_pullback
 
 
 def transform_pair(psi):

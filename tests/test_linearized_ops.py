@@ -18,12 +18,10 @@ from dhym.linearized_ops import (
     make_consistent_context,
     negativity_check,
     selfadjointness_defect,
-    selfadjointness_refinement,
-    solve_lincond,
 )
 from dhym.spectral import _pcg, grid2, hessian2, inner, partial2, second_antiderivative
 
-from conftest import count_columns, dense_operator
+from conftest import count_columns, dense_operator, selfadjointness_refinement, solve_lincond
 
 B_REF = np.array([[2.0, 0.7], [0.7, 1.0]])
 
@@ -793,6 +791,25 @@ class TestNegativity:
         ctx = flat_context(32)
         with pytest.raises(InvalidConfig):
             negativity_check(ctx, [np.ones((32, 32))])
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.006, 0.012])
+    def test_top_of_spectrum(self, amplitude):
+        # the top eigenvalue of L on mean-zero fields, from the dense matrix
+        # at N = 16: on the flat background the largest flat symbol over the
+        # grid modes, and negative on perturbed ones (measured -1642.70 and
+        # -1762.55, where c (udot - mean udot) with c = 1e8 max|u_pert|^2,
+        # zero when flat, lifts it to +3602.9 and +19219.8)
+        n = 16
+        ctx = make_consistent_context(perturbed_background(n, amplitude), B_REF)
+        q = np.linalg.qr(np.hstack([np.ones((n * n, 1)), np.eye(n * n)[:, 1:]]))[0][:, 1:]  # mean-zero basis
+        mat = dense_operator(ctx)
+        top = np.linalg.eigvalsh(q.T @ (0.5 * (mat + mat.T)) @ q).max()
+        if amplitude == 0.0:
+            modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
+            symbol = max(flat_symbol(np.array([kx, ky]), B_REF) for kx in modes for ky in modes if kx or ky)
+            assert abs(top - symbol) <= 1e-8 * abs(symbol)
+        else:
+            assert top < 0.0
 
     def test_rejects_no_trials(self):
         # a max over no trials has no value, as a sup over no points has none
