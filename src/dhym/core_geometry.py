@@ -33,18 +33,6 @@ from .errors import (
     PhasePreconditionViolated,
 )
 
-__all__ = [
-    "ConstantCurvature2",
-    "Phase",
-    "pencil_eigenvalues",
-    "torus_constant_phase",
-    "phase_positivity_constant",
-    "dhym_residual_surface",
-    "surface_ma_check",
-    "surface_apriori_check",
-    "SurfaceAprioriReport",
-]
-
 
 def _as_sym(m, name: str) -> np.ndarray:
     """``m`` as a float array of square matrices, symmetrized.

@@ -18,17 +18,6 @@ from .core_geometry import _adj2, _as_sym, _check_points, _det2, _inverse2, _non
 from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
-__all__ = [
-    "KymData",
-    "abreu_operator",
-    "residual_complex",
-    "j_equation_residual",
-    "apriori_verify",
-    "AprioriReport",
-    "det_bound_verify",
-    "DetBoundReport",
-]
-
 
 def _check_field2d(f: np.ndarray, name: str) -> np.ndarray:
     f = np.asarray(f, dtype=float)

@@ -23,9 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotConvex, NotMonotone
-from .spectral import PeriodicProfile, grid, spectral_chop, spectral_derivative, trig_interpolate
-
-__all__ = ["MonotoneMap", "legendre_forward", "datum_pushforward"]
+from .spectral import PeriodicProfile, grid, spectral_derivative, trig_interpolate
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def legendre_forward(psi: PeriodicProfile):
     # node inversion and interpolation leave sample-level noise that later
     # differentiation would amplify; the conjugate of a smooth profile is
     # smooth, so the noise bins are chopped
-    phi = PeriodicProfile.from_samples(spectral_chop(phi_raw), demean=True)
+    phi = PeriodicProfile.from_samples(spectral_derivative(phi_raw, 0, stabilized=True), demean=True)
     return phi, m
 
 

@@ -35,14 +35,6 @@ from .core_geometry import _as_sym, _spd2_inverse
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
 from .spectral import _pcg, _prolong2, hessian2, inner, partial2
 
-__all__ = [
-    "LinearizedContext",
-    "make_consistent_context",
-    "apply_L",
-    "flat_symbol",
-    "selfadjointness_defect",
-    "negativity_check",
-]
 
 def _gradient(f: np.ndarray):
     return partial2(f, 1, 0), partial2(f, 0, 1)

@@ -59,25 +59,6 @@ from .spectral import (
     spectral_derivative,
 )
 
-__all__ = [
-    "Regime",
-    "ODEProblem",
-    "SolutionBundle",
-    "LinearizedOde",
-    "MaxPrincipleReport",
-    "compatibility_constant",
-    "project_datum",
-    "residual",
-    "curvature_residual",
-    "manufactured_datum",
-    "linearize",
-    "solve",
-    "effective_tolerance",
-    "reconstruct_bundle_potential",
-    "max_principle_verify",
-    "lift_to_2d",
-]
-
 
 class Regime(str, enum.Enum):
     DHYM = "dhym"

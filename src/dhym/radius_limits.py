@@ -18,18 +18,6 @@ from .core_geometry import ConstantCurvature2, _as_sym
 from .errors import DegenerateTopPower, InvalidConfig
 from .ode_solver import ODEProblem, Regime, solve
 
-__all__ = [
-    "CohomologyData",
-    "PhaseExpansionReport",
-    "exact_z",
-    "large_radius_phase_check",
-    "small_radius_phase_check",
-    "scaled_coupled_problem",
-    "limit_convergence_study",
-    "LimitConvergenceReport",
-    "fit_loglog_slope",
-]
-
 
 @dataclass(frozen=True)
 class CohomologyData:

@@ -23,20 +23,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 
-__all__ = [
-    "grid",
-    "spectral_chop",
-    "spectral_derivative",
-    "second_antiderivative",
-    "trig_interpolate",
-    "resample",
-    "PeriodicProfile",
-    "grid2",
-    "partial2",
-    "hessian2",
-    "resample2",
-    "inner",
-]
 
 def grid(n: int) -> np.ndarray:
     """Uniform nodes k/n of the unit circle."""
@@ -74,18 +60,6 @@ def _tail_chopped_second_derivative(samples: np.ndarray, keep: int = 0) -> tuple
     return np.fft.irfft(-k2 * coeff, n=n), float(k2[max(kept - 1, 0)] * np.abs(coeff).max() / n)
 
 
-def spectral_chop(samples: np.ndarray) -> np.ndarray:
-    """Zero the roundoff tail of the samples' spectrum (``_chop``).
-
-    Removes sample-level roundoff noise from smooth data; exact on
-    band-limited input and scale invariant.
-    """
-    samples = np.asarray(samples, dtype=float)
-    coeff = np.fft.rfft(samples, axis=-1)
-    _chop(coeff)
-    return np.fft.irfft(coeff, n=samples.shape[-1], axis=-1)
-
-
 def spectral_derivative(
     samples: np.ndarray, order: int = 1, stabilized: bool = False, axis: int = -1
 ) -> np.ndarray:
@@ -95,7 +69,9 @@ def spectral_derivative(
     derivative orders (its derivative is not representable on the grid); for
     even orders it is kept.  With ``stabilized`` the roundoff tail of the
     spectrum is zeroed before scaling (``_chop``), which keeps repeated
-    differentiation of smooth data at roundoff accuracy.
+    differentiation of smooth data at roundoff accuracy; ``order=0`` with
+    ``stabilized`` is the chop alone, which removes sample-level roundoff
+    noise from smooth data (exact on band-limited input, scale invariant).
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[axis]

@@ -176,14 +176,26 @@ DUAL_CLASSES = {
 }
 
 
-@pytest.mark.parametrize("regime", list(DUAL_CLASSES), ids=lambda regime: regime.value)
-def test_criterion_04_dual_residual(regime):
-    # measured sup|R*| <= 2.0e-12 at N = 64 and <= 6.2e-13 at N = 256; psi
-    # scaled by 1.001 before phi_F is rebuilt from it reads 1.1e-4
+@pytest.mark.parametrize(
+    "regime, constant",
+    [
+        pytest.param(regime, constant, id=regime.value + suffix)
+        for regime in DUAL_CLASSES
+        for constant, suffix in ((None, ""), (0.0, "-constant0"), (1.0, "-constant1"))
+    ],
+)
+def test_criterion_04_dual_residual(regime, constant):
+    # the datum's constant is the compatible one (None) or off the slice,
+    # where ``complex_datum`` must project it before the push-forward in
+    # every regime.  Measured sup|R*| <= 2.0e-12 at N = 64 and <= 6.3e-13 at
+    # N = 256 for every constant; psi scaled by 1.001 before phi_F is
+    # rebuilt from it reads 1.1e-4, and the coupled datum pushed forward
+    # unprojected reads 2.0 (constant 0) and 3.0 (constant 1)
     f0 = DUAL_CLASSES[regime]
     for n in (64, 256):
         base = flat_problem(regime, f0, n=n)
-        datum = PeriodicProfile.from_fourier(n, cos=[0.1], sin=[0.03], constant=compatibility_constant(base))
+        shift = compatibility_constant(base) if constant is None else constant
+        datum = PeriodicProfile.from_fourier(n, cos=[0.1], sin=[0.03], constant=shift)
         problem = ODEProblem(regime=regime, alpha=1.0, f0=f0, datum_a=datum)
         assert dual_residual_sup(solve(problem), problem) <= 1e-9
 

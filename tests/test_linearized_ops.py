@@ -205,6 +205,30 @@ class TestEllipticSolve:
     #: against one on grid N.
     ONE_LEVEL_COST = {16: (12.0, 13.0), 32: (12.0, 14.0), 64: (12.0, 7.5), 128: (12.0, 6.5)}
 
+    @pytest.mark.parametrize("n", [16, 17, 25, 32, 33, 64, 65, 66, 96, 128, 130, 256])
+    def test_grid_size_contract(self, n, monkeypatch):
+        # every grid size, odd ones and those of an odd half grid included:
+        # the nested solve is the plain one, and the true residual meets the
+        # CG tolerance or the roundoff floor of an operator of norm (pi N)^2.
+        # That floor is above ``_CG_RTOL`` from N = 65 on: measured 1.4e-13
+        # at N = 65, 1.8e-13 at 96, 3.5e-13 at 128, 5.1e-13 at 130 and
+        # 2.9e-12 at 256, at most 8.3 eps (pi N)^2 sup|x| / sup|b| (N = 17);
+        # nested and plain agree to 1.6e-15
+        ctx = make_consistent_context(hessian_scaled_background(n, 5, 0.1), B_REF)
+        rhs = np.array([*(band_limited(n, seed=60 + i) for i in range(4)), np.zeros((n, n))])
+        out = linearized_ops._solve_elliptic(ctx, rhs)
+        assert not out[-1].any()
+        with monkeypatch.context() as m:
+            m.setattr(linearized_ops, "_NESTED_MIN_N", 2 * n)
+            plain = linearized_ops._solve_elliptic(ctx, rhs)
+        assert np.abs(out - plain).max() <= 1e-13 * np.abs(plain).max()
+        b = -(rhs[:-1] - rhs[:-1].mean(axis=(-2, -1), keepdims=True))
+        x = out[:-1]
+        sup_b, sup_x = np.abs(b).max(axis=(-2, -1)), np.abs(x).max(axis=(-2, -1))
+        residual = np.abs(b - ctx._operator(x)).max(axis=(-2, -1)) / sup_b
+        floor = 16.0 * np.finfo(float).eps * (np.pi * n) ** 2 * sup_x / sup_b
+        assert (residual <= np.maximum(spectral._CG_RTOL, floor)).all()
+
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_laplacian_applications_per_solve(self, n, monkeypatch):
         # the CG applies -(Delta + sigma P), ``_operator``, on every grid of
