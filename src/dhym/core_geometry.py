@@ -1,22 +1,21 @@
 """Pointwise linear algebra of the coupled equations on a flat torus.
 
 The building blocks are a metric matrix ``v`` (symmetric positive definite)
-and a curvature matrix ``F`` (symmetric), both 2x2 in the surface case but
-n x n where noted.  Everything here is algebra at a single point or over a
-sampled field of points: eigenvalues of the pencil (F, v), the
-constant-representative phase angle of the underlying classes, and the
-residuals/bound checks of the surface equations.
+and a curvature matrix ``F`` (symmetric), both 2x2.  Everything here is
+algebra at a single point or over a sampled field of points: eigenvalues of
+the pencil (F, v), the constant-representative phase angle of the underlying
+classes, and the residuals/bound checks of the surface equations.
 
-Matrix fields are plain numpy arrays of shape ``(..., n, n)``; all operations
+Matrix fields are plain numpy arrays of shape ``(..., 2, 2)``; all operations
 broadcast over the leading axes.  A pair (v, F) must be two fields of one
-shape (``_check_pair``).  Each 2x2 rule has one helper: ``_spd2_pair`` reads
-a (v, F) pair (symmetric, paired, v positive definite), ``_spd2_inverse``
-checks and inverts a positive definite field (by ``_inverse2``, the one
-inverse formula, which a reader of a checked pair calls with its det) and
-``_nonneg2`` tests F >= 0.  The 2x2
-pencil eigenvalues have a closed form, ``_pencil2``: ``pencil_eigenvalues``
-checks its pair and calls it, and the verifiers that have already read
-theirs call it directly.
+shape (``_check_pair``).  Each 2x2 rule has one helper: ``_sym2`` reads a
+constant symmetric matrix (F0, B), ``_spd2_pair`` reads a (v, F) pair
+(symmetric, paired, v positive definite), ``_spd2_det`` checks a positive
+definite field, ``_inverse2`` is the one inverse formula, which a reader
+calls with the det it checked, and ``_nonneg2`` tests F >= 0.  The pencil
+eigenvalues have a closed form, ``_pencil2``: ``pencil_eigenvalues`` reads
+its pair and calls it, and the verifiers that have already read theirs call
+it directly.
 """
 
 from __future__ import annotations
@@ -60,13 +59,12 @@ def _as_sym(m, name: str) -> np.ndarray:
     return 0.5 * m + 0.5 * mt  # halves first: m + m^T overflows above about 8.99e307
 
 
-def _inv_sqrt_spd(v: np.ndarray, name: str = "v") -> np.ndarray:
-    """Inverse square root of an SPD matrix (field) by eigendecomposition."""
-    w, q = np.linalg.eigh(v)
-    if w.min() <= 0.0:
-        raise NonPositiveMetric(f"{name} has a nonpositive eigenvalue ({w.min():g})")
-    d = 1.0 / np.sqrt(w)
-    return np.einsum("...ij,...j,...kj->...ik", q, d, q)
+def _sym2(m, name: str) -> np.ndarray:
+    """``m`` read by ``_as_sym`` as one constant symmetric 2x2 matrix."""
+    m = _as_sym(m, name)
+    if m.shape != (2, 2):
+        raise DimensionMismatch(f"{name} must be 2x2, got shape {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ class ConstantCurvature2:
 
     @classmethod
     def from_matrix(cls, m) -> "ConstantCurvature2":
-        m = _as_sym(m, "F0")
-        if m.shape != (2, 2):
-            raise DimensionMismatch("constant curvature representative must be 2x2")
+        m = _sym2(m, "F0")
         return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
 
 
@@ -120,25 +116,19 @@ def pencil_eigenvalues(v, f) -> np.ndarray:
     """Eigenvalues of v^{-1} F, ascending (the pencil det(F - lambda v) = 0).
 
     Computed through the symmetric similarity S = R F R, R = v^{-1/2}, so
-    the result is real by construction.  Works on single matrices or on
-    stacked matrix fields of shape (..., n, n).
+    the result is real by construction.  Works on single 2x2 matrices or on
+    stacked matrix fields of shape (..., 2, 2); any other matrix size raises
+    ``DimensionMismatch``.
 
-    For n = 2 everything is closed form, with no LAPACK call:
+    Everything is closed form, with no LAPACK call:
     R = adj(v + s I) / (s t) with s = sqrt(det v) and t = sqrt(tr v + 2 s)
     (since (v + s I)^2 = t^2 v), and the eigenvalues of the symmetric 2x2 S
     are (S00 + S11)/2 -+ hypot((S00 - S11)/2, S01).  The roots of the
     quadratic det(F - lambda v) = 0 are not used: its discriminant cancels,
     and near a double eigenvalue they keep only half the digits.  This is
-    ``_pencil2``.  For other n, R comes from ``eigh`` and S goes to
-    ``eigvalsh``.
+    ``_pencil2``.
     """
-    v = _as_sym(v, "v")
-    f = _as_sym(f, "F")
-    _check_pair(v, f)
-    if v.shape[-1] != 2:
-        r = _inv_sqrt_spd(v)
-        return np.linalg.eigvalsh(r @ f @ r)
-    return _pencil2(v, f, _spd2_det(v, "v"))
+    return _pencil2(*_spd2_pair(v, f))
 
 
 def _pencil2(v: np.ndarray, f: np.ndarray, det_v: np.ndarray) -> np.ndarray:
@@ -247,13 +237,6 @@ def _inverse2(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     """The inverse adj(m) / det of a 2x2 matrix field whose det, nonzero at
     every point, has been read."""
     return _adj2(m) / det[..., None, None]
-
-
-def _spd2_inverse(m: np.ndarray, name: str, error=NonPositiveMetric):
-    """(det, inverse) of the 2x2 matrix field ``m``, positive definite at
-    every point by ``_spd2_det``."""
-    det = _spd2_det(m, name, error)
-    return det, _inverse2(m, det)
 
 
 def _nonneg2(f: np.ndarray) -> bool:

@@ -1,11 +1,11 @@
 """Torus residuals of the limit systems and their a priori verifiers.
 
 2-d periodic scalar fields are plain (N, N) arrays on the uniform grid of
-[0,1)^2; matrix fields carry trailing (2, 2) axes.  Only residual evaluation
-and verification happen here -- there is no 2-d solver.  A field constant in
-the second coordinate, such as the lift of a 1-d reduced solution, has a
-length-1 second axis, (N, 1) or (N, 1, 2, 2); its y-derivatives are exact
-zeros.
+[0,1)^2, and a potential is read by ``_potential2``; matrix fields carry
+trailing (2, 2) axes.  Only residual evaluation and verification happen
+here -- there is no 2-d solver.  A field constant in the second coordinate,
+such as the lift of a 1-d reduced solution, has a length-1 second axis,
+(N, 1) or (N, 1, 2, 2); its y-derivatives are exact zeros.
 """
 
 from __future__ import annotations
@@ -14,18 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_geometry import _adj2, _as_sym, _check_points, _det2, _inverse2, _nonneg2, _pencil2, _spd2_det, _spd2_inverse, _spd2_pair
+from .core_geometry import _adj2, _as_sym, _check_points, _det2, _inverse2, _nonneg2, _pencil2, _spd2_det, _spd2_pair, _sym2
 from .errors import DimensionMismatch, InvalidConfig, NotConvex
 from .spectral import hessian2, partial2
 
 
-def _check_field2d(f: np.ndarray, name: str) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
+def _potential2(u, name: str, error) -> tuple:
+    """(u, I + Hess u, det) of a periodic potential u on the N x N grid: a
+    finite (N, N) array with N >= 16, whose I + Hess u is positive definite
+    by ``_spd2_det``, else ``error``; the caller inverts it with
+    ``_inverse2`` and this det."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"{name} must be an N x N field, not {u.shape}")
+    if u.shape[0] < 16:
+        raise InvalidConfig(f"{name} is on a grid too coarse (N = {u.shape[0]} < 16)")
+    if not np.isfinite(u).all():
         raise InvalidConfig(f"{name} must be finite")
-    if f.ndim < 2 or f.shape[0] != f.shape[1] or f.shape[0] < 16:
-        raise DimensionMismatch(f"{name} must be an N x N field with N >= 16")
-    return f
+    hess = np.eye(2) + hessian2(u)
+    return u, hess, _spd2_det(hess, f"I + Hess {name}", error)
 
 
 @dataclass(frozen=True)
@@ -41,15 +48,11 @@ class KymData:
         return cls(alpha=float(alpha), b_matrix=f0)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_matrix", _as_sym(self.b_matrix, "B"))
+        object.__setattr__(self, "b_matrix", _sym2(self.b_matrix, "B"))
 
     @property
     def mu(self) -> float:
         return float(np.trace(self.b_matrix))
-
-
-def _hessian_of_potential(phi_field: np.ndarray) -> np.ndarray:
-    return np.eye(2) + hessian2(_check_field2d(phi_field, "phi"))
 
 
 def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
@@ -61,8 +64,8 @@ def abreu_operator(phi_field: np.ndarray) -> np.ndarray:
     u^{ij} - delta^{ij}: a dense ``partial2`` does not send the constant
     delta^{ij} to exactly zero, and the flat potential must give zero.
     """
-    hess = _hessian_of_potential(phi_field)
-    _, uinv = _spd2_inverse(hess, "I + Hess phi", NotConvex)
+    _, hess, det = _potential2(phi_field, "phi", NotConvex)
+    uinv = _inverse2(hess, det)
     return (
         partial2(uinv[..., 0, 0] - 1.0, 2, 0)
         + 2.0 * partial2(uinv[..., 0, 1], 1, 1)
@@ -74,8 +77,7 @@ def abreu_operator_divergence_form(phi_field: np.ndarray) -> np.ndarray:
     """Same operator as U^{ij} w_{ij} with U the cofactor matrix of the
     Hessian and w the reciprocal determinant; agrees with ``abreu_operator``
     to discretization accuracy."""
-    hess = _hessian_of_potential(phi_field)
-    det = _spd2_det(hess, "I + Hess phi", NotConvex)
+    _, hess, det = _potential2(phi_field, "phi", NotConvex)
     cof = _adj2(hess)
     w_hess = hessian2(1.0 / det)
     return np.einsum("...ij,...ij->...", cof, w_hess)

@@ -31,9 +31,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .core_geometry import _as_sym, _spd2_inverse
+from .core_geometry import _inverse2, _sym2
 from .errors import DimensionMismatch, InvalidConfig, SingularElliptic
-from .spectral import _pcg, _prolong2, hessian2, inner, partial2
+from .kym_ndim import _potential2
+from .spectral import _pcg, _prolong2, inner, partial2
 
 
 def _gradient(f: np.ndarray):
@@ -109,25 +110,19 @@ class LinearizedContext:
     """
 
     def __init__(self, u_pert: np.ndarray, b_matrix: np.ndarray):
-        self.u_pert = np.asarray(u_pert, dtype=float)
-        self.b_matrix = _as_sym(b_matrix, "B")
-        if self.u_pert.ndim != 2 or self.u_pert.shape[0] != self.u_pert.shape[1]:
-            raise DimensionMismatch(f"u_pert must be an N x N field, not {self.u_pert.shape}")
-        if self.u_pert.shape[0] < 16:
-            raise InvalidConfig("background grid too coarse (N >= 16)")
+        self.b_matrix = _sym2(b_matrix, "B")
         with np.errstate(over="ignore"):
             b_squared = self.b_matrix @ self.b_matrix
         if not np.isfinite(b_squared).all():
             raise InvalidConfig("B is too large: the coefficients B_ik B_jl of L overflow")
         _prime_heap()
+        self.u_pert, self.u_hess, det = _potential2(u_pert, "u_pert", InvalidConfig)
         # the preconditioner's cached data of this grid size, built before a
         # solve allocates its stacks: built inside the first solve, it sits
         # between them and raises peak RSS (by 1.7 MB in ``dhym lincheck``
         # at N = 512)
         _hartley(self.n) if self.n <= _HARTLEY_MAX_N else _rfft_symbol(self.n)
-        hess = np.eye(2) + hessian2(self.u_pert)
-        det, u_inv = _spd2_inverse(hess, "I + Hess u_pert", InvalidConfig)
-        self.u_hess = hess
+        u_inv = _inverse2(self.u_hess, det)
         self._u_inv_fields = np.moveaxis(u_inv, (-2, -1), (0, 1)).copy()
         self.u_inv = np.moveaxis(self._u_inv_fields, (0, 1), (-2, -1))
         self._alternating = 1.0 - 2.0 * (np.arange(self.n) % 2)  # (-1)^i
@@ -412,12 +407,14 @@ def _solve_elliptic(ctx: LinearizedContext, rhs: np.ndarray) -> np.ndarray:
 
 
 def _tangent(ctx: LinearizedContext, udot):
-    """Components (xx, xy, yy) of the tangent Hessian field of a scalar
-    potential (N, N) or a stack of them (K, N, N)."""
+    """Components (xx, xy, yy) of the tangent Hessian field of a finite
+    scalar potential (N, N) or a stack of them (K, N, N)."""
     udot = np.asarray(udot, dtype=float)
-    if udot.ndim in (2, 3) and udot.shape[-2:] == (ctx.n, ctx.n):
-        return partial2(udot, 2, 0), partial2(udot, 1, 1), partial2(udot, 0, 2)
-    raise DimensionMismatch(f"tangent field has shape {udot.shape}")
+    if udot.ndim not in (2, 3) or udot.shape[-2:] != (ctx.n, ctx.n):
+        raise DimensionMismatch(f"tangent field has shape {udot.shape}")
+    if not np.isfinite(udot).all():
+        raise InvalidConfig("tangent field must be finite")
+    return partial2(udot, 2, 0), partial2(udot, 1, 1), partial2(udot, 0, 2)
 
 
 def _lincond_rhs(ctx: LinearizedContext, g):
@@ -460,7 +457,9 @@ def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
 def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
     """Fourier symbol of L at the flat background, for integer mode k != 0."""
     k = np.asarray(k, dtype=float)
-    b = _as_sym(b_matrix, "B")
+    if k.shape != (2,):
+        raise DimensionMismatch(f"the mode must be a 2-vector, got shape {k.shape}")
+    b = _sym2(b_matrix, "B")
     k2 = float(k @ k)
     if k2 == 0.0:
         raise InvalidConfig("the symbol is defined for nonzero modes")
@@ -530,6 +529,13 @@ def _as_trial(ctx: LinearizedContext, trial) -> np.ndarray:
     return trial
 
 
+def _as_pair(ctx: LinearizedContext, pair) -> tuple:
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise DimensionMismatch(f"a trial pair holds two trials, not {len(pair)}")
+    return _as_trial(ctx, pair[0]), _as_trial(ctx, pair[1])
+
+
 def _trial_key(trial: np.ndarray) -> bytes:
     """The key of a float64 trial in ``LinearizedContext._rayleigh``: the
     32-byte sha256 digest, which hashes a 64 x 64 trial in 28 us against
@@ -558,12 +564,13 @@ def selfadjointness_defect(ctx: LinearizedContext, trial_pairs) -> list[float]:
 
     Normalized by the sizes of the operator images, so values compare across
     grids; vanishing defect means formal self-adjointness at this resolution.
-    The pairs are read lazily and L is applied to chunks of trials.  Each
-    image is dropped once its pair is done; only the Rayleigh quotient of
-    each trial stays, in the context's memo, for ``negativity_check``.
+    The pairs are read lazily, and a pair that does not hold exactly two
+    trials raises ``DimensionMismatch``; L is applied to chunks of trials.
+    Each image is dropped once its pair is done; only the Rayleigh quotient
+    of each trial stays, in the context's memo, for ``negativity_check``.
     """
     defects = []
-    images = _applied(ctx, (_as_trial(ctx, t) for t in chain.from_iterable(trial_pairs)))
+    images = _applied(ctx, chain.from_iterable(_as_pair(ctx, pair) for pair in trial_pairs))
     for (xi, lx, _), (gamma, lg, _) in zip(images, images):
         raw = abs(inner(xi, lg) - inner(gamma, lx))
         scale = (

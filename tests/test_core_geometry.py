@@ -123,6 +123,10 @@ class TestPencilEigenvalues:
             n = rng.choice([2, 3])
             v = random_spd(rng, n)
             f = random_sym(rng, n)
+            if n == 3:  # the pencil is 2x2 only
+                with pytest.raises(DimensionMismatch, match="expect 2x2 matrices"):
+                    pencil_eigenvalues(v, f)
+                continue
             lam = pencil_eigenvalues(v, f)
             ref = bisection_pencil_roots(v, f)
             if len(ref) != n:
@@ -135,6 +139,10 @@ class TestPencilEigenvalues:
         for _ in range(50):
             v = random_spd(rng, 3)
             f = random_sym(rng, 3)
+            with pytest.raises(DimensionMismatch, match="expect 2x2 matrices"):
+                pencil_eigenvalues(v, f)
+            v = random_spd(rng, 2)
+            f = random_sym(rng, 2)
             assert np.allclose(
                 pencil_eigenvalues(v, f), eigh(f, v, eigvals_only=True), atol=1e-11
             )
@@ -261,13 +269,13 @@ class TestClosedFormPencil:
             PAIR_SITES[site](v, f)
 
     def test_message_form_matches_general_route(self):
-        # the n = 3 route reports the lowest eigenvalue of v the same way
-        messages = []
-        for v in (np.diag([2.0, -0.5]), np.diag([2.0, -0.5, 1.0])):
-            with pytest.raises(NonPositiveMetric) as info:
-                pencil_eigenvalues(v, np.zeros_like(v))
-            messages.append(str(info.value))
-        assert messages[0] == messages[1] == "v has a nonpositive eigenvalue (-0.5)"
+        # the lowest eigenvalue of v is named; a 3x3 v is refused by its size first
+        v = np.diag([2.0, -0.5])
+        with pytest.raises(NonPositiveMetric, match=r"^v has a nonpositive eigenvalue \(-0\.5\)$"):
+            pencil_eigenvalues(v, np.zeros_like(v))
+        v = np.diag([2.0, -0.5, 1.0])
+        with pytest.raises(DimensionMismatch, match="^surface operations expect 2x2 matrices$"):
+            pencil_eigenvalues(v, np.zeros_like(v))
 
     def test_empty_stacks(self):
         empty = np.zeros((0, 2, 2))
@@ -369,6 +377,10 @@ class TestPhaseRadius:
             n = rng.choice([2, 3])
             v = random_spd(rng, n, scale=rng.uniform(0.5, 5.0))
             f = random_sym(rng, n, bound=10.0)
+            if n == 3:  # the pencil is 2x2 only
+                with pytest.raises(DimensionMismatch, match="expect 2x2 matrices"):
+                    pencil_eigenvalues(v, f)
+                continue
             radius, theta = phase_radius(pencil_eigenvalues(v, f))
             lhs = np.linalg.det(v - 1j * f)
             rhs = np.linalg.det(v) * radius * np.exp(-1j * theta)
