@@ -39,7 +39,7 @@ from .core_geometry import (
 from .errors import DhymError, InvalidConfig
 from .legendre import legendre_forward
 from .linearized_ops import (
-    apply_L,
+    _applied,
     flat_symbol,
     make_consistent_context,
     negativity_check,
@@ -439,25 +439,32 @@ def _cmd_legendre(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool)
     return "legendre.csv", ["x", "phi", "phi_dd", "y_of_x", "duality_defect"], [x, phi.samples, phi_dd, y_at, duality]
 
 
-def _band_limited_trials(n: int, count: int, seed: int, mode_limit: int):
+def _half_plane_modes(m: int) -> np.ndarray:
+    """The modes (kx, ky) of the half plane 0 <= kx <= m, |ky| <= m,
+    (kx, ky) > 0, as an (M, 2) integer array in the draw order of
+    ``_band_limited_trials``: kx outer, the flat index kx (2m + 1) + (ky + m)
+    from m + 1 on."""
+    kx, col = np.divmod(np.arange(m + 1, (m + 1) * (2 * m + 1)), 2 * m + 1)
+    return np.stack((kx, col - m), axis=-1)
+
+
+def _band_limited_trials(n: int, count: int, seed: int, m: int):
     """The seeded trial fields, one at a time, so memory does not grow with ``count``.
 
     A trial is the sum of a cos 2 pi (kx x + ky y) + b sin 2 pi (kx x + ky y)
-    over the half plane of modes 0 <= kx <= m, |ky| <= m, (kx, ky) > 0
-    (m = ``mode_limit``), with a and then b drawn per mode in that order.
-    It is evaluated as Re(Ex^T C Ey), C[kx, ky] = a - i b, from the table
-    E[k, j] = exp(2 pi i k j / n) of each axis, not from 4 m (m + 1)
-    full-grid cosines and sines; the two agree to roundoff.
+    over the ``_half_plane_modes`` of m (``mode_limit``), with a and then b
+    drawn per mode in that order.  It is evaluated as Re(Ex^T C Ey),
+    C[kx, ky] = a - i b, from the table E[k, j] = exp(2 pi i k j / n) of
+    each axis, not from 4 m (m + 1) full-grid cosines and sines; the two
+    agree to roundoff.
     """
     rng = np.random.default_rng(seed)
-    m = mode_limit
     table = np.exp(2j * np.pi * np.outer(np.arange(-m, m + 1), grid(n)))  # rows k = -m .. m
-    # the modes in draw order, kx outer: flat index kx (2m + 1) + (ky + m) from m + 1 on
-    kx, col = np.divmod(np.arange(m + 1, (m + 1) * (2 * m + 1)), 2 * m + 1)
+    kx, ky = _half_plane_modes(m).T
     for _ in range(count):
         a, b = rng.normal(size=(kx.size, 2)).T
         coeff = np.zeros((m + 1, 2 * m + 1), dtype=complex)
-        coeff[kx, col] = a - 1j * b
+        coeff[kx, ky + m] = a - 1j * b
         # einsum, not a BLAS matmul: the product is small and complex, and
         # a complex gemm touches work buffers that the real products of
         # `partial2` do not (peak RSS of `dhym lincheck` at N = 16, os.wait4
@@ -477,20 +484,16 @@ def _cmd_lincheck(cfg: dict, manifest: _Manifest, base_dir: Path, verbose: bool)
     if mode_limit >= n // 2:
         raise InvalidConfig(f"mode_limit must stay below the Nyquist index {n // 2}")
     x, y = grid2(n)
-    if amp > 0.0:
-        u_pert = amp * (np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.sin(2 * np.pi * (x + y)))
-    else:
-        u_pert = np.zeros((n, n))
+    u_pert = amp * (np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.sin(2 * np.pi * (x + y)))
     ctx = make_consistent_context(u_pert, b)
     sym_err = None  # the symbol is known only on the flat background
     if amp == 0.0:
         with manifest.stage("symbol"):
-            modes = [(kx, ky) for kx in range(0, 4) for ky in range(-3, 4) if (kx, ky) > (0, 0)]
-            sym_err = 0.0
-            for kx, ky in modes:
-                gamma = np.cos(2 * np.pi * (kx * x + ky * y))
-                sym = flat_symbol(np.array([kx, ky]), b)
-                sym_err = max(sym_err, float(np.abs(apply_L(ctx, gamma) - sym * gamma).max() / abs(sym)))
+            # L of the cosines of the modes up to 3, in chunks, as the trial checks apply it
+            modes = _half_plane_modes(3)
+            cosines = (np.cos(2 * np.pi * (kx * x + ky * y)) for kx, ky in modes)
+            pairs = zip(_applied(ctx, cosines), flat_symbol(modes, b))
+            sym_err = max(float(np.abs(image - sym * gamma).max() / abs(sym)) for (gamma, image, _), sym in pairs)
     trials = _band_limited_trials(n, count, seed, mode_limit)
     with manifest.stage("selfadjointness"):
         defects = selfadjointness_defect(ctx, zip(trials, trials))  # consecutive pairs

@@ -184,9 +184,12 @@ class DetBoundReport:
 
 
 def det_bound_verify(v_hess, bounds=(0.0, np.inf)) -> DetBoundReport:
-    """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field;
-    an empty field raises ``DimensionMismatch``."""
+    """Pinching check 0 < c1 < det(Hess v) < c2 on a metric Hessian field
+    of symmetric 2x2 matrices, positive definite or not: the report measures
+    det.  Another matrix size or an empty field raises ``DimensionMismatch``."""
     v = _as_sym(v_hess, "v")
+    if v.shape[-2:] != (2, 2):
+        raise DimensionMismatch(f"v must be a field of 2x2 matrices, got shape {v.shape}")
     _check_points(v, "v")
     det = _det2(v)
     return DetBoundReport(

@@ -454,21 +454,26 @@ def apply_L(ctx: LinearizedContext, udot) -> np.ndarray:
     return out + 2.0 * _contract_jacobian(s0 - q[0], s1 - q[1], transport_coef)
 
 
-def flat_symbol(k: np.ndarray, b_matrix: np.ndarray) -> float:
-    """Fourier symbol of L at the flat background, for integer mode k != 0."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (2,):
-        raise DimensionMismatch(f"the mode must be a 2-vector, got shape {k.shape}")
+def flat_symbol(modes, b_matrix: np.ndarray) -> np.ndarray:
+    """Fourier symbol of L at the flat background at each mode of ``modes``,
+    nonzero integer 2-vectors of shape (..., 2): an array of shape (...), a
+    scalar for one mode.  k.B k and k.B^2 k are the row-by-matrix products
+    (k B) k of each mode, so every value is bit for bit the one of its mode
+    alone."""
+    k = np.asarray(modes, dtype=float)
+    if k.shape[-1:] != (2,):
+        raise DimensionMismatch(f"a mode must be a 2-vector, got shape {k.shape}")
+    bad = ~(np.isfinite(k) & (k == np.round(k))).all(axis=-1) | ~k.any(axis=-1)
+    if bad.any():
+        raise InvalidConfig(f"the symbol is defined for nonzero modes of integers, not {k[bad][0].tolist()}")
     b = _sym2(b_matrix, "B")
-    k2 = float(k @ k)
-    if k2 == 0.0:
-        raise InvalidConfig("the symbol is defined for nonzero modes")
     tp = 2.0 * np.pi
-    kbk = float(k @ b @ k)
-    kb2k = float(k @ (b @ b) @ k)
-    # kbk * kbk, not kbk**2: a float power raises on overflow where a product gives inf
-    symbol = -(tp**4) * k2**2 - 2.0 * tp**2 * kb2k + 2.0 * tp**2 * (kbk * kbk) / k2
-    if not np.isfinite(symbol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = (k * k).sum(axis=-1)
+        kbk = (k[..., None, :] @ b @ k[..., None])[..., 0, 0]
+        kb2k = (k[..., None, :] @ (b @ b) @ k[..., None])[..., 0, 0]
+        symbol = -(tp**4) * k2**2 - 2.0 * tp**2 * kb2k + 2.0 * tp**2 * (kbk * kbk) / k2
+    if not np.isfinite(symbol).all():
         raise InvalidConfig("the flat symbol overflows for this B")
     return symbol
 
@@ -530,7 +535,7 @@ def _as_trial(ctx: LinearizedContext, trial) -> np.ndarray:
 
 
 def _as_pair(ctx: LinearizedContext, pair) -> tuple:
-    pair = tuple(pair)
+    pair = tuple(pair) if np.iterable(pair) else (pair,)
     if len(pair) != 2:
         raise DimensionMismatch(f"a trial pair holds two trials, not {len(pair)}")
     return _as_trial(ctx, pair[0]), _as_trial(ctx, pair[1])

@@ -327,14 +327,10 @@ def test_criterion_10_linearized_operator():
     b = np.array([[2.0, 0.7], [0.7, 1.0]])
     x, y = grid2(n)
     flat = LinearizedContext(u_pert=np.zeros((n, n)), b_matrix=b)
-    sym_err = 0.0
-    for kx in range(0, 4):
-        for ky in range(-3, 4):
-            if (kx, ky) <= (0, 0):
-                continue
-            gamma = np.cos(2 * np.pi * (kx * x + ky * y))
-            sym = flat_symbol(np.array([kx, ky]), b)
-            sym_err = max(sym_err, float(np.abs(apply_L(flat, gamma) - sym * gamma).max() / abs(sym)))
+    kx, ky = np.array([(kx, ky) for kx in range(0, 4) for ky in range(-3, 4) if (kx, ky) > (0, 0)]).T
+    sym = flat_symbol(np.stack((kx, ky), axis=-1), b)[:, None, None]
+    gamma = np.cos(2 * np.pi * (kx[:, None, None] * x + ky[:, None, None] * y))
+    sym_err = float((np.abs(apply_L(flat, gamma) - sym * gamma) / np.abs(sym)).max())
 
     def trial(seed, size=n, kmax=3):
         r = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from dhym.cli import SCHEMAS, _validate, _write_csv, main
 from dhym.core_geometry import ConstantCurvature2, torus_constant_phase
 from dhym.errors import InvalidConfig
 
-from conftest import average_radius, one_error_line
+from conftest import average_radius, count_columns, one_error_line
 
 SOLVE_CFG = {
     "regime": "dhym",
@@ -682,6 +682,17 @@ def test_lincheck_symbol_error_only_where_checked(tmp_path):
     perturbed = run_strict(tmp_path, "lincheck", dict(cfg, perturbation=0.004))
     assert perturbed["results"]["flat_symbol_rel_err"] is None
     assert "symbol" not in perturbed["timings"]
+
+
+@pytest.mark.parametrize("n, widths", [(16, [24]), (32, [16, 8]), (64, [4] * 6)])
+def test_flat_symbol_check_applies_L_in_chunks(tmp_path, monkeypatch, n, widths):
+    # the 24 cosines of the symbol check go through apply_L as the trial
+    # checks do, max(1, _CHUNK_POINTS // N^2) at a time; the two trials
+    # follow in one call, and the negativity check reads their memo
+    applied = count_columns(monkeypatch)
+    cfg = {"grid": n, "b_matrix": [[2.0, 0.7], [0.7, 1.0]], "trials": 2}
+    assert main(["lincheck", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]) == 0
+    assert applied == widths + [2]
 
 
 def test_phase_reports_one_class_modulus(tmp_path):

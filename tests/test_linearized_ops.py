@@ -705,12 +705,30 @@ class TestApplyL:
     def test_flat_symbol(self):
         ctx = flat_context(32)
         x, y = grid2(32)
-        for k in [(1, 0), (0, 2), (2, 3), (5, 1), (1, -4)]:
-            kv = np.array(k)
-            gamma = np.cos(2 * np.pi * (k[0] * x + k[1] * y))
-            sym = flat_symbol(kv, B_REF)
-            out = apply_L(ctx, gamma)
-            assert np.abs(out - sym * gamma).max() < 1e-9 * abs(sym)
+        kx, ky = np.array([(1, 0), (0, 2), (2, 3), (5, 1), (1, -4)]).T
+        gamma = np.cos(2 * np.pi * (kx[:, None, None] * x + ky[:, None, None] * y))
+        sym = flat_symbol(np.stack((kx, ky), axis=-1), B_REF)[:, None, None]
+        out = apply_L(ctx, gamma)
+        assert (np.abs(out - sym * gamma).max(axis=(1, 2)) < 1e-9 * np.abs(sym[:, 0, 0])).all()
+
+    def test_symbol_over_an_array_of_modes(self, rng):
+        # the array of modes gives, to 1 ulp, the scalar formula of each
+        # mode alone: k.B k and k.B^2 k as the products k @ B @ k
+        modes = np.array([(kx, ky) for kx in range(-8, 9) for ky in range(-8, 9) if kx or ky])
+        tp = 2.0 * np.pi
+        for _ in range(50):
+            b = rng.uniform(-3, 3, (2, 2))
+            b = 0.5 * (b + b.T)
+            expected = [
+                -(tp**4) * float(k @ k) ** 2
+                - 2.0 * tp**2 * float(k @ (b @ b) @ k)
+                + 2.0 * tp**2 * float(k @ b @ k) ** 2 / float(k @ k)
+                for k in modes.astype(float)
+            ]
+            np.testing.assert_array_max_ulp(flat_symbol(modes, b), np.array(expected), maxulp=1)
+        # any leading shape, and one value for one mode
+        assert flat_symbol(modes.reshape(16, 18, 2), B_REF).shape == (16, 18)
+        assert np.ndim(flat_symbol(modes[0], B_REF)) == 0
 
     def test_symbol_closed_form(self):
         tp = 2.0 * np.pi
@@ -829,8 +847,9 @@ class TestNegativity:
         mat = dense_operator(ctx)
         top = np.linalg.eigvalsh(q.T @ (0.5 * (mat + mat.T)) @ q).max()
         if amplitude == 0.0:
-            modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-            symbol = max(flat_symbol(np.array([kx, ky]), B_REF) for kx in modes for ky in modes if kx or ky)
+            k = np.fft.fftfreq(n, 1.0 / n).astype(int)
+            modes = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)[1:]  # all but (0, 0)
+            symbol = flat_symbol(modes, B_REF).max()
             assert abs(top - symbol) <= 1e-8 * abs(symbol)
         else:
             assert top < 0.0

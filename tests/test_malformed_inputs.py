@@ -1,14 +1,15 @@
 """One table of malformed 2-d inputs: each raises a ``DhymError`` subclass
 with exit code 2 (never a bare numpy exception, and never the exit 5 of an
 internal failure), from the one reader of its kind of input: a constant
-2x2 matrix, a periodic potential, a (v, F) pencil pair, or a trial."""
+2x2 matrix, a field of 2x2 matrices, a periodic potential, a (v, F) pencil
+pair, a Fourier mode, or a trial."""
 
 import numpy as np
 import pytest
 
 from dhym.core_geometry import pencil_eigenvalues
 from dhym.errors import DhymError, DimensionMismatch, InvalidConfig
-from dhym.kym_ndim import KymData, abreu_operator, abreu_operator_divergence_form
+from dhym.kym_ndim import KymData, abreu_operator, abreu_operator_divergence_form, det_bound_verify
 from dhym.linearized_ops import (
     LinearizedContext,
     apply_L,
@@ -78,6 +79,33 @@ MALFORMED = {
         r"2-vector, got shape \(3,\)",
     ),
     "flat_symbol-mode-scalar": (lambda: flat_symbol(1.0, np.eye(2)), DimensionMismatch, "2-vector"),
+    # a mode that is not a nonzero integer vector is the mode's fault, not B's
+    "flat_symbol-mode-nan": (
+        lambda: flat_symbol(np.array([np.nan, 1.0]), np.eye(2)),
+        InvalidConfig,
+        r"nonzero modes of integers, not \[nan, 1\.0\]",
+    ),
+    "flat_symbol-mode-half": (
+        lambda: flat_symbol(np.array([0.5, 0.0]), np.eye(2)),
+        InvalidConfig,
+        r"nonzero modes of integers, not \[0\.5, 0\.0\]",
+    ),
+    "flat_symbol-zero-mode-in-array": (
+        lambda: flat_symbol(np.array([[1, 2], [0, 0]]), np.eye(2)),
+        InvalidConfig,
+        r"nonzero modes of integers, not \[0\.0, 0\.0\]",
+    ),
+    # det_bound_verify measures det of a field of 2x2 matrices, of any sign
+    "det_bound_verify-3x3-field": (
+        lambda: det_bound_verify(np.broadcast_to(np.diag([1.0, 1.0, -5.0]), (4, 4, 3, 3))),
+        DimensionMismatch,
+        r"field of 2x2 matrices, got shape \(4, 4, 3, 3\)",
+    ),
+    "det_bound_verify-1x1-field": (
+        lambda: det_bound_verify(np.ones((4, 4, 1, 1))),
+        DimensionMismatch,
+        r"field of 2x2 matrices, got shape \(4, 4, 1, 1\)",
+    ),
     "pencil-3x3": (lambda: pencil_eigenvalues(np.eye(3), np.eye(3)), DimensionMismatch, "expect 2x2 matrices"),
     "pencil-1x1": (lambda: pencil_eigenvalues(np.eye(1), np.eye(1)), DimensionMismatch, "expect 2x2 matrices"),
     "pencil-3x3-stack": (
@@ -107,6 +135,11 @@ MALFORMED = {
         lambda: selfadjointness_defect(flat_context(), [(trial(1), trial(2), trial(3)), (trial(4),)]),
         DimensionMismatch,
         "a trial pair holds two trials, not 3",
+    ),
+    "selfadjointness-pair-not-a-sequence": (
+        lambda: selfadjointness_defect(flat_context(), [1.0]),
+        DimensionMismatch,
+        "a trial pair holds two trials, not 1",
     ),
     "selfadjointness-pair-of-one": (
         lambda: selfadjointness_defect(flat_context(), [(trial(1), trial(2)), (trial(3),)]),

@@ -21,9 +21,11 @@ trials.  A record holds, per config:
 * ``wall_s``: quartiles of the wall time of the process, start-up included,
   and the time of each round (``rounds``);
 * ``peak_rss_mb``: the largest peak RSS of the process over the rounds;
-* ``L_columns``: the trials ``linearized_ops.apply_L`` was applied to,
-  counted in one more, untimed run that calls ``dhym.cli.main`` in-process;
-* ``results``: ``degree_defect``, ``selfadjointness_max`` and
+* ``L_columns`` and ``L_calls``: the fields ``linearized_ops.apply_L`` was
+  applied to and the calls it took for them, counted in one more, untimed
+  run that calls ``dhym.cli.main`` in-process;
+* ``results``: ``degree_defect``, ``flat_symbol_rel_err`` (null on a
+  perturbed background), ``selfadjointness_max`` and
   ``negativity_max_rayleigh`` of the manifest, the same in every round;
 * ``time_ratio`` (every label after the first): the per-round ratios of
   its wall time over the first label's (``rounds``), their median and the
@@ -61,7 +63,7 @@ CONFIGS = {
     "n256": {"grid": 256, "perturbation": 0.006, "seed": 1},
     "n512": {"grid": 512, "perturbation": 0.006, "seed": 1},
 }
-RESULTS = ("degree_defect", "selfadjointness_max", "negativity_max_rayleigh")
+RESULTS = ("degree_defect", "flat_symbol_rel_err", "selfadjointness_max", "negativity_max_rayleigh")
 
 
 def _run_lincheck(src: str, cfg: dict) -> dict:
@@ -82,8 +84,9 @@ def _run_lincheck(src: str, cfg: dict) -> dict:
 
 
 def count_columns(src: str) -> None:
-    """Prints, as JSON, the columns L is applied to per config, with the
-    ``dhym`` package in ``src`` imported in this process."""
+    """Prints, as JSON, the columns L is applied to and the calls of
+    ``apply_L`` per config, with the ``dhym`` package in ``src`` imported in
+    this process."""
     sys.path.insert(0, src)
     from dhym import cli, linearized_ops
 
@@ -93,7 +96,11 @@ def count_columns(src: str) -> None:
         widths.append(len(udot) if np.ndim(udot) == 3 else 1)
         return apply(ctx, udot)
 
-    linearized_ops.apply_L = cli.apply_L = counted
+    # a CLI that imports apply_L itself (one whose symbol check called it
+    # once per mode) calls it by its own binding, which is counted too
+    for module in (linearized_ops, cli):
+        if vars(module).get("apply_L") is apply:
+            vars(module)["apply_L"] = counted
     columns = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in CONFIGS.items():
@@ -104,7 +111,7 @@ def count_columns(src: str) -> None:
                 code = cli.main(["lincheck", "--config", str(path), "--out", tmp])
             if code:
                 raise RuntimeError(f"{name}: dhym lincheck exited {code}")
-            columns[name] = sum(widths)
+            columns[name] = {"columns": sum(widths), "calls": len(widths)}
     print(json.dumps(columns))
 
 
@@ -121,7 +128,8 @@ def _record(runs: list, columns: dict) -> dict:
             "config": cfg,
             "wall_s": {"p25": q1, "p50": q2, "p75": q3, "rounds": walls},
             "peak_rss_mb": max(s["rss_mb"] for s in samples),
-            "L_columns": columns[name],
+            "L_columns": columns[name]["columns"],
+            "L_calls": columns[name]["calls"],
             "results": results,
         }
     return configs
@@ -162,7 +170,7 @@ def main(argv=None) -> None:
             wall, ratio = row["wall_s"], row.get("time_ratio")
             print(
                 f"  {name:9s} {wall['p50']:.3f} s [{wall['p25']:.3f}, {wall['p75']:.3f}]"
-                f"  {row['peak_rss_mb']:6.1f} MB  {row['L_columns']:3d} L columns"
+                f"  {row['peak_rss_mb']:6.1f} MB  {row['L_columns']:3d} L columns in {row['L_calls']:2d} calls"
                 f"  negativity {row['results']['negativity_max_rayleigh']!r}"
                 + (f"  time x{ratio['p50']:.3f}, won {ratio['won']}/{ROUNDS}" if ratio else "")
             )
